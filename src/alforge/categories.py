@@ -9,7 +9,7 @@ conjunction ``(var\\.,@var)/.,@var``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 PRIMITIVE_NAMES = ("S", "NP", "NP_SUBJ", "NP_OBJ", "SCOMP")
 
@@ -59,9 +59,26 @@ NO_RESTRICTIONS = Restrictions()
 
 
 class Category:
-    """Base class for category values."""
+    """Base class for category values.
+
+    Each instance computes its structural hash and whether it contains a
+    variable once, at construction (``_hash``, ``_var``), so hashing and
+    ``contains_variable`` cost O(1) however deep the category is.
+    """
 
     __slots__ = ()
+
+    def _cache(self, structural_hash: int, has_variable: bool) -> None:
+        object.__setattr__(self, "_hash", structural_hash)
+        object.__setattr__(self, "_var", has_variable)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed: str
+        # hashes are salted per process, so a pickled hash would be stale.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def __str__(self) -> str:
         return format_category(self)
@@ -70,13 +87,20 @@ class Category:
         return f"<{format_category(self)}>"
 
 
+# Each dataclass below re-binds ``__hash__``: a frozen dataclass would
+# otherwise generate its own field-walking hash over the inherited one.
+
+
 @dataclass(frozen=True, repr=False)
 class Primitive(Category):
     name: str
 
+    __hash__ = Category.__hash__
+
     def __post_init__(self) -> None:
         if self.name not in PRIMITIVE_NAMES:
             raise ValueError(f"unknown primitive: {self.name!r}")
+        self._cache(hash((Primitive, self.name)), False)
 
 
 @dataclass(frozen=True, repr=False)
@@ -84,6 +108,11 @@ class Variable(Category):
     """Unification variable; appears lexically only inside the conjunction."""
 
     name: str = "X"
+
+    __hash__ = Category.__hash__
+
+    def __post_init__(self) -> None:
+        self._cache(hash((Variable, self.name)), True)
 
 
 @dataclass(frozen=True, repr=False)
@@ -93,9 +122,15 @@ class Functor(Category):
     argument: Category
     restrictions: Restrictions = NO_RESTRICTIONS
 
+    __hash__ = Category.__hash__
+
     def __post_init__(self) -> None:
         if self.slash not in (FORWARD, BACKWARD):
             raise ValueError(f"slash must be '/' or '\\\\', got {self.slash!r}")
+        self._cache(
+            hash((self.result._hash, self.slash, self.argument._hash, self.restrictions)),
+            self.result._var or self.argument._var,
+        )
 
 
 S = Primitive("S")
@@ -147,11 +182,7 @@ def permute_cyclic(c: Category) -> Category:
 
 
 def contains_variable(c: Category) -> bool:
-    if isinstance(c, Variable):
-        return True
-    if isinstance(c, Functor):
-        return contains_variable(c.result) or contains_variable(c.argument)
-    return False
+    return c._var
 
 
 def is_conjunction(c: Category) -> bool:

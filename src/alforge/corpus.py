@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grammars import LEXICAL_CLASSES, Grammar
 from .parser import ChartParser
-from .templates import Template, heuristic_filter
+from .templates import Template
 
 SPLITS = (
     "ShortTrain",

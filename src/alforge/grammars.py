@@ -26,7 +26,6 @@ from .categories import (
     Variable,
     format_category,
     parse_category,
-    permute_cyclic,
 )
 from .parser import ParserPolicy
 
@@ -161,18 +160,6 @@ def build_grammar(params: str) -> Grammar:
         rel_category=rel,
     )
     return Grammar(params, base_order, lexicon, policy)
-
-
-def vt_orbit(vt: Category) -> set[Category]:
-    """Cyclic-permutation orbit of a transitive-verb category."""
-    orbit = {vt}
-    cur = vt
-    while True:
-        cur = permute_cyclic(cur)
-        if cur in orbit:
-            break
-        orbit.add(cur)
-    return orbit
 
 
 def _signature(g: Grammar):

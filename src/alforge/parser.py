@@ -4,16 +4,24 @@ Permutation is a unary closure inside each chart cell, limited to verb
 functors (categories whose innermost result is S).  Coordination is a ternary
 rule over (left span, conjunction token, right span); conjunction tokens never
 enter ordinary cells, which keeps variable categories out of the chart.
+
+The chart runs on small integer codes.  A ``RuleTable`` interns each category
+to an int the first time it is seen and memoises, per code, the binary rule
+results, the rotation closure (as a bitmask) and coordination eligibility.
+Chart cells are bitmasks over codes, and each cell combination (binary rules
+and coordination) is memoised on its pair of cell masks per permutation mode.
+Every table entry is filled lazily, on first use, so keep one
+``ChartParser`` per grammar when parsing in bulk.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from .categories import (
     Category,
     Functor,
-    Primitive,
     S,
     arity,
     innermost_result,
@@ -40,7 +48,6 @@ class ParserPolicy:
     allow_permutation: bool = True
     require_rel: bool = False
     rel_category: Category | None = None
-    max_rotations_per_item: int | None = None
 
     def permutation_active(self, seq: tuple[Category, ...]) -> bool:
         if not self.allow_permutation:
@@ -68,21 +75,137 @@ def rotation_step(c: Category) -> Category | None:
     return rotated if rotated != c else None
 
 
-def rotations(c: Category, limit: int | None = None) -> list[Category]:
+def rotations(c: Category) -> list[Category]:
     """Proper rotations of ``c`` reachable under the eligibility rules, in
-    application order (at most arity-1, optionally capped)."""
+    application order (at most arity-1)."""
     out: list[Category] = []
-    cap = arity(c) - 1 if isinstance(c, Functor) else 0
-    if limit is not None:
-        cap = min(cap, limit)
     cur = c
-    for _ in range(max(cap, 0)):
+    for _ in range(arity(c) - 1):
         nxt = rotation_step(cur)
         if nxt is None or nxt == c or nxt in out:
             break
         out.append(nxt)
         cur = nxt
     return out
+
+
+def _bits(mask: int):
+    """Codes set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class RuleTable:
+    """Interned categories and lazily memoised rule results over their codes.
+
+    ``code`` assigns each distinct category a small int on first sight.  Four
+    lookups memoise per code: ``combine`` (the ``BINARY_RULES`` results for a
+    pair), ``rotations`` and ``closure`` (a code's rotation chain, and the
+    bitmask of the code and that chain) and ``coordinable`` (whether a code
+    coordinates around a conjunction).  Two memoise per pair of chart cells,
+    as bitmasks: ``join`` (every closed binary result) and ``coordinated``
+    (the closed coordination results).  Interning takes a lock; every memo
+    entry is a pure function of codes interned under it, so two threads that
+    race to fill one entry write the same value, and one table may be shared
+    between threads.
+    """
+
+    def __init__(self) -> None:
+        self.cats: list[Category] = []
+        self._codes: dict[Category, int] = {}
+        self._lock = threading.Lock()
+        self._pairs: dict[tuple[int, int], tuple[tuple[RuleId, int], ...]] = {}
+        self._rotations: dict[int, tuple[int, ...]] = {}
+        self._closures: dict[int, int] = {}
+        self._coordinable: dict[tuple[int, int], bool] = {}
+        self._coordinated: dict[tuple[int, int, bool], int] = {}
+        self._joins: tuple[dict, dict] = ({}, {})  # indexed by permutation mode
+
+    def code(self, cat: Category) -> int:
+        code = self._codes.get(cat)
+        if code is None:
+            with self._lock:
+                code = self._codes.get(cat)
+                if code is None:
+                    code = len(self.cats)
+                    self.cats.append(cat)  # before publishing the code
+                    self._codes[cat] = code
+        return code
+
+    def combine(self, a: int, b: int) -> tuple[tuple[RuleId, int], ...]:
+        """(rule, result code) for every binary rule that applies to a, b."""
+        out = self._pairs.get((a, b))
+        if out is None:
+            x, y = self.cats[a], self.cats[b]
+            out = tuple(
+                (rule, self.code(cat))
+                for rule, fn in BINARY_RULES
+                if (cat := fn(x, y)) is not None
+            )
+            self._pairs[(a, b)] = out
+        return out
+
+    def rotations(self, a: int) -> tuple[int, ...]:
+        """Codes of ``rotations`` of a, in application order."""
+        out = self._rotations.get(a)
+        if out is None:
+            out = tuple(self.code(r) for r in rotations(self.cats[a]))
+            self._rotations[a] = out
+        return out
+
+    def closure(self, a: int, permuting: bool) -> int:
+        """Bitmask of a and, when permuting, every rotation reachable from it."""
+        if not permuting:
+            return 1 << a
+        out = self._closures.get(a)
+        if out is None:
+            out = 1 << a
+            for r in self.rotations(a):
+                out |= 1 << r
+            self._closures[a] = out
+        return out
+
+    def coordinable(self, conj: int, a: int) -> bool:
+        """Whether two a-constituents coordinate around conjunction conj."""
+        out = self._coordinable.get((conj, a))
+        if out is None:
+            cat = self.cats[a]
+            out = coordinate(cat, self.cats[conj], cat) is not None
+            self._coordinable[(conj, a)] = out
+        return out
+
+    def coordinated(self, conj: int, both: int, permuting: bool) -> int:
+        """Closed bitmask of the codes in ``both`` (categories found on each
+        side of conjunction conj) that coordinate around it."""
+        key = (conj, both, permuting)
+        out = self._coordinated.get(key)
+        if out is None:
+            out = 0
+            for a in _bits(both):
+                if self.coordinable(conj, a):
+                    out |= self.closure(a, permuting)
+            self._coordinated[key] = out
+        return out
+
+    def joins(self, permuting: bool) -> dict[tuple[int, int], int]:
+        """The ``join`` memo of one permutation mode, for lookups in a hot loop."""
+        return self._joins[permuting]
+
+    def join(self, left: int, right: int, permuting: bool) -> int:
+        """Closed bitmask of every binary result of a code in ``left`` with
+        a code in ``right``."""
+        memo = self._joins[permuting]
+        out = memo.get((left, right))
+        if out is None:
+            out = 0
+            for a in _bits(left):
+                for b in _bits(right):
+                    for _rule, c in self.combine(a, b):
+                        out |= self.closure(c, permuting)
+            memo[(left, right)] = out
+        return out
 
 
 @dataclass(frozen=True)
@@ -100,30 +223,17 @@ class ParseResult:
     derivations: list[Derivation] = field(default_factory=list)
 
 
-_Key = tuple[int, int, Category]
+_Key = tuple[int, int, int]  # (start, end, category code)
 
 
 class ChartParser:
-    """Reusable parser; rule results are memoized across calls, so keep one
-    instance per grammar when parsing in bulk."""
+    """Reusable parser over one ``RuleTable``.  The table fills lazily and is
+    kept across calls, so keep one instance per grammar when parsing in
+    bulk."""
 
     def __init__(self, policy: ParserPolicy = DEFAULT_POLICY):
         self.policy = policy
-        self._pair_memo: dict[tuple[Category, Category], tuple[tuple[RuleId, Category], ...]] = {}
-
-    def _combine(self, a: Category, b: Category) -> tuple[tuple[RuleId, Category], ...]:
-        memo = self._pair_memo
-        hit = memo.get((a, b))
-        if hit is not None:
-            return hit
-        out = []
-        for rule, fn in BINARY_RULES:
-            cat = fn(a, b)
-            if cat is not None:
-                out.append((rule, cat))
-        result = tuple(out)
-        memo[(a, b)] = result
-        return result
+        self.table = RuleTable()
 
     def parse(
         self,
@@ -132,100 +242,121 @@ class ChartParser:
         derivations: bool = False,
         max_derivations: int = 64,
     ) -> ParseResult:
-        chart = self._fill(tuple(seq), backpointers=derivations)
-        n = len(seq)
-        root = chart.get((0, n), {})
-        grammatical = S in root
-        result = ParseResult(grammatical)
-        if derivations and grammatical:
-            result.derivations = self._extract((0, n, S), chart, max_derivations)
+        seq = tuple(seq)
+        bps = {} if derivations else None
+        root = self._fill(seq, bps)
+        s = self.table.code(S)
+        result = ParseResult(bool(root >> s & 1))
+        if derivations and result.grammatical:
+            result.derivations = self._extract((0, len(seq), s), bps, max_derivations)
         return result
 
     def derivable(self, seq: list[Category] | tuple[Category, ...]) -> set[Category]:
         """Categories derivable over the whole sequence."""
-        chart = self._fill(tuple(seq), backpointers=False)
-        return set(chart.get((0, len(seq)), {}))
+        cats = self.table.cats
+        return {cats[a] for a in _bits(self._fill(tuple(seq), None))}
 
-    def _fill(self, seq: tuple[Category, ...], *, backpointers: bool):
+    def _fill(self, seq: tuple[Category, ...], bps: dict | None) -> int:
+        """Fill the chart and return the root cell's mask.  With ``bps`` (a
+        dict), also record there, per span, every category's backpointers."""
         if not seq:
             raise ValueError("cannot parse an empty sequence")
+        table = self.table
         n = len(seq)
         permuting = self.policy.permutation_active(seq)
-        cap = self.policy.max_rotations_per_item
-        conj_positions = [i for i, c in enumerate(seq) if is_conjunction(c)]
-        chart: dict[tuple[int, int], dict[Category, list]] = {}
+        codes = [table.code(c) for c in seq]
+        conjs: list[tuple[int, int]] = []  # (position, code) of conjunction tokens
+        # chart[i][j]: mask of the categories derivable over seq[i:j]
+        chart = [[0] * (n + 1) for _ in range(n + 1)]
+        for i, a in enumerate(codes):
+            if is_conjunction(seq[i]):
+                conjs.append((i, a))  # feeds the coordination rule only
+                continue
+            chart[i][i + 1] = table.closure(a, permuting)
+            if bps is not None:
+                self._record(bps.setdefault((i, i + 1), {}), i, i + 1, a, None, permuting)
 
-        def add(i: int, j: int, cat: Category, bp) -> None:
-            cell = chart.setdefault((i, j), {})
-            existing = cell.get(cat)
-            if existing is not None:
-                if backpointers and bp is not None:
-                    existing.append(bp)
-                return
-            cell[cat] = [bp] if (backpointers and bp is not None) else []
-            if permuting:
-                prev = cat
-                for rot in rotations(cat, cap):
-                    if rot in cell:
-                        break
-                    rbp = (RuleId.PERMUTE, ((i, j, prev),)) if backpointers else None
-                    cell[rot] = [rbp] if rbp is not None else []
-                    prev = rot
-
-        for i, cat in enumerate(seq):
-            if is_conjunction(cat):
-                continue  # conjunction tokens feed the coordination rule only
-            add(i, i + 1, cat, None)
-
+        joined = table.joins(permuting)
+        # ends[i]: ascending ends k of the non-empty spans seq[i:k]
+        ends = [[i + 1] if chart[i][i + 1] else [] for i in range(n)]
         for length in range(2, n + 1):
             for i in range(0, n - length + 1):
                 j = i + length
-                for k in range(i + 1, j):
-                    left = chart.get((i, k))
-                    right = chart.get((k, j))
-                    if not left or not right:
-                        continue
-                    for a in tuple(left):
-                        for b in tuple(right):
-                            for rule, cat in self._combine(a, b):
-                                bp = (rule, ((i, k, a), (k, j, b))) if backpointers else None
-                                add(i, j, cat, bp)
-                for p in conj_positions:
-                    if not (i < p < j - 1):
-                        continue
-                    left = chart.get((i, p))
-                    right = chart.get((p + 1, j))
-                    if not left or not right:
-                        continue
-                    conj = seq[p]
-                    for a in tuple(left):
-                        if a not in right:
-                            continue
-                        cat = coordinate(a, conj, a)
-                        if cat is None:
-                            continue
-                        bp = (
-                            (RuleId.COORD, ((i, p, a), (p, p + 1, conj), (p + 1, j, a)))
-                            if backpointers
-                            else None
-                        )
-                        add(i, j, cat, bp)
-        return chart
+                row = chart[i]
+                mask = 0
+                for k in ends[i]:
+                    if k >= j:
+                        break
+                    right = chart[k][j]
+                    if right:
+                        left = row[k]
+                        m = joined.get((left, right))
+                        if m is None:
+                            m = table.join(left, right, permuting)
+                        mask |= m
+                for p, conj in conjs:
+                    if i < p < j - 1:
+                        both = row[p] & chart[p + 1][j]
+                        if both:
+                            mask |= table.coordinated(conj, both, permuting)
+                row[j] = mask
+                if mask:
+                    ends[i].append(j)
+                if bps is not None and mask:
+                    self._backpointers(bps, i, j, chart, conjs, permuting)
+        return chart[0][n]
 
-    def _extract(self, key: _Key, chart, limit: int) -> list[Derivation]:
+    def _backpointers(self, bps, i: int, j: int, chart, conjs, permuting: bool) -> None:
+        """Record every way each category of span (i, j) is built, in chart
+        order: binary rules by split point, then coordination."""
+        table = self.table
+        cell: dict[int, list] = {}
+        for k in range(i + 1, j):
+            for a in _bits(chart[i][k]):
+                for b in _bits(chart[k][j]):
+                    for rule, c in table.combine(a, b):
+                        self._record(cell, i, j, c, (rule, ((i, k, a), (k, j, b))), permuting)
+        for p, conj in conjs:
+            if i < p < j - 1:
+                for a in _bits(chart[i][p] & chart[p + 1][j]):
+                    if table.coordinable(conj, a):
+                        bp = (RuleId.COORD, ((i, p, a), (p, p + 1, conj), (p + 1, j, a)))
+                        self._record(cell, i, j, a, bp, permuting)
+        bps[(i, j)] = cell
+
+    def _record(self, cell: dict, i: int, j: int, a: int, bp, permuting: bool) -> None:
+        """Add a backpointer for code a; a category new to the cell also
+        brings its rotations, each derived from the one before it."""
+        existing = cell.get(a)
+        if existing is not None:
+            if bp is not None:
+                existing.append(bp)
+            return
+        cell[a] = [bp] if bp is not None else []
+        if permuting:
+            prev = a
+            for rot in self.table.rotations(a):
+                if rot in cell:
+                    break
+                cell[rot] = [(RuleId.PERMUTE, ((i, j, prev),))]
+                prev = rot
+
+    def _extract(self, key: _Key, bps, limit: int) -> list[Derivation]:
+        cats = self.table.cats
         memo: dict[_Key, list[Derivation]] = {}
 
         def trees(key: _Key) -> list[Derivation]:
             cached = memo.get(key)
             if cached is not None:
                 return cached
-            i, j, cat = key
-            bps = chart.get((i, j), {}).get(cat)
+            i, j, a = key
+            cat = cats[a]
+            pointers = bps.get((i, j), {}).get(a)
             out: list[Derivation] = []
-            if not bps:
+            if not pointers:
                 out.append(Derivation(cat))
             else:
-                for rule, children in bps:
+                for rule, children in pointers:
                     child_alternatives = [trees(c) for c in children]
                     stack = [()]
                     for alts in child_alternatives:

@@ -6,6 +6,10 @@ under application, first-order composition, coordination and permutation),
 which makes exhaustive generation up to length 10 tractable where raw 11^10
 prefix search is not.  Equivalence with brute-force search is checked at
 small lengths by the test suite.
+
+The universe and the bottom-up language build run on the integer codes of a
+``parser.RuleTable``, the same lazily filled table type the chart parser
+uses, so both share one rule-combination mechanism.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from collections import defaultdict
 from itertools import product
 
 from .categories import S, Category
-from .combinators import BINARY_RULES, is_case_marker
 from .grammars import LEXICAL_CLASSES, Grammar
-from .parser import ChartParser, rotations
+from .parser import ChartParser, RuleTable
 
 Template = tuple[str, ...]
 
@@ -47,96 +50,93 @@ def heuristic_filter(classes) -> bool:
 
 def category_universe(
     grammar: Grammar, permutation_active: bool
-) -> tuple[set[Category], dict[tuple[Category, Category], frozenset[Category]]]:
-    """Closure of the lexical categories under the rules, plus the binary
-    combination table over that closure.  Conjunction is excluded (it feeds
-    the ternary coordination rule only, which creates no new categories)."""
-    cap = grammar.policy.max_rotations_per_item
+) -> tuple[set[Category], RuleTable]:
+    """Closure of the lexical categories under the rules, plus the rule
+    table whose binary results over that closure are now all filled in.
+    Conjunction is excluded (it feeds the ternary coordination rule only,
+    which creates no new categories)."""
+    table = RuleTable()
 
-    def close_rotations(cat: Category) -> list[Category]:
-        return [cat] + (rotations(cat, cap) if permutation_active else [])
+    def close_rotations(a: int) -> tuple[int, ...]:
+        return (a, *table.rotations(a)) if permutation_active else (a,)
 
-    cats: set[Category] = set()
-    pending: list[Category] = []
+    codes: set[int] = set()
+    pending: list[int] = []
     for cls, cat in grammar.lexicon:
         if cls == "CONJ":
             continue
-        for c in close_rotations(cat):
-            if c not in cats:
-                cats.add(c)
+        for c in close_rotations(table.code(cat)):
+            if c not in codes:
+                codes.add(c)
                 pending.append(c)
 
-    table: dict[tuple[Category, Category], set[Category]] = defaultdict(set)
     while pending:
         new = set(pending)
         pending = []
-        pairs = [(a, b) for a in new for b in cats] + [
-            (a, b) for a in cats for b in new if a not in new
+        pairs = [(a, b) for a in new for b in codes] + [
+            (a, b) for a in codes for b in new if a not in new
         ]
         for a, b in pairs:
-            for _rule, fn in BINARY_RULES:
-                out = fn(a, b)
-                if out is None:
-                    continue
+            for _rule, out in table.combine(a, b):
                 for c in close_rotations(out):
-                    table[(a, b)].add(out)
-                    if c not in cats:
-                        cats.add(c)
+                    if c not in codes:
+                        codes.add(c)
                         pending.append(c)
-        if len(cats) > 2000:
+        if len(codes) > 2000:
             raise RuntimeError("category universe failed to close")
-    # rotations of results are chart-level unaries, not part of the table
-    return cats, {k: frozenset(v) for k, v in table.items()}
+    return {table.cats[c] for c in codes}, table
 
 
-def _language(grammar: Grammar, permutation_active: bool, max_len: int):
-    """strings[n] = {category: set of class tuples of length n deriving it}."""
-    cats, table = category_universe(grammar, permutation_active)
-    cap = grammar.policy.max_rotations_per_item
-    rot = {c: rotations(c, cap) if permutation_active else [] for c in cats}
+def _language(grammar: Grammar, permutation_active: bool, max_len: int) -> list[set[Template]]:
+    """out[n] = the class tuples of length n that derive S, for n <= max_len.
 
-    strings: list[dict[Category, set[Template]]] = [dict() for _ in range(max_len + 1)]
+    Built bottom-up over category codes: strings[n] maps each code to the
+    class tuples of length n deriving it."""
+    _cats, table = category_universe(grammar, permutation_active)
+    conj = table.code(grammar.category("CONJ"))
 
-    def close_level(level: dict[Category, set[Template]]) -> None:
-        for cat in list(level):
-            for r in rot.get(cat, ()):
-                if r is not cat:
-                    level.setdefault(r, set()).update(level[cat])
+    strings: list[dict[int, set[Template]]] = [dict() for _ in range(max_len + 1)]
 
-    lex_level: dict[Category, set[Template]] = defaultdict(set)
+    def close_level(level: dict[int, set[Template]]) -> None:
+        if not permutation_active:
+            return
+        for a in list(level):
+            for r in table.rotations(a):
+                level.setdefault(r, set()).update(level[a])
+
+    lex_level: dict[int, set[Template]] = defaultdict(set)
     for cls, cat in grammar.lexicon:
         if cls == "CONJ":
             continue
-        lex_level[cat].add((cls,))
+        lex_level[table.code(cat)].add((cls,))
     strings[1] = dict(lex_level)
     close_level(strings[1])
 
     for n in range(2, max_len + 1):
-        level: dict[Category, set[Template]] = defaultdict(set)
+        level: dict[int, set[Template]] = defaultdict(set)
         for n1 in range(1, n):
             left, right = strings[n1], strings[n - n1]
             for a, a_strs in left.items():
                 for b, b_strs in right.items():
-                    results = table.get((a, b))
+                    results = table.combine(a, b)
                     if not results:
                         continue
                     joined = {sa + sb for sa in a_strs for sb in b_strs}
-                    for c in results:
+                    for _rule, c in results:
                         level[c].update(joined)
         for n1 in range(1, n - 1):
             left, right = strings[n1], strings[n - 1 - n1]
             for c, a_strs in left.items():
-                if is_case_marker(c):
-                    continue
                 b_strs = right.get(c)
-                if not b_strs:
+                if not b_strs or not table.coordinable(conj, c):
                     continue
                 level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs)
         level = dict(level)
         close_level(level)
         strings[n] = level
 
-    return strings
+    s = table.code(S)
+    return [level.get(s, set()) for level in strings]
 
 
 def enumerate_templates(grammar: Grammar, max_len: int = 10) -> list[Template]:
@@ -149,16 +149,16 @@ def enumerate_templates(grammar: Grammar, max_len: int = 10) -> list[Template]:
         with_perm = _language(grammar, True, max_len)
         without_perm = _language(grammar, False, max_len)
         for n in range(3, max_len + 1):
-            for t in with_perm[n].get(S, ()):
+            for t in with_perm[n]:
                 if "REL" in t:
                     out.add(t)
-            for t in without_perm[n].get(S, ()):
+            for t in without_perm[n]:
                 if "REL" not in t:
                     out.add(t)
     else:
         lang = _language(grammar, True, max_len)
         for n in range(3, max_len + 1):
-            out.update(lang[n].get(S, ()))
+            out.update(lang[n])
     return sorted(t for t in out if heuristic_filter(t))
 
 
@@ -172,13 +172,13 @@ def grammatical_sequences(
         with_perm = _language(grammar, True, max_len)
         without_perm = _language(grammar, False, max_len)
         for n in out:
-            out[n] = {t for t in with_perm[n].get(S, ()) if "REL" in t} | {
-                t for t in without_perm[n].get(S, ()) if "REL" not in t
+            out[n] = {t for t in with_perm[n] if "REL" in t} | {
+                t for t in without_perm[n] if "REL" not in t
             }
     else:
         lang = _language(grammar, True, max_len)
         for n in out:
-            out[n] = set(lang[n].get(S, ()))
+            out[n] = set(lang[n])
     return out
 
 

@@ -1,4 +1,12 @@
-"""Category algebra: construction, formatting, permutation, unification."""
+"""Category algebra: construction, formatting, permutation, unification,
+cached hashes."""
+
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,8 +31,10 @@ from alforge.categories import (
     is_conjunction,
     parse_category,
     permute_cyclic,
+    spine,
     substitute,
     unify,
+    unspine,
 )
 
 primitives = st.sampled_from([S, NP, NP_SUBJ, NP_OBJ, SCOMP])
@@ -38,9 +48,9 @@ restrictions = st.builds(
 )
 
 
-def categories(max_depth=3):
+def categories(max_depth=3, leaves=primitives):
     return st.recursive(
-        primitives,
+        leaves,
         lambda inner: st.builds(Functor, inner, slashes, inner, restrictions),
         max_leaves=max_depth,
     )
@@ -134,3 +144,75 @@ class TestUnification:
     def test_contains_variable(self):
         assert contains_variable(Functor(Variable("X"), FORWARD, NP))
         assert not contains_variable(Functor(S, FORWARD, NP))
+
+
+def _rebuilt(c: Category) -> Category:
+    """Structural copy built bottom-up, sharing no node with ``c``."""
+    if isinstance(c, Functor):
+        return Functor(_rebuilt(c.result), c.slash, _rebuilt(c.argument), c.restrictions)
+    return dataclasses.replace(c)
+
+
+def _has_variable(c: Category) -> bool:
+    if isinstance(c, Variable):
+        return True
+    if isinstance(c, Functor):
+        return _has_variable(c.result) or _has_variable(c.argument)
+    return False
+
+
+with_variables = categories(leaves=st.one_of(primitives, st.just(Variable())))
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from alforge.categories import parse_category
+cats = [parse_category(t) for t in sys.argv[1:]]
+sys.stdout.write(pickle.dumps((cats, [hash(c) for c in cats])).hex())
+"""
+
+
+class TestCachedHash:
+    @given(categories())
+    def test_routes_agree(self, cat):
+        for other in (parse_category(format_category(cat)), _rebuilt(cat)):
+            assert other == cat
+            assert hash(other) == hash(cat)
+        if arity(cat):
+            core, args = spine(cat)
+            rotated = unspine(core, args[1:] + args[:1])
+            assert rotated == permute_cyclic(cat)
+            assert hash(rotated) == hash(permute_cyclic(cat))
+
+    @given(with_variables)
+    def test_substitute_and_replace(self, cat):
+        ground = substitute(cat, {Variable(): NP})
+        assert ground == _rebuilt(ground)
+        assert hash(ground) == hash(_rebuilt(ground))
+        assert not contains_variable(ground)
+        if isinstance(cat, Functor):
+            slash = BACKWARD if cat.slash == FORWARD else FORWARD
+            flipped = dataclasses.replace(cat, slash=slash)
+            direct = Functor(cat.result, slash, cat.argument, cat.restrictions)
+            assert flipped == direct
+            assert hash(flipped) == hash(direct)
+
+    @given(with_variables)
+    def test_contains_variable_matches_recursion(self, cat):
+        assert contains_variable(cat) == _has_variable(cat)
+
+    def test_pickle_from_other_hash_seed(self):
+        texts = ["S", "NP_SUBJ", "(S\\NP_SUBJ)/NP_OBJ", "(var\\.,@var)/.,@var"]
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = Path(__file__).parent.parent / "src"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, *texts],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        loaded, remote_hashes = pickle.loads(bytes.fromhex(out))
+        local = [parse_category(t) for t in texts]
+        # str hashes are salted per process, so the remote cached hashes differ
+        assert remote_hashes != [hash(c) for c in local]
+        assert loaded == local
+        assert [hash(c) for c in loaded] == [hash(c) for c in local]
+        assert {c: i for i, c in enumerate(local)} == {c: i for i, c in enumerate(loaded)}

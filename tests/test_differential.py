@@ -1,0 +1,89 @@
+"""Differential checks of the integer-coded chart parser.
+
+Class sequences under random grammars are parsed by a parser whose rule
+table is kept warm across examples and by a fresh one, and compared with the
+brute-force oracle.  Half the sequences are short templates of the grammar,
+some with one class replaced, because uniformly random sequences almost
+never parse.  The labelled parse pool of the benchmark covers lengths 11-20,
+beyond the oracle's reach.
+"""
+
+import json
+from functools import lru_cache
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
+from alforge.parser import ChartParser, derivation_check
+from alforge.templates import enumerate_templates
+
+from oracle import oracle_derivable, oracle_grammatical
+
+POOL = Path(__file__).parent.parent / "perfbench" / "refs" / "parse_mix_pool.jsonl"
+
+GRAMMARS = enumerate_grammars()
+MAX_LEN = 6
+
+classes_any = st.sampled_from(LEXICAL_CLASSES)
+
+
+@lru_cache(maxsize=None)
+def warm_parser(params: str) -> ChartParser:
+    return ChartParser(grammar_by_id(params).policy)
+
+
+def leaves(tree) -> list:
+    if not tree.children:
+        return [tree.category]
+    return [leaf for child in tree.children for leaf in leaves(child)]
+
+
+@lru_cache(maxsize=None)
+def short_templates(params: str) -> list:
+    return enumerate_templates(grammar_by_id(params), MAX_LEN)
+
+
+@st.composite
+def grammar_and_classes(draw):
+    g = draw(st.sampled_from(GRAMMARS))
+    if draw(st.booleans()):
+        return g, draw(st.lists(classes_any, min_size=1, max_size=MAX_LEN))
+    classes = list(draw(st.sampled_from(short_templates(g.params))))
+    if draw(st.booleans()):
+        classes[draw(st.integers(0, len(classes) - 1))] = draw(classes_any)
+    return g, classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grammar_and_classes())
+def test_parser_matches_oracle(case):
+    g, classes = case
+    seq = g.categorize(classes)
+    permuting = g.policy.permutation_active(seq)
+    want = oracle_grammatical(g, classes)
+    warm = warm_parser(g.params)
+    fresh = ChartParser(g.policy)
+
+    assert warm.parse(seq).grammatical == want
+    assert warm.derivable(seq) == fresh.derivable(seq) == oracle_derivable(seq, permuting)
+
+    result = fresh.parse(seq, derivations=True)
+    assert result.grammatical == want
+    assert bool(result.derivations) == want
+    assert all(derivation_check(d) for d in result.derivations)
+    assert all(leaves(d) == list(seq) for d in result.derivations)
+
+
+def test_parse_pool_labels():
+    parsers: dict[str, ChartParser] = {}
+    wrong = []
+    for line in POOL.read_text().splitlines():
+        item = json.loads(line)
+        g = grammar_by_id(item["grammar"])
+        parser = parsers.setdefault(g.params, ChartParser(g.policy))
+        classes = item["classes"].split()
+        if parser.parse(g.categorize(classes)).grammatical != item["label"]:
+            wrong.append((g.params, item["classes"]))
+    assert not wrong, wrong[:5]
+    assert len(parsers) > 1

@@ -1,0 +1,27 @@
+"""Golden artifact digests: a refactor must leave `pipeline` outputs
+byte-identical.
+
+The fixture holds the sha256 of every artifact of the recorded command.  An
+intended output change updates the fixture in the same change and says so in
+CHANGES.md.  To re-record, run the command below into an empty directory and
+write the digests of its files, by file name, into the fixture.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from alforge.cli import main
+
+FIXTURE = Path(__file__).parent / "fixtures" / "golden_pipeline.json"
+
+
+def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys):
+    golden = json.loads(FIXTURE.read_text())
+    out = tmp_path / "out"
+    assert main([*golden["argv"], "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert sorted(got) == sorted(golden["sha256"])
+    changed = sorted(name for name, digest in golden["sha256"].items() if got[name] != digest)
+    assert not changed, f"artifacts differ from the golden digests: {changed}"

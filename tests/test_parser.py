@@ -1,19 +1,26 @@
-"""Chart parser: fixtures, derivation soundness, policy behavior."""
+"""Chart parser: fixtures, derivation soundness, policy behavior, rule
+table."""
+
+import random
+import sys
+import threading
 
 import pytest
 
-from alforge.categories import NP, S, parse_category
+from alforge.categories import NP, S, format_category, parse_category
 from alforge.combinators import RuleId
 from alforge.grammars import grammar_by_id
 from alforge.parser import (
     ChartParser,
     Derivation,
     ParserPolicy,
+    RuleTable,
     derivation_check,
     derivation_rules,
     parse,
     rotations,
 )
+from alforge.templates import category_universe
 
 EN = grammar_by_id("0101101")
 
@@ -148,3 +155,38 @@ class TestRecognizer:
         assert p.parse(EN.categorize(("NP", "SUBJ", "VI"))).grammatical
         assert not p.parse(EN.categorize(("VI", "NP", "SUBJ"))).grammatical
         assert p.parse(EN.categorize(("NP", "SUBJ", "VT", "NP", "OBJ"))).grammatical
+
+
+class TestRuleTable:
+    def test_concurrent_interning(self):
+        texts = sorted(format_category(c) for c in category_universe(EN, True)[0])
+        n_threads, rounds = 8, 20
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in range(rounds):
+                table = RuleTable()
+                barrier = threading.Barrier(n_threads, timeout=60)
+                seen: list[dict] = []
+                # fresh, equal-but-distinct objects per thread, in its own order
+                orders = [random.Random(r * n_threads + i).sample(texts, len(texts))
+                          for i in range(n_threads)]
+                work = [[(t, parse_category(t)) for t in order] for order in orders]
+
+                def intern(items) -> None:
+                    barrier.wait()
+                    seen.append({t: table.code(c) for t, c in items})
+
+                threads = [threading.Thread(target=intern, args=(w,)) for w in work]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == n_threads
+                assert all(codes == seen[0] for codes in seen)
+                assert sorted(seen[0].values()) == list(range(len(texts)))
+                assert len(table.cats) == len(texts)
+                assert all(format_category(table.cats[code]) == t for t, code in seen[0].items())
+        finally:
+            sys.setswitchinterval(interval)
