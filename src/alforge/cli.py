@@ -3,30 +3,31 @@ generation, baseline scoring and the evaluation metrics, plus a `pipeline`
 command chaining everything for a set of grammars.
 
 All randomness is derived from --seed; identical config and seed produce
-byte-identical artifacts.  Worker count comes from --threads or the
-GCG_ALFORGE_THREADS environment variable.
+byte-identical artifacts.  `pipeline` runs its grammars one after another in
+one process; --threads is accepted for old command lines and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import (
     LONG_BAND,
     MEDIUM_BAND,
+    PAIR_KINDS,
     SHORT_BAND,
     Lexicon,
+    Sentence,
     derive_seed,
     gen_minimal_pairs,
     gen_targeted,
     load_sentences,
     sample_split,
+    save_pairs,
     save_sentences,
 )
 from .evaluation import (
@@ -70,7 +71,6 @@ class RunConfig:
     pair_n: int = 100
     ngram_order: int = 3
     ngram_k: float = 0.1
-    threads: int = 1
 
     def __post_init__(self) -> None:
         counts = (
@@ -135,13 +135,6 @@ def _typology(cfg: RunConfig) -> TypologyTable:
     return TypologyTable.default()
 
 
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("GCG_ALFORGE_THREADS")
-    return int(env) if env else 1
-
-
 def _build_config(args) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
@@ -150,7 +143,6 @@ def _build_config(args) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    values["threads"] = _thread_count(args)
     if getattr(args, "seed", None) is not None:
         values["master_seed"] = args.seed
     cfg = RunConfig(**values)
@@ -162,11 +154,11 @@ def _build_config(args) -> RunConfig:
 # --- dataset generation -----------------------------------------------------
 
 
-def build_dataset(g: Grammar, cfg: RunConfig, out_dir: Path) -> dict[str, Path]:
-    """Short/Medium/Long splits for one grammar; returns split -> file."""
-    lex = _lexicon(cfg)
+def build_dataset(
+    g: Grammar, cfg: RunConfig, lex: Lexicon, parser: ChartParser
+) -> dict[str, list[Sentence]]:
+    """Short/Medium/Long splits for one grammar, by split name."""
     seed = cfg.master_seed
-    parser = ChartParser(g.policy)
     templates = enumerate_templates(g, cfg.max_len)
     short_t = [t for t in templates if len(t) <= SHORT_BAND[1]]
     medium_t = [t for t in templates if MEDIUM_BAND[0] <= len(t) <= MEDIUM_BAND[1]]
@@ -197,13 +189,15 @@ def build_dataset(g: Grammar, cfg: RunConfig, out_dir: Path) -> dict[str, Path]:
         g, long_t, test_lex, cfg.long_per_length, LONG_BAND,
         derive_seed(seed, g.params, "long-test"), "LongTest", avoid=avoid,
     )
+    return splits
 
+
+def _save_splits(params: str, splits: dict[str, list[Sentence]], out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, sentences in splits.items():
-        path = out_dir / f"{g.params}_{name}.jsonl"
-        save_sentences(sentences, path)
-        paths[name] = path
+        paths[name] = out_dir / f"{params}_{name}.jsonl"
+        save_sentences(sentences, paths[name])
     return paths
 
 
@@ -254,9 +248,11 @@ def cmd_augment_long(args) -> None:
 def cmd_gen_dataset(args) -> None:
     cfg = _build_config(args)
     out_dir = Path(cfg.out_dir)
+    lex = _lexicon(cfg)
     for params in args.params:
-        paths = build_dataset(grammar_by_id(params), cfg, out_dir)
-        for name, path in sorted(paths.items()):
+        g = grammar_by_id(params)
+        splits = build_dataset(g, cfg, lex, ChartParser(g.policy))
+        for name, path in sorted(_save_splits(g.params, splits, out_dir).items()):
             print(f"{params} {name} {path}")
 
 
@@ -283,11 +279,7 @@ def cmd_gen_pairs(args) -> None:
         derive_seed(cfg.master_seed, g.params, f"pairs-{kind}"),
     )
     out = Path(args.out or f"{g.params}_{kind}_pairs.jsonl")
-    with open(out, "w") as fh:
-        for good, bad in pairs:
-            fh.write(json.dumps(
-                {"grammatical": good.to_json(), "ungrammatical": bad.to_json()},
-                sort_keys=True) + "\n")
+    save_pairs(pairs, out)
     print(f"{g.params} {kind} {out}")
 
 
@@ -344,47 +336,40 @@ def cmd_judge(args) -> None:
 
 
 def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path) -> dict:
+    """Splits, targeted sets, minimal pairs and n-gram scores for one
+    grammar, written to ``out_dir``; returns its perplexities and pair
+    accuracies.  One lexicon and one parser serve every stage."""
     g = grammar_by_id(params)
     lex = _lexicon(cfg)
+    parser = ChartParser(g.policy)
     seed = cfg.master_seed
-    paths = build_dataset(g, cfg, out_dir)
+    splits = build_dataset(g, cfg, lex, parser)
+    _save_splits(g.params, splits, out_dir)
 
     targeted = {}
     for kind in ("Recursive", "Embedded"):
-        sents = gen_targeted(
+        targeted[kind] = gen_targeted(
             g, kind, lex, cfg.targeted_n,
-            derive_seed(seed, g.params, f"targeted-{kind}"),
+            derive_seed(seed, g.params, f"targeted-{kind}"), parser=parser,
         )
-        path = out_dir / f"{g.params}_{kind}.jsonl"
-        save_sentences(sents, path)
-        targeted[kind] = sents
+        save_sentences(targeted[kind], out_dir / f"{g.params}_{kind}.jsonl")
 
-    medium = load_sentences(paths["MediumTest"])
     pair_sets = {}
-    for kind in ("CaseType", "VerbType"):
-        pairs = gen_minimal_pairs(
-            g, kind, medium, lex, cfg.pair_n,
-            derive_seed(seed, g.params, f"pairs-{kind}"),
+    for kind in PAIR_KINDS:
+        pair_sets[kind] = gen_minimal_pairs(
+            g, kind, splits["MediumTest"], lex, cfg.pair_n,
+            derive_seed(seed, g.params, f"pairs-{kind}"), parser=parser,
         )
-        path = out_dir / f"{g.params}_{kind}_pairs.jsonl"
-        with open(path, "w") as fh:
-            for good, bad in pairs:
-                fh.write(json.dumps(
-                    {"grammatical": good.to_json(), "ungrammatical": bad.to_json()},
-                    sort_keys=True) + "\n")
-        pair_sets[kind] = pairs
+        save_pairs(pair_sets[kind], out_dir / f"{g.params}_{kind}_pairs.jsonl")
 
-    train = load_sentences(paths["ShortTrain"])
-    model = ngram_train(train, cfg.ngram_order, cfg.ngram_k)
+    model = ngram_train(splits["ShortTrain"], cfg.ngram_order, cfg.ngram_k)
+    scored = {split: splits[split] for split in ("ShortTest", "MediumTest", "LongTest")}
+    scored.update(targeted)
     ppls = {}
-    for split in ("ShortTest", "MediumTest", "LongTest"):
-        records = ngram_score(model, load_sentences(paths[split]))
+    for split, sents in scored.items():
+        records = ngram_score(model, sents)
         save_scores(records, out_dir / f"{g.params}_{split}_scores.jsonl")
         ppls[split] = perplexity(records)
-    for kind, sents in targeted.items():
-        records = ngram_score(model, sents)
-        save_scores(records, out_dir / f"{g.params}_{kind}_scores.jsonl")
-        ppls[kind] = perplexity(records)
 
     accuracy = {}
     for kind, pairs in pair_sets.items():
@@ -400,13 +385,7 @@ def cmd_pipeline(args) -> None:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = _typology(cfg)
-    params_list = list(dict.fromkeys(args.params))
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda p: _pipeline_one(p, cfg, out_dir), params_list))
-    else:
-        results = [_pipeline_one(p, cfg, out_dir) for p in params_list]
+    results = [_pipeline_one(p, cfg, out_dir) for p in dict.fromkeys(args.params)]
     results.sort(key=lambda r: r["grammar"].params)
 
     rows = []
@@ -454,7 +433,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--threads", type=int, help="worker count")
+        p.add_argument("--threads", type=int,
+                       help="ignored; grammars run one after another in one process")
         p.add_argument("--lexicon-path", dest="lexicon_path", help="lexicon JSON file")
         p.add_argument("--typology-path", dest="typology_path", help="typology JSON file")
         p.add_argument("--out-dir", dest="out_dir", help="output directory")

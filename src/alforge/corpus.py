@@ -143,6 +143,15 @@ def save_sentences(sentences, path) -> None:
             fh.write(json.dumps(s.to_json(), sort_keys=True) + "\n")
 
 
+def save_pairs(pairs, path) -> None:
+    """(grammatical, ungrammatical) sentence pairs, one JSON object a line."""
+    with open(path, "w") as fh:
+        for good, bad in pairs:
+            fh.write(json.dumps(
+                {"grammatical": good.to_json(), "ungrammatical": bad.to_json()},
+                sort_keys=True) + "\n")
+
+
 def load_sentences(path) -> list[Sentence]:
     out = []
     with open(path) as fh:

@@ -29,8 +29,6 @@ from .categories import (
 )
 from .parser import ParserPolicy
 
-PARAM_NAMES = ("S", "VP", "O", "COMP", "PP", "ADJ", "REL")
-
 LEXICAL_CLASSES = (
     "NP",
     "SUBJ",
@@ -65,18 +63,6 @@ def base_order_of(s_bit: int, vp_bit: int, o_bit: int) -> str:
     if (s_bit, vp_bit) == (1, 1):
         return "VSO" if o_bit == 0 else "VOS"
     return "SVO" if (s_bit, vp_bit) == (0, 1) else "OVS"
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    text: str
-
-    def __post_init__(self) -> None:
-        check_params(self.text)
-
-    @property
-    def bits(self) -> dict[str, int]:
-        return dict(zip(PARAM_NAMES, (int(b) for b in self.text)))
 
 
 @dataclass(frozen=True)

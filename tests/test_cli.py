@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 1"):
             load_config_file(path)
 
+    def test_config_file_threads_rejected(self, tmp_path):
+        # Grammars run one after another; there is no worker count to set.
+        path = tmp_path / "run.cfg"
+        path.write_text("threads = 2\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_config_file(path)
+
 
 class TestSubcommands:
     def test_list_grammars(self, capsys):
@@ -117,6 +124,33 @@ class TestPipeline:
         train = load_sentences(pipeline_out / "0101101_ShortTrain.jsonl")
         test = load_sentences(pipeline_out / "0101101_ShortTest.jsonl")
         assert not {s.tokens for s in train} & {s.tokens for s in test}
+
+    def test_subcommands_reproduce_pipeline_files(self, capsys, tmp_path, pipeline_out):
+        # The single-step subcommands share the pipeline's generators and
+        # writers, so with the same seed and scale they rebuild its files.
+        opts = ("--seed", "3", "--scale", "0.05")
+        made = tmp_path / "d"
+        steps = [
+            ("gen-dataset", "--params", "0101101", *opts, "--out-dir", str(made)),
+            ("gen-targeted", "--params", "0101101", "--kind", "recursive", *opts,
+             "--out", str(made / "0101101_Recursive.jsonl")),
+            ("gen-pairs", "--params", "0101101", "--kind", "case", *opts,
+             "--source", str(pipeline_out / "0101101_MediumTest.jsonl"),
+             "--out", str(made / "0101101_CaseType_pairs.jsonl")),
+            ("score", "--train", str(pipeline_out / "0101101_ShortTrain.jsonl"),
+             "--input", str(pipeline_out / "0101101_LongTest.jsonl"),
+             "--out", str(made / "0101101_LongTest_scores.jsonl")),
+        ]
+        for argv in steps:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        names = [f"0101101_{split}.jsonl"
+                 for split in ("ShortTrain", "ShortTest", "MediumTest", "LongTest")]
+        names += ["0101101_Recursive.jsonl", "0101101_CaseType_pairs.jsonl",
+                  "0101101_LongTest_scores.jsonl"]
+        assert sorted(p.name for p in made.iterdir()) == sorted(names)
+        for name in names:
+            assert (made / name).read_bytes() == (pipeline_out / name).read_bytes(), name
 
     def test_config_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -11,15 +11,20 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from alforge.cli import main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_pipeline.json"
 
 
-def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys):
+# The benchmark's command line passes --threads 2; the flag is accepted and
+# ignored, so it must leave every artifact unchanged.
+@pytest.mark.parametrize("extra", [[], ["--threads", "2"]], ids=["default", "threads2"])
+def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys, extra):
     golden = json.loads(FIXTURE.read_text())
     out = tmp_path / "out"
-    assert main([*golden["argv"], "--out-dir", str(out)]) == 0
+    assert main([*golden["argv"], *extra, "--out-dir", str(out)]) == 0
     capsys.readouterr()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert sorted(got) == sorted(golden["sha256"])

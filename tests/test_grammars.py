@@ -8,7 +8,6 @@ from alforge.grammars import (
     BASE_ORDERS,
     LEXICAL_CLASSES,
     Grammar,
-    ParamVector,
     base_order_of,
     build_grammar,
     check_params,
@@ -41,10 +40,6 @@ class TestParams:
         for bad in ("", "010110", "01011011", "0101102"):
             with pytest.raises(ValueError):
                 check_params(bad)
-
-    def test_param_vector_bits(self):
-        v = ParamVector("0101101")
-        assert v.bits == {"S": 0, "VP": 1, "O": 0, "COMP": 1, "PP": 1, "ADJ": 0, "REL": 1}
 
     def test_base_orders(self):
         assert base_order_of(0, 1, 0) == "SVO"
