@@ -105,7 +105,7 @@ class Primitive(Category):
 
 @dataclass(frozen=True, repr=False)
 class Variable(Category):
-    """Unification variable; appears lexically only inside the conjunction."""
+    """Category variable; appears lexically only inside the conjunction."""
 
     name: str = "X"
 
@@ -197,66 +197,6 @@ def is_conjunction(c: Category) -> bool:
         and isinstance(c.result.argument, Variable)
         and isinstance(c.result.result, Variable)
     )
-
-
-Substitution = dict[Variable, Category]
-
-
-def substitute(c: Category, subst: Substitution) -> Category:
-    if isinstance(c, Variable):
-        bound = subst.get(c)
-        return substitute(bound, subst) if bound is not None else c
-    if isinstance(c, Functor):
-        return Functor(
-            substitute(c.result, subst),
-            c.slash,
-            substitute(c.argument, subst),
-            c.restrictions,
-        )
-    return c
-
-
-def _occurs(v: Variable, c: Category, subst: Substitution) -> bool:
-    c = substitute(c, subst)
-    if c == v:
-        return True
-    if isinstance(c, Functor):
-        return _occurs(v, c.result, subst) or _occurs(v, c.argument, subst)
-    return False
-
-
-def _unify(a: Category, b: Category, subst: Substitution) -> bool:
-    if isinstance(a, Variable):
-        if a in subst:
-            return _unify(substitute(a, subst), b, subst)
-        if substitute(b, subst) == a:
-            return True
-        if _occurs(a, b, subst):
-            return False
-        subst[a] = b
-        return True
-    if isinstance(b, Variable):
-        return _unify(b, a, subst)
-    if isinstance(a, Primitive) and isinstance(b, Primitive):
-        return a.name == b.name
-    if isinstance(a, Functor) and isinstance(b, Functor):
-        return (
-            a.slash == b.slash
-            and a.restrictions == b.restrictions
-            and _unify(a.result, b.result, subst)
-            and _unify(a.argument, b.argument, subst)
-        )
-    return False
-
-
-def unify(a: Category, b: Category) -> Substitution | None:
-    """Binding making ``a`` and ``b`` structurally equal, or None.
-
-    Occurs-check enforced; intended for the case where at most one side
-    contains variables (the lexical conjunction category).
-    """
-    subst: Substitution = {}
-    return subst if _unify(a, b, subst) else None
 
 
 # --- text format ------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 All rules are pure and total; ``None`` is the only failure mode.  Application
 and composition require ground inputs, so variable categories are confined to
-the coordination rule (where the conjunction's variables bind to the conjunct
-category).
+the coordination rule, where the conjunction's variable stands for the
+conjunct category and the result is that category.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .categories import (
     Functor,
     contains_variable,
     is_conjunction,
-    unify,
 )
 
 
@@ -45,96 +44,67 @@ class RuleId(Enum):
     PERMUTE = "Permute"
 
 
-def apply_forward(f: Category, a: Category) -> Category | None:
-    """a/b  b  =>  a"""
+def _apply(f: Category, a: Category, slash: str) -> Category | None:
+    """The functor f, looking ``slash``-wards for a, yields its result."""
     if contains_variable(f) or contains_variable(a):
         return None
-    if isinstance(f, Functor) and f.slash == FORWARD and f.argument == a:
+    if isinstance(f, Functor) and f.slash == slash and f.argument == a:
         return f.result
     return None
+
+
+def apply_forward(f: Category, a: Category) -> Category | None:
+    """a/b  b  =>  a"""
+    return _apply(f, a, FORWARD)
 
 
 def apply_backward(a: Category, f: Category) -> Category | None:
     """b  a\\b  =>  a"""
-    if contains_variable(f) or contains_variable(a):
-        return None
-    if isinstance(f, Functor) and f.slash == BACKWARD and f.argument == a:
-        return f.result
-    return None
+    return _apply(f, a, BACKWARD)
 
 
-def _composable(f: Functor, g: Functor, *, crossing: bool) -> bool:
-    """The "," flag on either functor's argument slot blocks composition;
-    the "." flag additionally blocks the crossed variants."""
-    if f.restrictions.no_composition or g.restrictions.no_composition:
-        return False
-    if crossing and (f.restrictions.no_crossing or g.restrictions.no_crossing):
-        return False
-    return True
+def _compose(f: Category, g: Category, f_slash: str, g_slash: str) -> Category | None:
+    """f = a|b (slash ``f_slash``) and g = b|c (slash ``g_slash``) give a|c,
+    where the c-position keeps g's slash and slot restrictions.
 
-
-def compose_forward(f: Category, g: Category) -> Category | None:
-    """a/b  b/c  =>  a/c
-
-    The c-position keeps g's slot restrictions.
+    The "," flag on either functor's argument slot blocks composition; the
+    "." flag additionally blocks the crossed variants (``f_slash != g_slash``).
     """
     if contains_variable(f) or contains_variable(g):
         return None
-    if not (isinstance(f, Functor) and f.slash == FORWARD):
+    if not (isinstance(f, Functor) and f.slash == f_slash):
         return None
-    if not (isinstance(g, Functor) and g.slash == FORWARD):
+    if not (isinstance(g, Functor) and g.slash == g_slash):
         return None
-    if not _composable(f, g, crossing=False):
+    rf, rg = f.restrictions, g.restrictions
+    if rf.no_composition or rg.no_composition:
+        return None
+    if f_slash != g_slash and (rf.no_crossing or rg.no_crossing):
         return None
     if f.argument != g.result:
         return None
-    return Functor(f.result, FORWARD, g.argument, g.restrictions)
+    return Functor(f.result, g_slash, g.argument, g.restrictions)
+
+
+def compose_forward(f: Category, g: Category) -> Category | None:
+    """a/b  b/c  =>  a/c"""
+    return _compose(f, g, FORWARD, FORWARD)
 
 
 def compose_backward(g: Category, f: Category) -> Category | None:
     """b\\c  a\\b  =>  a\\c"""
-    if contains_variable(f) or contains_variable(g):
-        return None
-    if not (isinstance(f, Functor) and f.slash == BACKWARD):
-        return None
-    if not (isinstance(g, Functor) and g.slash == BACKWARD):
-        return None
-    if not _composable(f, g, crossing=False):
-        return None
-    if f.argument != g.result:
-        return None
-    return Functor(f.result, BACKWARD, g.argument, g.restrictions)
+    return _compose(f, g, BACKWARD, BACKWARD)
 
 
 def compose_forward_crossing(f: Category, g: Category) -> Category | None:
     """a/b  b\\c  =>  a\\c  (crossed; needed when a forward functor must
     consume a backward-looking clause, e.g. gap passing through SCOMP)"""
-    if contains_variable(f) or contains_variable(g):
-        return None
-    if not (isinstance(f, Functor) and f.slash == FORWARD):
-        return None
-    if not (isinstance(g, Functor) and g.slash == BACKWARD):
-        return None
-    if not _composable(f, g, crossing=True):
-        return None
-    if f.argument != g.result:
-        return None
-    return Functor(f.result, BACKWARD, g.argument, g.restrictions)
+    return _compose(f, g, FORWARD, BACKWARD)
 
 
 def compose_backward_crossing(g: Category, f: Category) -> Category | None:
     """b/c  a\\b  =>  a/c  (crossed)"""
-    if contains_variable(f) or contains_variable(g):
-        return None
-    if not (isinstance(f, Functor) and f.slash == BACKWARD):
-        return None
-    if not (isinstance(g, Functor) and g.slash == FORWARD):
-        return None
-    if not _composable(f, g, crossing=True):
-        return None
-    if f.argument != g.result:
-        return None
-    return Functor(f.result, FORWARD, g.argument, g.restrictions)
+    return _compose(f, g, BACKWARD, FORWARD)
 
 
 def coordinate(left: Category, conj: Category, right: Category) -> Category | None:
@@ -148,9 +118,6 @@ def coordinate(left: Category, conj: Category, right: Category) -> Category | No
         return None
     # Case particles attach to NPs only; they are not coordinable on their own.
     if is_case_marker(left):
-        return None
-    # The conjunction's variable must actually bind to the conjunct category.
-    if unify(conj.argument, left) is None:
         return None
     return left
 

@@ -9,23 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .grammars import LEXICAL_CLASSES, Grammar
 from .parser import ChartParser
 from .templates import Template
-
-SPLITS = (
-    "ShortTrain",
-    "ShortTest",
-    "MediumTest",
-    "LongTest",
-    "Recursive",
-    "Embedded",
-    "PairGrammatical",
-    "PairUngrammatical",
-)
 
 SHORT_BAND = (3, 8)
 MEDIUM_BAND = (9, 10)
@@ -182,7 +173,11 @@ def sample_split(
     avoid: set[tuple[str, ...]] | None = None,
 ) -> list[Sentence]:
     """Exactly ``per_length_count`` unique sentences for every length in the
-    band; templates uniform within a length, lexical slots uniform."""
+    band; templates uniform within a length, lexical slots uniform.
+
+    Before any draw, each length's capacity (the distinct sentences its
+    templates can produce, less those in ``avoid``) is checked against the
+    count, so an impossible request fails at once."""
     if per_length_count == 0:
         return []
     lo, hi = band
@@ -191,14 +186,25 @@ def sample_split(
         by_length.setdefault(len(t), []).append(tuple(t))
     for n in by_length:
         by_length[n].sort()
-    rng = random.Random(seed)
     avoid = set(avoid or ())
+    # each word has one class, so an avoided sentence's template is known
+    word_class = {w: cls for cls, forms in lexicon.words.items() for w in forms}
+    avoided = Counter(tuple(word_class.get(w) for w in s) for s in avoid)
+    for n in range(lo, hi + 1):
+        pool = set(by_length.get(n, ()))
+        if not pool:
+            raise ValueError(f"no templates available for length {n}")
+        capacity = sum(
+            math.prod(len(lexicon.words[c]) for c in t) - avoided[t] for t in pool)
+        if capacity < per_length_count:
+            raise ValueError(
+                f"length {n} has {capacity} distinct sentences to draw from, "
+                f"{per_length_count} requested")
+    rng = random.Random(seed)
     used: set[tuple[str, ...]] = set()
     out: list[Sentence] = []
     for n in range(lo, hi + 1):
-        pool = by_length.get(n)
-        if not pool:
-            raise ValueError(f"no templates available for length {n}")
+        pool = by_length[n]
         got = 0
         attempts = 0
         limit = per_length_count * 1000

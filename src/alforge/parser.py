@@ -60,32 +60,22 @@ class ParserPolicy:
 DEFAULT_POLICY = ParserPolicy()
 
 
-def in_permutation_scope(c: Category) -> bool:
-    """Verb-functor test: functor whose innermost result is S."""
-    return isinstance(c, Functor) and innermost_result(c) == S
-
-
-def rotation_step(c: Category) -> Category | None:
-    """Single cyclic rotation if the category is eligible, else None."""
-    if not in_permutation_scope(c):
-        return None
-    if c.restrictions.no_permutation:
-        return None
-    rotated = permute_cyclic(c)
-    return rotated if rotated != c else None
-
-
 def rotations(c: Category) -> list[Category]:
     """Proper rotations of ``c`` reachable under the eligibility rules, in
-    application order (at most arity-1)."""
+    application order (at most arity-1).  Only verb functors (innermost
+    result S) rotate, and the chain stops at a category whose outermost
+    argument is "@"-restricted."""
     out: list[Category] = []
+    if not (isinstance(c, Functor) and innermost_result(c) == S):
+        return out  # a rotation keeps the innermost result: checked once
     cur = c
     for _ in range(arity(c) - 1):
-        nxt = rotation_step(cur)
-        if nxt is None or nxt == c or nxt in out:
+        if cur.restrictions.no_permutation:
             break
-        out.append(nxt)
-        cur = nxt
+        cur = permute_cyclic(cur)
+        if cur == c or cur in out:
+            break
+        out.append(cur)
     return out
 
 
@@ -423,7 +413,8 @@ def _replay(node: Derivation) -> Category | None:
 
 def derivation_check(tree: Derivation) -> bool:
     """True iff replaying every rule reproduces each node's category and the
-    root is S."""
+    root is S.  It replays rules only: the leaves are not compared with any
+    input sequence, so a caller that has one must check the leaves itself."""
     if not isinstance(tree, Derivation):
         raise ValueError("malformed derivation tree")
     return _replay(tree) == tree.category and tree.category == S

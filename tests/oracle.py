@@ -150,3 +150,10 @@ def oracle_grammatical(grammar, classes) -> bool:
     else:
         permuting = grammar.policy.allow_permutation
     return S in oracle_derivable(seq, permuting)
+
+
+def leaves(tree) -> list:
+    """The categories at the leaves of a derivation tree, left to right."""
+    if not tree.children:
+        return [tree.category]
+    return [leaf for child in tree.children for leaf in leaves(child)]

@@ -1,4 +1,4 @@
-"""Category algebra: construction, formatting, permutation, unification,
+"""Category algebra: construction, formatting, permutation, variables,
 cached hashes."""
 
 import dataclasses
@@ -32,8 +32,6 @@ from alforge.categories import (
     parse_category,
     permute_cyclic,
     spine,
-    substitute,
-    unify,
     unspine,
 )
 
@@ -117,30 +115,6 @@ class TestPermutation:
 
 
 class TestUnification:
-    def test_variable_binds(self):
-        v = Variable("X")
-        binding = unify(v, NP)
-        assert binding == {v: NP}
-        assert substitute(v, binding) == NP
-
-    def test_functor_match(self):
-        v = Variable("X")
-        pattern = Functor(v, FORWARD, NP)
-        assert unify(pattern, Functor(S, FORWARD, NP)) == {v: S}
-
-    def test_mismatch(self):
-        assert unify(Functor(S, FORWARD, NP), Functor(S, BACKWARD, NP)) is None
-        assert unify(S, NP) is None
-
-    def test_restriction_mismatch(self):
-        plain = Functor(S, FORWARD, NP)
-        marked = Functor(S, FORWARD, NP, Restrictions(no_composition=True))
-        assert unify(plain, marked) is None
-
-    @given(categories())
-    def test_self_unification(self, cat):
-        assert unify(cat, cat) == {}
-
     def test_contains_variable(self):
         assert contains_variable(Functor(Variable("X"), FORWARD, NP))
         assert not contains_variable(Functor(S, FORWARD, NP))
@@ -184,11 +158,7 @@ class TestCachedHash:
             assert hash(rotated) == hash(permute_cyclic(cat))
 
     @given(with_variables)
-    def test_substitute_and_replace(self, cat):
-        ground = substitute(cat, {Variable(): NP})
-        assert ground == _rebuilt(ground)
-        assert hash(ground) == hash(_rebuilt(ground))
-        assert not contains_variable(ground)
+    def test_replace(self, cat):
         if isinstance(cat, Functor):
             slash = BACKWARD if cat.slash == FORWARD else FORWARD
             flipped = dataclasses.replace(cat, slash=slash)

@@ -76,6 +76,13 @@ class TestSubcommands:
         assert err.startswith("error: ValueError:")
         assert not out
 
+    def test_gen_dataset_impossible_count(self, capsys, tmp_path):
+        # the default 1000 sentences a length exceed what length 3 can hold
+        code, _, err = run(capsys, "gen-dataset", "--params", "0101101",
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ValueError: length 3 has")
+
     def test_ta_corr_missing_grammars(self, capsys, tmp_path):
         scores = tmp_path / "scores.jsonl"
         scores.write_text(json.dumps({

@@ -1,6 +1,9 @@
 """Rule schemata: application, composition (plain and crossed), coordination."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alforge.categories import (
     NP,
@@ -8,6 +11,7 @@ from alforge.categories import (
     NP_SUBJ,
     S,
     SCOMP,
+    Functor,
     Primitive,
     Variable,
     format_category,
@@ -25,6 +29,11 @@ from alforge.combinators import (
     is_case_marker,
 )
 from alforge.grammars import enumerate_grammars, grammar_by_id
+from alforge.parser import rotations
+from alforge.templates import category_universe
+
+from oracle import _binary_results, _rotation_closure
+from test_categories import categories, restrictions, slashes
 
 CONJ = parse_category("(var\\.,@var)/.,@var")
 
@@ -101,6 +110,11 @@ class TestCrossedComposition:
         comp = parse_category("SCOMP/.S")
         assert compose_forward_crossing(comp, parse_category("S\\NP_OBJ")) is None
 
+    def test_blocked_by_period_on_secondary(self):
+        gap = parse_category("S\\.NP_OBJ")
+        assert compose_forward_crossing(parse_category("SCOMP/S"), gap) is None
+        assert compose_forward(parse_category("SCOMP/S"), parse_category("S/.NP_OBJ")) is not None
+
     def test_blocked_by_comma(self):
         assert compose_forward_crossing(
             parse_category("NP/,NP"), parse_category("NP\\NP")
@@ -176,3 +190,49 @@ class TestRuleProperties:
         second = apply_forward(vt, NP_OBJ)
         assert first == second
         assert vt == parse_category("(S\\NP_SUBJ)/NP_OBJ")
+
+
+def _rule_results(a, b) -> set:
+    return {fn(a, b) for _, fn in BINARY_RULES} - {None}
+
+
+@lru_cache(maxsize=None)
+def grammar_universe() -> tuple:
+    """The distinct categories of every grammar's universe, permutation on."""
+    cats = set()
+    for g in enumerate_grammars():
+        cats |= category_universe(g, True)[0]
+    return tuple(sorted(cats, key=format_category))
+
+
+@st.composite
+def linked_pairs(draw):
+    """Random category pairs; in half of them one category's result is the
+    other's argument, in either order, so the composition rules fire."""
+    a, b = draw(categories()), draw(categories())
+    if isinstance(a, Functor) and draw(st.booleans()):
+        b = Functor(a.argument, draw(slashes), b, draw(restrictions))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestAgainstOracle:
+    """The rule schemata against the independent re-implementation in
+    ``tests/oracle.py``: every ordered pair of the categories the 96 grammars
+    build, and random categories with restriction mixes no grammar builds."""
+
+    def test_universe_pairs(self):
+        cats = grammar_universe()
+        assert len(cats) == 69
+        wrong = [(a, b) for a in cats for b in cats if _rule_results(a, b) != _binary_results(a, b)]
+        assert not wrong, wrong[:5]
+
+    def test_universe_rotations(self):
+        for c in grammar_universe():
+            assert {c, *rotations(c)} == _rotation_closure({c}, True), c
+
+    @settings(max_examples=500, deadline=None)
+    @given(linked_pairs())
+    def test_random_pairs(self, pair):
+        a, b = pair
+        assert _rule_results(a, b) == _binary_results(a, b)
+        assert {a, *rotations(a)} == _rotation_closure({a}, True)

@@ -123,6 +123,24 @@ class TestSampling:
         with pytest.raises(ValueError, match="length 3"):
             sample_split(EN, [("NP", "SUBJ", "VI")], tiny, 5, (3, 3), seed=1, split="x")
 
+    def test_capacity_checked_before_drawing(self):
+        # 19 NP words x 1 particle x 8 VI words = 152 distinct sentences
+        with pytest.raises(ValueError, match=r"length 3 has 152 .*1000 requested"):
+            sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 1000, (3, 3), seed=1, split="x")
+        sents = sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 152, (3, 3), seed=1, split="x")
+        assert len({s.tokens for s in sents}) == 152
+
+    def test_capacity_excludes_avoided(self):
+        first = sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 150, (3, 3), seed=1, split="x")
+        # a sentence of another template does not lower the capacity
+        avoid = {s.tokens for s in first} | {("Kim", "ran", "ga")}
+        with pytest.raises(ValueError, match=r"length 3 has 2 .*1000 requested"):
+            sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 1000, (3, 3), seed=2, split="x",
+                         avoid=avoid)
+        rest = sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 2, (3, 3), seed=2, split="x",
+                            avoid=avoid)
+        assert not {s.tokens for s in rest} & avoid
+
 
 class TestCoverage:
     def test_clean(self):

@@ -18,7 +18,7 @@ from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser, derivation_check
 from alforge.templates import enumerate_templates
 
-from oracle import oracle_derivable, oracle_grammatical
+from oracle import leaves, oracle_derivable, oracle_grammatical
 
 POOL = Path(__file__).parent.parent / "perfbench" / "refs" / "parse_mix_pool.jsonl"
 
@@ -31,12 +31,6 @@ classes_any = st.sampled_from(LEXICAL_CLASSES)
 @lru_cache(maxsize=None)
 def warm_parser(params: str) -> ChartParser:
     return ChartParser(grammar_by_id(params).policy)
-
-
-def leaves(tree) -> list:
-    if not tree.children:
-        return [tree.category]
-    return [leaf for child in tree.children for leaf in leaves(child)]
 
 
 @lru_cache(maxsize=None)

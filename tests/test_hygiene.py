@@ -1,0 +1,59 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+Stdlib ``ast`` only.  A name counts as used when it appears as a name
+anywhere in the module, quoted type annotations included; ``from __future__``
+imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "alforge"
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in ``source`` and never referenced, in order."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = _names(tree)
+    for ann in _annotations(tree):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= _names(ast.parse(ann.value, mode="eval"))
+    return [name for name in imported if name not in used]
+
+
+def test_checker_flags_unused():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "from x import a, b as c, d\n"
+        "def f(y: 'd') -> None:\n"
+        "    return c\n"
+    )
+    assert unused_imports(source) == ["os", "os", "a"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -22,6 +22,8 @@ from alforge.parser import (
 )
 from alforge.templates import category_universe
 
+from oracle import leaves
+
 EN = grammar_by_id("0101101")
 
 SHOWCASE_CLASSES = ("ADJ", "NP", "SUBJ", "REL", "NP", "SUBJ", "VT", "VI", "CONJ", "VI")
@@ -86,8 +88,10 @@ class TestDerivations:
     def test_replay_soundness(self):
         result = en_parse(SHOWCASE_CLASSES, derivations=True)
         assert result.derivations
+        seq = EN.categorize(SHOWCASE_CLASSES)
         for tree in result.derivations:
             assert derivation_check(tree)
+            assert leaves(tree) == list(seq)
 
     def test_mutated_tree_fails(self):
         tree = en_parse(("NP", "SUBJ", "VI"), derivations=True).derivations[0]
