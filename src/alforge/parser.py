@@ -8,6 +8,8 @@ enter ordinary cells, which keeps variable categories out of the chart.
 The chart runs on small integer codes.  A ``RuleTable`` interns each category
 to an int the first time it is seen and memoises, per code, the binary rule
 results, the rotation closure (as a bitmask) and coordination eligibility.
+The binary rule results behind those codes come from one process-wide memo
+per category pair, shared by every table.
 Chart cells are bitmasks over codes, and each cell combination (binary rules
 and coordination) is memoised on its pair of cell masks per permutation mode.
 Every table entry is filled lazily, on first use, so keep one
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .categories import (
     Category,
@@ -50,11 +53,12 @@ class ParserPolicy:
     rel_category: Category | None = None
 
     def permutation_active(self, seq: tuple[Category, ...]) -> bool:
-        if not self.allow_permutation:
-            return False
-        if self.require_rel:
-            return self.rel_category is not None and self.rel_category in seq
-        return True
+        return self.permutes(self.rel_category is not None and self.rel_category in seq)
+
+    def permutes(self, has_rel: bool) -> bool:
+        """Whether permutation is on for an input that contains
+        ``rel_category`` (``has_rel``) or not."""
+        return self.allow_permutation and (has_rel or not self.require_rel)
 
 
 DEFAULT_POLICY = ParserPolicy()
@@ -79,6 +83,15 @@ def rotations(c: Category) -> list[Category]:
     return out
 
 
+@lru_cache(maxsize=1 << 15)
+def _rule_results(x: Category, y: Category) -> tuple[tuple[RuleId, Category], ...]:
+    """(rule, result) for every binary rule that applies to x, y, in
+    ``BINARY_RULES`` order.  One bounded memo for every ``RuleTable``: the
+    result is a pure function of the two categories, and each table maps it
+    to its own codes."""
+    return tuple((rule, cat) for rule, fn in BINARY_RULES if (cat := fn(x, y)) is not None)
+
+
 def _bits(mask: int):
     """Codes set in ``mask``, lowest first."""
     while mask:
@@ -90,16 +103,17 @@ def _bits(mask: int):
 class RuleTable:
     """Interned categories and lazily memoised rule results over their codes.
 
-    ``code`` assigns each distinct category a small int on first sight.  Four
-    lookups memoise per code: ``combine`` (the ``BINARY_RULES`` results for a
-    pair), ``rotations`` and ``closure`` (a code's rotation chain, and the
-    bitmask of the code and that chain) and ``coordinable`` (whether a code
-    coordinates around a conjunction).  Two memoise per pair of chart cells,
-    as bitmasks: ``join`` (every closed binary result) and ``coordinated``
-    (the closed coordination results).  Interning takes a lock; every memo
-    entry is a pure function of codes interned under it, so two threads that
-    race to fill one entry write the same value, and one table may be shared
-    between threads.
+    ``code`` assigns each distinct category a small int on first sight, and
+    ``find`` looks one up without assigning.  Four lookups memoise per code:
+    ``combine`` (the ``BINARY_RULES`` results for a pair, taken on a miss
+    from the shared ``_rule_results`` memo), ``rotations`` and ``closure`` (a
+    code's rotation chain, and the bitmask of the code and that chain) and
+    ``coordinable`` (whether a code coordinates around a conjunction).  Two
+    memoise per pair of chart cells, as bitmasks: ``join`` (every closed
+    binary result) and ``coordinated`` (the closed coordination results).
+    Interning takes a lock; every memo entry is a pure function of codes
+    interned under it, so two threads that race to fill one entry write the
+    same value, and one table may be shared between threads.
     """
 
     def __init__(self) -> None:
@@ -124,15 +138,17 @@ class RuleTable:
                     self._codes[cat] = code
         return code
 
+    def find(self, cat: Category) -> int | None:
+        """The code of ``cat``, or None if this table has not interned it."""
+        return self._codes.get(cat)
+
     def combine(self, a: int, b: int) -> tuple[tuple[RuleId, int], ...]:
         """(rule, result code) for every binary rule that applies to a, b."""
         out = self._pairs.get((a, b))
         if out is None:
-            x, y = self.cats[a], self.cats[b]
             out = tuple(
                 (rule, self.code(cat))
-                for rule, fn in BINARY_RULES
-                if (cat := fn(x, y)) is not None
+                for rule, cat in _rule_results(self.cats[a], self.cats[b])
             )
             self._pairs[(a, b)] = out
         return out
@@ -224,6 +240,18 @@ class ChartParser:
     def __init__(self, policy: ParserPolicy = DEFAULT_POLICY):
         self.policy = policy
         self.table = RuleTable()
+        self._rel: int | None = None  # code of policy.rel_category, once interned
+
+    def _permuting(self, codes: list[int]) -> bool:
+        """``policy.permutation_active`` of the input, decided on its codes.
+        The REL category is looked up, not interned, so that a parse never
+        assigns a code its input does not need."""
+        policy = self.policy
+        if not policy.require_rel:
+            return policy.permutes(False)
+        if self._rel is None:
+            self._rel = self.table.find(policy.rel_category)
+        return policy.permutes(self._rel in codes)
 
     def parse(
         self,
@@ -253,8 +281,8 @@ class ChartParser:
             raise ValueError("cannot parse an empty sequence")
         table = self.table
         n = len(seq)
-        permuting = self.policy.permutation_active(seq)
         codes = [table.code(c) for c in seq]
+        permuting = self._permuting(codes)
         conjs: list[tuple[int, int]] = []  # (position, code) of conjunction tokens
         # chart[i][j]: mask of the categories derivable over seq[i:j]
         chart = [[0] * (n + 1) for _ in range(n + 1)]

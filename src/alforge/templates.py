@@ -10,6 +10,15 @@ small lengths by the test suite.
 The universe and the bottom-up language build run on the integer codes of a
 ``parser.RuleTable``, the same lazily filled table type the chart parser
 uses, so both share one rule-combination mechanism.
+
+The build keeps a (length n, category c) entry only while n + need[c] <=
+max_len.  Two shortest-path fixed points over the universe bound it:
+minlen[c], the fewest classes deriving c, and need[c], the fewest classes
+that must surround a c constituent in any S (an outside estimate by span
+length, as in A* parsing).  Both are lower bounds on every real derivation,
+so a dropped entry belongs to no S within max_len, and every child of a kept
+entry is itself kept: the pruning is exact, and the output is the same as
+building every entry.
 """
 
 from __future__ import annotations
@@ -54,11 +63,16 @@ def heuristic_filter(classes) -> bool:
     return True
 
 
+Triple = tuple[int, int, tuple[int, ...]]  # (left code, right code, result codes)
+
+
 def category_universe(
     grammar: Grammar, permutation_active: bool
-) -> tuple[set[Category], RuleTable]:
-    """Closure of the lexical categories under the rules, plus the rule
-    table whose binary results over that closure are now all filled in.
+) -> tuple[set[Category], RuleTable, list[Triple]]:
+    """Closure of the lexical categories under the rules, the rule table
+    whose binary results over that closure are now all filled in, and the
+    productive pairs of the closure: one (a, b, distinct result codes)
+    triple per ordered pair of codes with at least one binary result.
     Conjunction is excluded (it feeds the ternary coordination rule only,
     which creates no new categories)."""
     table = RuleTable()
@@ -76,6 +90,7 @@ def category_universe(
                 codes.add(c)
                 pending.append(c)
 
+    triples: list[Triple] = []
     while pending:
         new = set(pending)
         pending = []
@@ -83,65 +98,145 @@ def category_universe(
             (a, b) for a in codes for b in new if a not in new
         ]
         for a, b in pairs:
-            for _rule, out in table.combine(a, b):
+            results = table.combine(a, b)
+            if not results:
+                continue
+            outs = tuple(dict.fromkeys(out for _rule, out in results))
+            triples.append((a, b, outs))
+            for out in outs:
                 for c in close_rotations(out):
                     if c not in codes:
                         codes.add(c)
                         pending.append(c)
         if len(codes) > 2000:
             raise RuntimeError("category universe failed to close")
-    return {table.cats[c] for c in codes}, table
+    return {table.cats[c] for c in codes}, table, triples
+
+
+def _length_bounds(
+    codes, lexical, triples: list[Triple], rotations, s: int, cap: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """(minlen, need) over ``codes``, both capped at ``cap``.
+
+    minlen[c] is the fewest classes that derive c: 1 for lexical codes, and
+    each triple a b -> c lowers minlen[c] to minlen[a] + minlen[b]; a
+    rotation inherits its source's value.  need[c] is the fewest classes
+    that surround a c constituent in any S: need[s] = 0, each triple lowers
+    need[a] to need[c] + minlen[b] and need[b] to need[c] + minlen[a], and a
+    code needs no more than any of its rotations.  Both are shortest-path
+    fixed points, so each is a lower bound on every actual derivation;
+    coordination (c CONJ c -> c) only ever raises a length and is left
+    out.  A capped value stands for "more than cap - 1"."""
+    minlen = dict.fromkeys(codes, cap)
+    for a in lexical:
+        minlen[a] = 1
+    changed = True
+    while changed:
+        changed = False
+        for a in codes:
+            for r in rotations(a):
+                if minlen[a] < minlen[r]:
+                    minlen[r] = minlen[a]
+                    changed = True
+        for a, b, results in triples:
+            m = min(minlen[a] + minlen[b], cap)
+            for c in results:
+                if m < minlen[c]:
+                    minlen[c] = m
+                    changed = True
+
+    need = dict.fromkeys(codes, cap)
+    need[s] = 0
+    changed = True
+    while changed:
+        changed = False
+        for a, b, results in triples:
+            outside = min(need[c] for c in results)
+            if outside + minlen[b] < need[a]:
+                need[a] = outside + minlen[b]
+                changed = True
+            if outside + minlen[a] < need[b]:
+                need[b] = outside + minlen[a]
+                changed = True
+        for a in codes:
+            for r in rotations(a):
+                if need[r] < need[a]:
+                    need[a] = need[r]
+                    changed = True
+    return minlen, need
 
 
 def _language(grammar: Grammar, permutation_active: bool, max_len: int) -> list[set[Template]]:
     """out[n] = the class tuples of length n that derive S, for n <= max_len.
 
-    Built bottom-up over category codes: strings[n] maps each code to the
-    class tuples of length n deriving it."""
-    _cats, table = category_universe(grammar, permutation_active)
+    Built bottom-up over category codes: strings[n] maps each code c to the
+    class tuples of length n deriving it, but only while n + need[c] <=
+    max_len (``_length_bounds``), i.e. while a c of length n can still sit
+    inside an S of length <= max_len.  The pruning is exact: need[c] is a
+    lower bound on the classes around any c constituent of an S, so a
+    dropped entry is part of no S derivation within max_len; and every
+    child of a kept entry is kept (for a b -> c with children of lengths
+    n1 and n2, need[a] <= need[c] + minlen[b] <= need[c] + n2, so n1 +
+    need[a] <= n + need[c]; a rotation's source and a coordination's
+    conjuncts likewise), so each kept entry holds the same tuples as with
+    no pruning.  Binary steps loop over the universe's productive triples
+    and drop pruned result codes before building a cross-product."""
+    cats, table, triples = category_universe(grammar, permutation_active)
+    universe = {table.code(c) for c in cats}
     conj = table.code(grammar.category("CONJ"))
-
-    strings: list[dict[int, set[Template]]] = [dict() for _ in range(max_len + 1)]
-
-    def close_level(level: dict[int, set[Template]]) -> None:
-        if not permutation_active:
-            return
-        for a in list(level):
-            for r in table.rotations(a):
-                level.setdefault(r, set()).update(level[a])
+    s = table.code(S)
 
     lex_level: dict[int, set[Template]] = defaultdict(set)
     for cls, cat in grammar.lexicon:
         if cls == "CONJ":
             continue
         lex_level[table.code(cat)].add((cls,))
-    strings[1] = dict(lex_level)
-    close_level(strings[1])
+
+    def rotations(a: int) -> tuple[int, ...]:
+        return table.rotations(a) if permutation_active else ()
+
+    _minlen, need = _length_bounds(universe, lex_level, triples, rotations, s, max_len + 1)
+    coordinable = [c for c in universe if table.coordinable(conj, c)]
+
+    def close_level(level: dict[int, set[Template]], budget: int) -> None:
+        for a in list(level):
+            for r in rotations(a):
+                if need[r] <= budget:
+                    level.setdefault(r, set()).update(level[a])
+
+    strings: list[dict[int, set[Template]]] = [dict() for _ in range(max_len + 1)]
+    strings[1] = {a: strs for a, strs in lex_level.items() if need[a] <= max_len - 1}
+    close_level(strings[1], max_len - 1)
 
     for n in range(2, max_len + 1):
+        budget = max_len - n
+        partners: dict[int, list[tuple[int, tuple[int, ...]]]] = defaultdict(list)
+        for a, b, results in triples:
+            kept = tuple(c for c in results if need[c] <= budget)
+            if kept:
+                partners[a].append((b, kept))
         level: dict[int, set[Template]] = defaultdict(set)
         for n1 in range(1, n):
             left, right = strings[n1], strings[n - n1]
             for a, a_strs in left.items():
-                for b, b_strs in right.items():
-                    results = table.combine(a, b)
-                    if not results:
+                for b, kept in partners.get(a, ()):
+                    b_strs = right.get(b)
+                    if not b_strs:
                         continue
                     joined = {sa + sb for sa in a_strs for sb in b_strs}
-                    for _rule, c in results:
+                    for c in kept:
                         level[c].update(joined)
+        live = [c for c in coordinable if need[c] <= budget]
         for n1 in range(1, n - 1):
             left, right = strings[n1], strings[n - 1 - n1]
-            for c, a_strs in left.items():
-                b_strs = right.get(c)
-                if not b_strs or not table.coordinable(conj, c):
-                    continue
-                level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs)
+            for c in live:
+                a_strs, b_strs = left.get(c), right.get(c)
+                if a_strs and b_strs:
+                    level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs)
         level = dict(level)
-        close_level(level)
+        close_level(level, budget)
         strings[n] = level
 
-    s = table.code(S)
     return [level.get(s, set()) for level in strings]
 
 

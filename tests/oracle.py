@@ -4,9 +4,16 @@ Deliberately naive: rules are re-implemented by direct pattern matching on
 category structure (no shared code with the chart parser beyond the category
 dataclasses), and the search recursively tries every split point, every rule,
 and every rotation, without a chart or memo table shared across sequences.
+
+``reference_language`` is the other reference kept here: the bottom-up
+template enumerator as it was before outside-length pruning, which builds
+every (length, category) entry.  It runs on the package's rule table, whose
+rules ``tests/test_combinators.py`` checks against this module's.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from alforge.categories import (
     BACKWARD,
@@ -20,6 +27,7 @@ from alforge.categories import (
     Variable,
     innermost_result,
 )
+from alforge.templates import category_universe
 
 
 def _ground(c: Category) -> bool:
@@ -157,3 +165,68 @@ def leaves(tree) -> list:
     if not tree.children:
         return [tree.category]
     return [leaf for child in tree.children for leaf in leaves(child)]
+
+
+def reference_language(grammar, permutation_active: bool, max_len: int) -> list[set]:
+    """out[n] = the class tuples of length n that derive S, for n <= max_len,
+    with no pruning: strings[n] maps every category code to every class
+    tuple of length n deriving it, over every pair of codes."""
+    _cats, table, _triples = category_universe(grammar, permutation_active)
+    conj = table.code(grammar.category("CONJ"))
+
+    strings: list[dict[int, set]] = [dict() for _ in range(max_len + 1)]
+
+    def close_level(level: dict[int, set]) -> None:
+        if not permutation_active:
+            return
+        for a in list(level):
+            for r in table.rotations(a):
+                level.setdefault(r, set()).update(level[a])
+
+    lex_level: dict[int, set] = defaultdict(set)
+    for cls, cat in grammar.lexicon:
+        if cls == "CONJ":
+            continue
+        lex_level[table.code(cat)].add((cls,))
+    strings[1] = dict(lex_level)
+    close_level(strings[1])
+
+    for n in range(2, max_len + 1):
+        level: dict[int, set] = defaultdict(set)
+        for n1 in range(1, n):
+            left, right = strings[n1], strings[n - n1]
+            for a, a_strs in left.items():
+                for b, b_strs in right.items():
+                    results = table.combine(a, b)
+                    if not results:
+                        continue
+                    joined = {sa + sb for sa in a_strs for sb in b_strs}
+                    for _rule, c in results:
+                        level[c].update(joined)
+        for n1 in range(1, n - 1):
+            left, right = strings[n1], strings[n - 1 - n1]
+            for c, a_strs in left.items():
+                b_strs = right.get(c)
+                if not b_strs or not table.coordinable(conj, c):
+                    continue
+                level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs)
+        level = dict(level)
+        close_level(level)
+        strings[n] = level
+
+    s = table.code(S)
+    return [level.get(s, set()) for level in strings]
+
+
+def reference_grammatical_sequences(grammar, max_len: int) -> dict[int, set]:
+    """``templates.grammatical_sequences`` over ``reference_language``: under
+    ``require_rel`` a sequence with REL is judged with permutation and one
+    without REL without it."""
+    lang = reference_language(grammar, True, max_len)
+    if not grammar.policy.require_rel:
+        return {n: lang[n] for n in range(1, max_len + 1)}
+    plain = reference_language(grammar, False, max_len)
+    return {
+        n: {t for t in lang[n] if "REL" in t} | {t for t in plain[n] if "REL" not in t}
+        for n in range(1, max_len + 1)
+    }

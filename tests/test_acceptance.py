@@ -10,7 +10,6 @@ import filecmp
 import math
 import time
 from itertools import product
-from pathlib import Path
 
 import scipy.stats
 

@@ -21,7 +21,6 @@ from alforge.categories import (
     SCOMP,
     Category,
     Functor,
-    Primitive,
     Restrictions,
     Variable,
     arity,

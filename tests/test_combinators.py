@@ -2,7 +2,6 @@
 
 from functools import lru_cache
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from alforge.categories import (
@@ -12,7 +11,6 @@ from alforge.categories import (
     S,
     SCOMP,
     Functor,
-    Primitive,
     Variable,
     format_category,
     parse_category,
@@ -28,7 +26,7 @@ from alforge.combinators import (
     coordinate,
     is_case_marker,
 )
-from alforge.grammars import enumerate_grammars, grammar_by_id
+from alforge.grammars import enumerate_grammars
 from alforge.parser import rotations
 from alforge.templates import category_universe
 

@@ -7,7 +7,6 @@ from alforge.categories import format_category
 from alforge.grammars import (
     BASE_ORDERS,
     LEXICAL_CLASSES,
-    Grammar,
     base_order_of,
     build_grammar,
     check_params,

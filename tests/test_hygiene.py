@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package, the tests or the scripts
+imports a name it never uses.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -10,7 +11,16 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "alforge"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "alforge"
+CHECKED = sorted(SRC.glob("*.py")) + sorted(
+    path for d in ("tests", "scripts") for path in (ROOT / d).glob("*.py")
+)
+
+
+def _id(path: Path) -> str:
+    """The module name inside the package, else the path from the root."""
+    return path.name if path.parent == SRC else path.relative_to(ROOT).as_posix()
 
 
 def _annotations(tree: ast.AST):
@@ -54,6 +64,6 @@ def test_checker_flags_unused():
     assert unused_imports(source) == ["os", "os", "a"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -15,12 +15,13 @@ from alforge.parser import (
     Derivation,
     ParserPolicy,
     RuleTable,
+    _rule_results,
     derivation_check,
     derivation_rules,
     parse,
     rotations,
 )
-from alforge.templates import category_universe
+from alforge.templates import category_universe, enumerate_templates
 
 from oracle import leaves
 
@@ -137,6 +138,16 @@ class TestPolicy:
         assert sov.policy.permutation_active(with_rel)
         assert not sov.policy.permutation_active(without)
 
+    def test_parser_decides_permutation_on_codes(self):
+        """The parser's decision equals the policy's, before and after its
+        table first meets the REL category."""
+        sov = grammar_by_id("0000000")
+        parser = ChartParser(sov.policy)
+        for classes in [("NP", "SUBJ", "VI"), ("NP", "SUBJ", "REL", "NP"), ("VI", "NP")]:
+            seq = sov.categorize(classes)
+            codes = [parser.table.code(c) for c in seq]
+            assert parser._permuting(codes) == sov.policy.permutation_active(seq)
+
     def test_rotation_eligibility(self):
         vt = parse_category("(S\\NP_SUBJ)/NP_OBJ")
         assert rotations(vt) == [parse_category("(S/NP_OBJ)\\NP_SUBJ")]
@@ -162,6 +173,19 @@ class TestRecognizer:
 
 
 class TestRuleTable:
+    def test_shared_memo_keeps_code_order(self):
+        """Rule results shared between tables leave each table's own codes,
+        and so a fresh parser's derivations, as they were."""
+        _rule_results.cache_clear()
+        before = en_parse(SHOWCASE_CLASSES, derivations=True).derivations
+        for gid in ("0000000", "1111111", "0011010", "1001110"):
+            enumerate_templates(grammar_by_id(gid), 6)
+        hits = _rule_results.cache_info().hits
+        after = en_parse(SHOWCASE_CLASSES, derivations=True).derivations
+        assert _rule_results.cache_info().hits > hits  # the fresh parser used the memo
+        assert before
+        assert after == before
+
     def test_concurrent_interning(self):
         texts = sorted(format_category(c) for c in category_universe(EN, True)[0])
         n_threads, rounds = 8, 20

@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from alforge.grammars import LEXICAL_CLASSES, grammar_by_id
+from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
 from alforge.templates import (
+    _length_bounds,
     augment_long,
     enumerate_templates,
     grammatical_sequences,
@@ -16,6 +17,8 @@ from alforge.templates import (
     sample_long_templates,
     save_templates,
 )
+
+from oracle import reference_grammatical_sequences
 
 EN = grammar_by_id("0101101")
 
@@ -79,6 +82,37 @@ class TestEnumeration:
 
     def test_trivial_bound(self):
         assert enumerate_templates(EN, 2) == []
+
+
+class TestPruning:
+    """The outside-length pruning of ``_language`` changes no output: its
+    budget depends on ``max_len``, so every bound is checked against the
+    unpruned reference, whose length-n sets do not depend on it."""
+
+    def test_length_bounds(self):
+        # lexical 0, 1; 0 1 -> 2 or 3; 2 rotates to 4; 4 1 -> 5, the root;
+        # 3 leads nowhere.  On the 96 grammars the rotation step of need and
+        # the minimum over a pair's results happen to change no value, so
+        # this is where they are checked.
+        triples = [(0, 1, (2, 3)), (4, 1, (5,))]
+        rots = {2: (4,)}
+        minlen, need = _length_bounds(
+            range(6), {0, 1}, triples, lambda a: rots.get(a, ()), 5, 99
+        )
+        assert minlen == {0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 5: 3}
+        assert need == {0: 2, 1: 2, 2: 1, 3: 99, 4: 1, 5: 0}
+
+    def test_all_grammars_every_bound(self):
+        for g in enumerate_grammars():
+            ref = reference_grammatical_sequences(g, 8)
+            for m in range(3, 9):
+                expected = {n: ref[n] for n in range(1, m + 1)}
+                assert grammatical_sequences(g, m) == expected, (g.params, m)
+
+    @pytest.mark.parametrize("gid", ["0101101", "0011010"])
+    def test_deep_bound(self, gid):
+        g = grammar_by_id(gid)
+        assert grammatical_sequences(g, 11) == reference_grammatical_sequences(g, 11)
 
 
 class TestAugmentation:
