@@ -321,6 +321,7 @@ def gen_targeted(
 # --- minimal pairs ----------------------------------------------------------
 
 PAIR_KINDS = ("CaseType", "VerbType")
+PAIR_RETRIES = 100  # gen_minimal_pairs: draws per pair before it gives up
 
 
 def _case_twin(sentence: Sentence, rng: random.Random):
@@ -355,7 +356,6 @@ def gen_minimal_pairs(
     n: int,
     seed: int,
     parser: ChartParser | None = None,
-    max_retries: int = 100,
 ) -> list[tuple[Sentence, Sentence]]:
     """n (grammatical, ungrammatical) pairs differing in exactly one token,
     equal lengths; the ungrammatical twin is parser-verified to fail."""
@@ -369,7 +369,7 @@ def gen_minimal_pairs(
     out: list[tuple[Sentence, Sentence]] = []
     seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
     for _ in range(n):
-        for _retry in range(max_retries):
+        for _retry in range(PAIR_RETRIES):
             src = rng.choice(source)
             twin = (
                 _case_twin(src, rng)
@@ -392,6 +392,6 @@ def gen_minimal_pairs(
             break
         else:
             raise RuntimeError(
-                f"could not build a {kind} pair after {max_retries} retries"
+                f"could not build a {kind} pair after {PAIR_RETRIES} retries"
             )
     return out

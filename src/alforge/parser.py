@@ -52,9 +52,6 @@ class ParserPolicy:
     require_rel: bool = False
     rel_category: Category | None = None
 
-    def permutation_active(self, seq: tuple[Category, ...]) -> bool:
-        return self.permutes(self.rel_category is not None and self.rel_category in seq)
-
     def permutes(self, has_rel: bool) -> bool:
         """Whether permutation is on for an input that contains
         ``rel_category`` (``has_rel``) or not."""
@@ -243,7 +240,7 @@ class ChartParser:
         self._rel: int | None = None  # code of policy.rel_category, once interned
 
     def _permuting(self, codes: list[int]) -> bool:
-        """``policy.permutation_active`` of the input, decided on its codes.
+        """``policy.permutes`` for the input, decided on its codes.
         The REL category is looked up, not interned, so that a parse never
         assigns a code its input does not need."""
         policy = self.policy

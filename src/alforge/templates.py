@@ -9,16 +9,11 @@ small lengths by the test suite.
 
 The universe and the bottom-up language build run on the integer codes of a
 ``parser.RuleTable``, the same lazily filled table type the chart parser
-uses, so both share one rule-combination mechanism.
-
-The build keeps a (length n, category c) entry only while n + need[c] <=
-max_len.  Two shortest-path fixed points over the universe bound it:
-minlen[c], the fewest classes deriving c, and need[c], the fewest classes
-that must surround a c constituent in any S (an outside estimate by span
-length, as in A* parsing).  Both are lower bounds on every real derivation,
-so a dropped entry belongs to no S within max_len, and every child of a kept
-entry is itself kept: the pruning is exact, and the output is the same as
-building every entry.
+uses.  Each ``grammatical_sequences`` call builds the permuting universe
+once; the non-permuting language of a ``require_rel`` grammar reads the same
+table and triples.  The build keeps a (length, category) entry only while
+it can still sit inside an S of length <= max_len, an outside estimate by
+span length as in A* parsing (``_length_bounds``); the pruning is exact.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ from .parser import ChartParser, RuleTable
 Template = tuple[str, ...]
 
 _MARKERS = ("SUBJ", "OBJ")
+LONG_ATTEMPTS_FACTOR = 2000  # sample_long_templates: draws per wanted template
 
 
 def heuristic_filter(classes) -> bool:
@@ -64,11 +60,10 @@ def heuristic_filter(classes) -> bool:
 
 
 Triple = tuple[int, int, tuple[int, ...]]  # (left code, right code, result codes)
+Universe = tuple[set[Category], RuleTable, list[Triple]]  # (categories, table, triples)
 
 
-def category_universe(
-    grammar: Grammar, permutation_active: bool
-) -> tuple[set[Category], RuleTable, list[Triple]]:
+def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
     """Closure of the lexical categories under the rules, the rule table
     whose binary results over that closure are now all filled in, and the
     productive pairs of the closure: one (a, b, distinct result codes)
@@ -166,8 +161,17 @@ def _length_bounds(
     return minlen, need
 
 
-def _language(grammar: Grammar, permutation_active: bool, max_len: int) -> list[set[Template]]:
-    """out[n] = the class tuples of length n that derive S, for n <= max_len.
+def _language(
+    grammar: Grammar, build: Universe, permuting: bool, max_len: int
+) -> list[set[Template]]:
+    """out[n] = the class tuples of length n that derive S, for n <= max_len,
+    with permutation on or off, read from ``category_universe(grammar, True)``.
+
+    The permuting build is exact with permutation off too: every code
+    reachable without a rotation is in it, with the same productive pairs,
+    and a code reachable only through a rotation keeps minlen = cap (every
+    triple that yields one has such a child), so it lowers no reachable
+    code's minlen or need, and it never receives a string.
 
     Built bottom-up over category codes: strings[n] maps each code c to the
     class tuples of length n deriving it, but only while n + need[c] <=
@@ -181,7 +185,7 @@ def _language(grammar: Grammar, permutation_active: bool, max_len: int) -> list[
     conjuncts likewise), so each kept entry holds the same tuples as with
     no pruning.  Binary steps loop over the universe's productive triples
     and drop pruned result codes before building a cross-product."""
-    cats, table, triples = category_universe(grammar, permutation_active)
+    cats, table, triples = build
     universe = {table.code(c) for c in cats}
     conj = table.code(grammar.category("CONJ"))
     s = table.code(S)
@@ -193,7 +197,7 @@ def _language(grammar: Grammar, permutation_active: bool, max_len: int) -> list[
         lex_level[table.code(cat)].add((cls,))
 
     def rotations(a: int) -> tuple[int, ...]:
-        return table.rotations(a) if permutation_active else ()
+        return table.rotations(a) if permuting else ()
 
     _minlen, need = _length_bounds(universe, lex_level, triples, rotations, s, max_len + 1)
     coordinable = [c for c in universe if table.coordinable(conj, c)]
@@ -249,27 +253,30 @@ def enumerate_templates(grammar: Grammar, max_len: int = 10) -> list[Template]:
     return sorted(t for n in range(3, max_len + 1) for t in lang[n] if heuristic_filter(t))
 
 
-def grammatical_sequences(
-    grammar: Grammar, max_len: int
-) -> dict[int, set[Template]]:
+def grammatical_sequences(grammar: Grammar, max_len: int) -> dict[int, set[Template]]:
     """All parse-grammatical class sequences up to ``max_len``, without the
     heuristic filter.  Under ``require_rel`` a sequence with REL is judged
-    with permutation and one without REL without it."""
-    lang = _language(grammar, True, max_len)
+    with permutation and one without REL without it.  Both modes read one
+    closure, the permuting one."""
+    build = category_universe(grammar, True)
+    lang = _language(grammar, build, True, max_len)
     if not grammar.policy.require_rel:
         return {n: lang[n] for n in range(1, max_len + 1)}
-    plain = _language(grammar, False, max_len)
+    plain = _language(grammar, build, False, max_len)
     return {
         n: {t for t in lang[n] if "REL" in t} | {t for t in plain[n] if "REL" not in t}
         for n in range(1, max_len + 1)
     }
 
 
-def _extension_candidates(t1: Template, t2: Template):
-    yield t1 + t2
-    yield t1 + ("CONJ",) + t2
-    for i in range(1, len(t1)):
-        yield t1[:i] + ("CONJ",) + t2 + t1[i:]
+def _extend(op: int, t1: Template, t2: Template, i: int) -> Template:
+    """The Long extension operators: op 0 concatenates t1 t2, op 1 joins
+    t1 CONJ t2, and op 2 inserts CONJ t2 into t1 before position i."""
+    if op == 0:
+        return t1 + t2
+    if op == 1:
+        return t1 + ("CONJ",) + t2
+    return t1[:i] + ("CONJ",) + t2 + t1[i:]
 
 
 def is_grammatical(template, grammar: Grammar, parser: ChartParser | None = None) -> bool:
@@ -293,7 +300,8 @@ def augment_long(
     seen: set[Template] = set()
     out: list[Template] = []
     for t1, t2 in product(templates, repeat=2):
-        for cand in _extension_candidates(t1, t2):
+        for op, i in [(0, 0), (1, 0), *((2, i) for i in range(1, len(t1)))]:
+            cand = _extend(op, t1, t2, i)
             if not (min_len <= len(cand) <= max_len) or cand in seen:
                 continue
             seen.add(cand)
@@ -309,7 +317,6 @@ def sample_long_templates(
     min_len: int = 11,
     max_len: int = 20,
     seed: int = 0,
-    max_attempts_factor: int = 2000,
     parser: ChartParser | None = None,
 ) -> list[Template]:
     """Randomized variant of ``augment_long`` for large template sets: draws
@@ -325,7 +332,7 @@ def sample_long_templates(
         by_len.setdefault(len(t), []).append(t)
     rng = random.Random(seed)
     buckets: dict[int, set[Template]] = {n: set() for n in range(min_len, max_len + 1)}
-    attempts = max_attempts_factor * per_length
+    attempts = LONG_ATTEMPTS_FACTOR * per_length
     for target in sorted(buckets):
         bucket = buckets[target]
         for _ in range(attempts):
@@ -342,15 +349,10 @@ def sample_long_templates(
             a, b = splits[rng.randrange(len(splits))]
             t1 = rng.choice(by_len[a])
             t2 = rng.choice(by_len[b])
-            if op == 0:
-                cand = t1 + t2
-            elif op == 1:
-                cand = t1 + ("CONJ",) + t2
-            else:
-                if len(t1) < 2:
-                    continue
-                i = rng.randrange(1, len(t1))
-                cand = t1[:i] + ("CONJ",) + t2 + t1[i:]
+            if op == 2 and len(t1) < 2:
+                continue
+            i = rng.randrange(1, len(t1)) if op == 2 else 0
+            cand = _extend(op, t1, t2, i)
             if len(cand) != target or cand in bucket:
                 continue
             if heuristic_filter(cand) and is_grammatical(cand, grammar, parser):

@@ -123,6 +123,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="length 3"):
             sample_split(EN, [("NP", "SUBJ", "VI")], tiny, 5, (3, 3), seed=1, split="x")
 
+    def test_rejection_limit(self):
+        """Past the capacity check, a length still fails after
+        ``per_length_count * 1000`` draws: 1 of 40,000 sentences is left."""
+        words = dict(DEFAULT_WORDS, NP=tuple(f"np{i}" for i in range(200)))
+        avoid = {(a, b) for a in words["NP"] for b in words["NP"]}
+        avoid.discard(("np0", "np0"))
+        with pytest.raises(ValueError, match="insufficient unique sentences for length 2"):
+            sample_split(EN, [("NP", "NP")], Lexicon(words), 1, (2, 2), seed=1, split="x",
+                         avoid=avoid)
+
     def test_capacity_checked_before_drawing(self):
         # 19 NP words x 1 particle x 8 VI words = 152 distinct sentences
         with pytest.raises(ValueError, match=r"length 3 has 152 .*1000 requested"):

@@ -54,7 +54,7 @@ def grammar_and_classes(draw):
 def test_parser_matches_oracle(case):
     g, classes = case
     seq = g.categorize(classes)
-    permuting = g.policy.permutation_active(seq)
+    permuting = g.policy.permutes(g.policy.rel_category in seq)
     want = oracle_grammatical(g, classes)
     warm = warm_parser(g.params)
     fresh = ChartParser(g.policy)

@@ -135,18 +135,20 @@ class TestPolicy:
         sov = grammar_by_id("0000000")
         with_rel = sov.categorize(("NP", "SUBJ", "REL"))
         without = sov.categorize(("NP", "SUBJ", "VI"))
-        assert sov.policy.permutation_active(with_rel)
-        assert not sov.policy.permutation_active(without)
+        policy = sov.policy
+        assert policy.permutes(policy.rel_category in with_rel)
+        assert not policy.permutes(policy.rel_category in without)
 
     def test_parser_decides_permutation_on_codes(self):
         """The parser's decision equals the policy's, before and after its
         table first meets the REL category."""
         sov = grammar_by_id("0000000")
-        parser = ChartParser(sov.policy)
+        policy = sov.policy
+        parser = ChartParser(policy)
         for classes in [("NP", "SUBJ", "VI"), ("NP", "SUBJ", "REL", "NP"), ("VI", "NP")]:
             seq = sov.categorize(classes)
             codes = [parser.table.code(c) for c in seq]
-            assert parser._permuting(codes) == sov.policy.permutation_active(seq)
+            assert parser._permuting(codes) == policy.permutes(policy.rel_category in seq)
 
     def test_rotation_eligibility(self):
         vt = parse_category("(S\\NP_SUBJ)/NP_OBJ")

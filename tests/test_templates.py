@@ -1,14 +1,19 @@
 """Template enumeration, heuristics, Long augmentation."""
 
+import hashlib
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from alforge import templates as templates_module
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
 from alforge.templates import (
     _length_bounds,
     augment_long,
+    category_universe,
     enumerate_templates,
     grammatical_sequences,
     heuristic_filter,
@@ -21,6 +26,7 @@ from alforge.templates import (
 from oracle import reference_grammatical_sequences
 
 EN = grammar_by_id("0101101")
+CENSUS = Path(__file__).parent.parent / "perfbench" / "refs" / "census.json"
 
 
 class TestHeuristics:
@@ -83,6 +89,46 @@ class TestEnumeration:
     def test_trivial_bound(self):
         assert enumerate_templates(EN, 2) == []
 
+    def test_census_references(self):
+        """Every recorded census: per-length counts and the sha256 of the
+        template list, one space-joined template per line."""
+        records = json.loads(CENSUS.read_text())
+        assert len(records) == 98  # 96 grammars at length 10, two at 14
+        wrong = []
+        for rec in records:
+            templates = enumerate_templates(grammar_by_id(rec["grammar"]), rec["max_len"])
+            counts: dict[str, int] = {}
+            digest = hashlib.sha256()
+            for t in templates:
+                counts[str(len(t))] = counts.get(str(len(t)), 0) + 1
+                digest.update(" ".join(t).encode() + b"\n")
+            if counts != rec["counts"] or digest.hexdigest() != rec["digest"]:
+                wrong.append((rec["grammar"], rec["max_len"]))
+        assert not wrong, wrong
+
+
+class TestSharedClosure:
+    """Both permutation modes of ``grammatical_sequences`` read one
+    permuting closure."""
+
+    @pytest.mark.parametrize("gid", ["0000000", "0101101"])
+    def test_one_closure_per_call(self, gid, monkeypatch):
+        g = grammar_by_id(gid)
+        calls = []
+
+        def counted(grammar, permutation_active):
+            calls.append(permutation_active)
+            return category_universe(grammar, permutation_active)
+
+        monkeypatch.setattr(templates_module, "category_universe", counted)
+        assert grammatical_sequences(g, 6) == reference_grammatical_sequences(g, 6)
+        assert calls == [True]
+
+    def test_plain_closure_within_permuting(self):
+        for g in enumerate_grammars():
+            plain = category_universe(g, False)[0]
+            assert plain <= category_universe(g, True)[0], g.params
+
 
 class TestPruning:
     """The outside-length pruning of ``_language`` changes no output: its
@@ -143,7 +189,7 @@ class TestAugmentation:
         with pytest.raises(RuntimeError):
             sample_long_templates(
                 [("NP", "SUBJ", "VI")], EN, per_length=50, min_len=19, max_len=20,
-                seed=0, max_attempts_factor=5,
+                seed=0,
             )
 
 
