@@ -2,9 +2,13 @@
 generation, baseline scoring and the evaluation metrics, plus a `pipeline`
 command chaining everything for a set of grammars.
 
-All randomness is derived from --seed; identical config and seed produce
-byte-identical artifacts.  `pipeline` runs its grammars one after another in
-one process; --threads is accepted for old command lines and ignored.
+`RunConfig` is the one table of run options.  Its fields give the flag names
+(`master_seed` is `--seed`), the flag types and the config-file value types,
+and each subcommand offers flags only for the fields its handler reads, plus
+`--config` and, where it reads a corpus count, `--scale`.  All randomness is
+derived from --seed; identical config and seed produce byte-identical
+artifacts.  `pipeline` runs its grammars one after another in one process;
+its --threads is accepted for old command lines and ignored.
 """
 
 from __future__ import annotations
@@ -56,13 +60,14 @@ from .templates import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the corpus and pipeline subcommands."""
+    """Run options of the corpus, scoring and pipeline subcommands.  Each
+    field's default fixes its type on the command line and in config files;
+    an empty path means the built-in lexicon or typology."""
 
     master_seed: int = 0
     out_dir: str = "out"
-    lexicon_path: str | None = None
-    typology_path: str | None = None
-    max_len: int = 10
+    lexicon_path: str = ""
+    typology_path: str = ""
     train_per_length: int = 1000
     test_per_length: int = 100
     long_per_length: int = 50
@@ -73,32 +78,27 @@ class RunConfig:
     ngram_k: float = 0.1
 
     def __post_init__(self) -> None:
-        counts = (
-            self.train_per_length,
-            self.test_per_length,
-            self.long_per_length,
-            self.long_templates_per_length,
-            self.targeted_n,
-            self.pair_n,
-        )
-        if any(c < 0 for c in counts):
+        if any(getattr(self, name) < 0 for name in (*_SCALED, "long_templates_per_length")):
             raise ValueError("counts must be >= 0")
+        if self.ngram_order < 1:
+            raise ValueError(f"ngram_order must be >= 1, got {self.ngram_order}")
+        if not self.ngram_k > 0:
+            raise ValueError(f"ngram_k must be > 0, got {self.ngram_k}")
 
     def scaled(self, factor: float) -> "RunConfig":
+        """The corpus counts in `_SCALED` multiplied by `factor` (> 0); a
+        nonzero count stays at least 1."""
+        if not factor > 0:
+            raise ValueError(f"scale must be > 0, got {factor}")
+
         def s(v: int) -> int:
             return max(1, round(v * factor)) if v > 0 else 0
 
-        return replace(
-            self,
-            train_per_length=s(self.train_per_length),
-            test_per_length=s(self.test_per_length),
-            long_per_length=s(self.long_per_length),
-            targeted_n=s(self.targeted_n),
-            pair_n=s(self.pair_n),
-        )
+        return replace(self, **{name: s(getattr(self, name)) for name in _SCALED})
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_SCALED = ("train_per_length", "test_per_length", "long_per_length", "targeted_n", "pair_n")
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -112,14 +112,9 @@ def load_config_file(path: str) -> dict:
             key, sep, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if not sep or key not in _CONFIG_FIELDS:
+            if not sep or key not in _FIELD_TYPES:
                 raise ValueError(f"bad config line {lineno}: {line!r}")
-            if key in ("lexicon_path", "typology_path", "out_dir"):
-                values[key] = value
-            elif key == "ngram_k":
-                values[key] = float(value)
-            else:
-                values[key] = int(value)
+            values[key] = _FIELD_TYPES[key](value)
     return values
 
 
@@ -136,19 +131,12 @@ def _typology(cfg: RunConfig) -> TypologyTable:
 
 
 def _build_config(args) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    if getattr(args, "seed", None) is not None:
-        values["master_seed"] = args.seed
+    """The config file, overridden by the flags given, then scaled."""
+    values = load_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None)
     cfg = RunConfig(**values)
-    if getattr(args, "scale", None) is not None:
-        cfg = cfg.scaled(args.scale)
-    return cfg
+    scale = getattr(args, "scale", None)
+    return cfg if scale is None else cfg.scaled(scale)
 
 
 # --- dataset generation -----------------------------------------------------
@@ -159,7 +147,7 @@ def build_dataset(
 ) -> dict[str, list[Sentence]]:
     """Short/Medium/Long splits for one grammar, by split name."""
     seed = cfg.master_seed
-    templates = enumerate_templates(g, cfg.max_len)
+    templates = enumerate_templates(g, MEDIUM_BAND[1])
     short_t = [t for t in templates if len(t) <= SHORT_BAND[1]]
     medium_t = [t for t in templates if MEDIUM_BAND[0] <= len(t) <= MEDIUM_BAND[1]]
 
@@ -284,10 +272,8 @@ def cmd_gen_pairs(args) -> None:
 
 
 def cmd_score(args) -> None:
-    if args.model != "ngram":
-        raise ValueError(f"unknown model: {args.model}")
-    train = load_sentences(args.train)
-    model = ngram_train(train, args.order, args.k)
+    cfg = _build_config(args)
+    model = ngram_train(load_sentences(args.train), cfg.ngram_order, cfg.ngram_k)
     records = ngram_score(model, load_sentences(args.input))
     save_scores(records, args.out)
     print(f"scored {len(records)} sentences -> {args.out}")
@@ -429,21 +415,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, config=True):
-        if config:
-            p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--threads", type=int,
-                       help="ignored; grammars run one after another in one process")
-        p.add_argument("--lexicon-path", dest="lexicon_path", help="lexicon JSON file")
-        p.add_argument("--typology-path", dest="typology_path", help="typology JSON file")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        for name in ("max-len", "train-per-length", "test-per-length",
-                     "long-per-length", "long-templates-per-length",
-                     "targeted-n", "pair-n", "ngram-order"):
-            p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
-        p.add_argument("--ngram-k", dest="ngram_k", type=float)
-        p.add_argument("--scale", type=float, help="multiply all corpus counts")
+    def run_options(p, *names):
+        """--config, one flag per named RunConfig field, and --scale if a
+        named field is a scaled count."""
+        p.add_argument("--config", help="flat key=value config file")
+        for name in names:
+            flag = "--seed" if name == "master_seed" else "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=_FIELD_TYPES[name])
+        if set(names) & set(_SCALED):
+            p.add_argument("--scale", type=float, help="multiply the corpus counts")
 
     p = sub.add_parser("list-grammars", help="print the 96 grammars")
     p.set_defaults(func=cmd_list_grammars)
@@ -471,14 +451,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", help="build Short/Medium/Long splits")
     p.add_argument("--params", nargs="+", required=True)
-    common(p)
+    run_options(p, "master_seed", "lexicon_path", "out_dir", "train_per_length",
+                "test_per_length", "long_per_length", "long_templates_per_length")
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("gen-targeted", help="build Recursive/Embedded test sets")
     p.add_argument("--params", required=True)
     p.add_argument("--kind", choices=("recursive", "embedded"), required=True)
     p.add_argument("--out")
-    common(p)
+    run_options(p, "master_seed", "lexicon_path", "targeted_n")
     p.set_defaults(func=cmd_gen_targeted)
 
     p = sub.add_parser("gen-pairs", help="build minimal pairs from a split")
@@ -486,23 +467,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("case", "verb"), required=True)
     p.add_argument("--source", required=True, help="sentence JSONL to perturb")
     p.add_argument("--out")
-    common(p)
+    run_options(p, "master_seed", "lexicon_path", "pair_n")
     p.set_defaults(func=cmd_gen_pairs)
 
     p = sub.add_parser("score", help="score sentences with the n-gram baseline")
-    p.add_argument("--model", default="ngram")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--k", type=float, default=0.1)
     p.add_argument("--train", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
+    run_options(p, "ngram_order", "ngram_k")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("ta-corr", help="typological-alignment correlation")
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--split", default="ShortTest")
     p.add_argument("--out")
-    common(p)
+    run_options(p, "typology_path")
     p.set_defaults(func=cmd_ta_corr)
 
     p = sub.add_parser("judge", help="minimal-pair judgment accuracy")
@@ -512,7 +491,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="datasets + baseline + metrics")
     p.add_argument("--params", nargs="+", required=True)
-    common(p)
+    run_options(p, *_FIELD_TYPES)
+    p.add_argument("--threads", type=int,
+                   help="ignored; grammars run one after another in one process")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -1,10 +1,13 @@
 """Command-line interface: configs, subcommands, error reporting."""
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from alforge.cli import RunConfig, load_config_file, main
+from alforge.cli import RunConfig, build_arg_parser, load_config_file, main
 from alforge.corpus import load_sentences
 from alforge.evaluation import load_scores, perplexity
 
@@ -27,9 +30,21 @@ class TestConfig:
     def test_scaled_floor_is_one(self):
         assert RunConfig(pair_n=3).scaled(0.01).pair_n == 1
 
+    @pytest.mark.parametrize("factor", [0, -2, float("nan")])
+    def test_scale_must_be_positive(self, factor):
+        with pytest.raises(ValueError, match="scale must be > 0"):
+            RunConfig().scaled(factor)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(train_per_length=-1)
+
+    @pytest.mark.parametrize("bad", [
+        {"ngram_order": 0}, {"ngram_k": 0.0}, {"ngram_k": -0.1}, {"ngram_k": float("nan")},
+    ])
+    def test_ngram_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match="ngram_"):
+            RunConfig(**bad)
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -50,6 +65,52 @@ class TestConfig:
         path.write_text("threads = 2\n")
         with pytest.raises(ValueError, match="line 1"):
             load_config_file(path)
+
+    def test_config_file_max_len_rejected(self, tmp_path):
+        # Splits always enumerate to the end of the Medium band.
+        path = tmp_path / "run.cfg"
+        path.write_text("max_len = 10\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_config_file(path)
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("argv", [
+        ["gen-targeted", "--params", "0101101", "--kind", "recursive", "--out-dir", "x"],
+        ["gen-pairs", "--params", "0101101", "--kind", "case", "--source", "s.jsonl",
+         "--ngram-k", "0.5"],
+        ["ta-corr", "--scores", "s.jsonl", "--seed", "3"],
+        ["gen-dataset", "--params", "0101101", "--pair-n", "5"],
+        ["pipeline", "--params", "0101101", "--max-len", "10"],
+        ["score", "--train", "t.jsonl", "--input", "i.jsonl", "--out", "o.jsonl",
+         "--model", "ngram"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+    def test_unread_flag_rejected(self, capsys, argv):
+        # Each subcommand takes only the options its handler reads.
+        with pytest.raises(SystemExit) as exc:
+            build_arg_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(cmd, comments=True) for cmd in block.replace("\\\n", " ").splitlines()]
+        commands = [words for words in lines if words and words[0] == "alforge"]
+        parser = build_arg_parser()
+        for words in commands:
+            parser.parse_args(words[1:])
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert {words[1] for words in commands} == set(sub.choices)
+
+    def test_bad_ngram_order_fails_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "0000000",
+                           "--scale", "0.1", "--seed", "1", "--ngram-order", "0",
+                           "--out-dir", str(out))
+        assert code == 1
+        assert err.startswith("error: ValueError: ngram_order must be >= 1")
+        assert not out.exists()
 
 
 class TestSubcommands:
@@ -161,12 +222,13 @@ class TestPipeline:
 
     def test_config_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_len = 4\n")
+        cfg.write_text("test_per_length = 100000\n")
         code, out, _ = run(
             capsys, "gen-dataset", "--params", "0101101",
-            "--config", str(cfg), "--max-len", "10",
+            "--config", str(cfg), "--test-per-length", "100",
             "--scale", "0.02", "--out-dir", str(tmp_path / "d"),
         )
-        # max_len 4 alone cannot fill the Medium band; the flag must win.
+        # 2000 test sentences a length alone exceed what length 3 can hold;
+        # the flag must win.
         assert code == 0
         assert "MediumTest" in out
