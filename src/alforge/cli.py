@@ -50,7 +50,7 @@ from .evaluation import (
 from .grammars import Grammar, enumerate_grammars, grammar_by_id, grammar_to_text
 from .parser import ChartParser
 from .templates import (
-    augment_long,
+    Template,
     enumerate_templates,
     load_templates,
     sample_long_templates,
@@ -142,6 +142,15 @@ def _build_config(args) -> RunConfig:
 # --- dataset generation -----------------------------------------------------
 
 
+def long_templates(g: Grammar, cfg: RunConfig, templates, parser: ChartParser) -> list[Template]:
+    """The Long step: ``cfg.long_templates_per_length`` extensions of
+    ``templates`` at each length of ``LONG_BAND``, seeded from the run seed."""
+    return sample_long_templates(
+        templates, g, cfg.long_templates_per_length, *LONG_BAND,
+        seed=derive_seed(cfg.master_seed, g.params, "long-templates"), parser=parser,
+    )
+
+
 def build_dataset(
     g: Grammar, cfg: RunConfig, lex: Lexicon, parser: ChartParser
 ) -> dict[str, list[Sentence]]:
@@ -168,11 +177,7 @@ def build_dataset(
         g, medium_t, test_lex, cfg.test_per_length, MEDIUM_BAND,
         derive_seed(seed, g.params, "medium-test"), "MediumTest", avoid=avoid,
     )
-    long_t = sample_long_templates(
-        short_t + medium_t, g, cfg.long_templates_per_length,
-        LONG_BAND[0], LONG_BAND[1],
-        seed=derive_seed(seed, g.params, "long-templates"), parser=parser,
-    )
+    long_t = long_templates(g, cfg, templates, parser)
     splits["LongTest"] = sample_split(
         g, long_t, test_lex, cfg.long_per_length, LONG_BAND,
         derive_seed(seed, g.params, "long-test"), "LongTest", avoid=avoid,
@@ -219,13 +224,7 @@ def cmd_enum_templates(args) -> None:
 def cmd_augment_long(args) -> None:
     g = grammar_by_id(args.params)
     templates = load_templates(args.templates)
-    if args.per_length:
-        out = sample_long_templates(
-            templates, g, args.per_length, args.min_len, args.max_len,
-            seed=derive_seed(args.seed, g.params, "long-templates"),
-        )
-    else:
-        out = augment_long(templates, g, args.min_len, args.max_len)
+    out = long_templates(g, _build_config(args), templates, ChartParser(g.policy))
     if args.out:
         save_templates(out, args.out)
     else:
@@ -371,7 +370,8 @@ def cmd_pipeline(args) -> None:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = _typology(cfg)
-    results = [_pipeline_one(p, cfg, out_dir) for p in dict.fromkeys(args.params)]
+    canonical = dict.fromkeys(grammar_by_id(p).params for p in args.params)
+    results = [_pipeline_one(p, cfg, out_dir) for p in canonical]
     results.sort(key=lambda r: r["grammar"].params)
 
     rows = []
@@ -439,14 +439,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_enum_templates)
 
-    p = sub.add_parser("augment-long", help="extend templates to lengths 11-20")
+    p = sub.add_parser("augment-long", help="sample the Long templates (lengths 11-20)")
     p.add_argument("--params", required=True)
     p.add_argument("--templates", required=True)
-    p.add_argument("--per-length", dest="per_length", type=int)
-    p.add_argument("--min-len", dest="min_len", type=int, default=11)
-    p.add_argument("--max-len", dest="max_len", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
+    run_options(p, "master_seed", "long_templates_per_length")
     p.set_defaults(func=cmd_augment_long)
 
     p = sub.add_parser("gen-dataset", help="build Short/Medium/Long splits")

@@ -3,7 +3,7 @@ minimal-pair judgment accuracy, plus an n-gram baseline scorer so the whole
 pipeline runs without external models.
 
 Perplexity is corpus-level: total log mass over total token count (EOS
-included).  The per-sentence-mean alternative is available via a flag.
+included).
 """
 
 from __future__ import annotations
@@ -141,13 +141,10 @@ class TypologyTable:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def perplexity(records, *, per_sentence_mean: bool = False) -> float:
+def perplexity(records) -> float:
     records = list(records)
     if not records:
         raise ValueError("empty score set")
-    if per_sentence_mean:
-        ppls = [math.exp(-r.total / len(r.logprobs)) for r in records]
-        return sum(ppls) / len(ppls)
     total = sum(r.total for r in records)
     tokens = sum(len(r.logprobs) for r in records)
     return math.exp(-total / tokens)

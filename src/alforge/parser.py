@@ -421,7 +421,8 @@ def _replay(node: Derivation) -> Category | None:
     if node.rule is RuleId.PERMUTE:
         if len(kids) != 1:
             raise ValueError("permutation node must have one child")
-        got = permute_cyclic(kids[0]) if arity(kids[0]) >= 1 else None
+        # one step of the rotation chain the parser itself may take
+        got = next(iter(rotations(kids[0])), None)
     elif node.rule is RuleId.COORD:
         if len(kids) != 3:
             raise ValueError("coordination node must have three children")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from itertools import product
 
 from .categories import S, Category
 from .grammars import LEXICAL_CLASSES, Grammar
@@ -284,32 +283,6 @@ def is_grammatical(template, grammar: Grammar, parser: ChartParser | None = None
     return parser.parse(grammar.categorize(template)).grammatical
 
 
-def augment_long(
-    templates,
-    grammar: Grammar,
-    min_len: int = 11,
-    max_len: int = 20,
-    parser: ChartParser | None = None,
-) -> list[Template]:
-    """Exhaustive Long-template extension of a (small) template set via
-    concatenation, mid-sentence conjunction insertion, and conjunction
-    appending; candidates are length-gated, deduplicated, re-filtered and
-    parse-checked under ``grammar``."""
-    parser = parser or ChartParser(grammar.policy)
-    templates = [tuple(t) for t in templates]
-    seen: set[Template] = set()
-    out: list[Template] = []
-    for t1, t2 in product(templates, repeat=2):
-        for op, i in [(0, 0), (1, 0), *((2, i) for i in range(1, len(t1)))]:
-            cand = _extend(op, t1, t2, i)
-            if not (min_len <= len(cand) <= max_len) or cand in seen:
-                continue
-            seen.add(cand)
-            if heuristic_filter(cand) and is_grammatical(cand, grammar, parser):
-                out.append(cand)
-    return sorted(out)
-
-
 def sample_long_templates(
     templates,
     grammar: Grammar,
@@ -319,10 +292,11 @@ def sample_long_templates(
     seed: int = 0,
     parser: ChartParser | None = None,
 ) -> list[Template]:
-    """Randomized variant of ``augment_long`` for large template sets: draws
-    random template pairs and extension operators until every length in
-    [min_len, max_len] has ``per_length`` valid templates (or attempts run
-    out, which raises)."""
+    """Long templates by extension of ``templates``: draws random template
+    pairs and extension operators (``_extend``) until every length in
+    [min_len, max_len] has ``per_length`` candidates that pass the
+    heuristics and parse under ``grammar`` (or attempts run out, which
+    raises)."""
     parser = parser or ChartParser(grammar.policy)
     templates = [tuple(t) for t in templates]
     if not templates:

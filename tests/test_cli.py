@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from alforge.cli import RunConfig, build_arg_parser, load_config_file, main
 from alforge.corpus import load_sentences
 from alforge.evaluation import load_scores, perplexity
+from alforge.templates import load_templates
 
 
 def run(capsys, *argv):
@@ -84,6 +87,7 @@ class TestOptionSurface:
         ["pipeline", "--params", "0101101", "--max-len", "10"],
         ["score", "--train", "t.jsonl", "--input", "i.jsonl", "--out", "o.jsonl",
          "--model", "ngram"],
+        ["augment-long", "--params", "0101101", "--templates", "t.txt", "--per-length", "20"],
     ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
     def test_unread_flag_rejected(self, capsys, argv):
         # Each subcommand takes only the options its handler reads.
@@ -102,6 +106,24 @@ class TestOptionSurface:
             parser.parse_args(words[1:])
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert {words[1] for words in commands} == set(sub.choices)
+
+    def test_readme_option_table(self):
+        # One row per subcommand with run options, listing exactly its
+        # RunConfig flags and --scale; pipeline's row says "all of the above".
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| `([^`|]*)` \|$", text, re.M))
+        names = {f.name for f in fields(RunConfig)} | {"scale"}
+        parser = build_arg_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        run_flags = {
+            name: {a.option_strings[0] for a in p._actions if a.dest in names}
+            for name, p in sub.choices.items()
+        }
+        assert set(rows) == {name for name, flags in run_flags.items() if flags} - {"pipeline"}
+        for name, cell in rows.items():
+            assert set(cell.split()) == run_flags[name], name
+        assert "\n| `pipeline` | all of the above" in text
+        assert run_flags["pipeline"] == set().union(*(run_flags[name] for name in rows))
 
     def test_bad_ngram_order_fails_before_writing(self, capsys, tmp_path):
         out = tmp_path / "d"
@@ -219,6 +241,33 @@ class TestPipeline:
         assert sorted(p.name for p in made.iterdir()) == sorted(names)
         for name in names:
             assert (made / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+
+    def test_augment_long_is_the_pipeline_long_step(self, capsys, tmp_path, pipeline_out):
+        # Given the pipeline's own templates and seed, augment-long writes
+        # the Long templates that the pipeline sampled its LongTest from.
+        short = tmp_path / "templates.txt"
+        long = tmp_path / "long.txt"
+        for argv in (
+            ("enum-templates", "--params", "0101101", "--max-len", "10", "--out", str(short)),
+            ("augment-long", "--params", "0101101", "--templates", str(short),
+             "--seed", "3", "--out", str(long)),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        out = load_templates(long)
+        assert sorted(len(t) for t in out) == [n for n in range(11, 21) for _ in range(20)]
+        used = {s.classes for s in load_sentences(pipeline_out / "0101101_LongTest.jsonl")}
+        assert used <= set(out)
+
+    def test_alias_runs_once(self, capsys, tmp_path):
+        # 0110000 is an alias of 0100000: one grammar, one run.
+        out = tmp_path / "d"
+        code, stdout, err = run(capsys, "pipeline", "--params", "0100000", "0110000",
+                                "--seed", "3", "--scale", "0.05", "--out-dir", str(out))
+        assert code == 0, err
+        assert len(stdout.splitlines()) == 1
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",", 1)[0] for row in rows] == ["0100000"] * 5
 
     def test_config_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -69,11 +69,6 @@ class TestPerplexity:
         recs = [record(["a"], [-1.0, -2.0]), record(["b"], [-0.25, -0.75])]
         assert perplexity(recs) == perplexity(reversed(recs))
 
-    def test_per_sentence_mean(self):
-        recs = [record(["a"], [-1.0, -1.0]), record(["b"], [-3.0, -3.0])]
-        expected = (math.exp(1.0) + math.exp(3.0)) / 2
-        assert abs(perplexity(recs, per_sentence_mean=True) - expected) < 1e-12
-
     def test_empty(self):
         with pytest.raises(ValueError):
             perplexity([])

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from alforge.categories import NP, S, format_category, parse_category
+from alforge.categories import NP, S, format_category, parse_category, permute_cyclic
 from alforge.combinators import RuleId
 from alforge.grammars import grammar_by_id
 from alforge.parser import (
@@ -103,6 +103,30 @@ class TestDerivations:
             return Derivation(node.category, node.rule, (mutate(node.children[0]),) + node.children[1:])
 
         assert not derivation_check(mutate(tree))
+
+    def test_forbidden_rotation_fails(self):
+        # Each tree permutes a functor that ``rotations`` never rotates and
+        # then applies it up to S; every other rule in it replays.
+        def node(text, rule=None, *kids):
+            return Derivation(parse_category(text), rule, kids)
+
+        def permuted(text):
+            cat = parse_category(text)
+            assert rotations(cat) == []
+            return Derivation(permute_cyclic(cat), RuleId.PERMUTE, (Derivation(cat),))
+
+        fwd, bwd = RuleId.FWD_APP, RuleId.BWD_APP
+        trees = {
+            "@ blocks it": node("S", fwd, node(
+                "S/@NP_OBJ", bwd, node("NP_SUBJ"), permuted("(S\\NP_SUBJ)/@NP_OBJ"),
+            ), node("NP_OBJ")),
+            "not a verb functor": node("S", bwd, node("NP", fwd, node(
+                "NP/NP", bwd, node("NP"), permuted("(NP\\NP)/NP"),
+            ), node("NP")), node("S\\NP")),
+            "arity 1": node("S", bwd, node("NP"), permuted("S\\NP")),
+        }
+        for why, tree in trees.items():
+            assert not derivation_check(tree), why
 
     def test_malformed_tree_raises(self):
         with pytest.raises(ValueError):
