@@ -9,12 +9,16 @@ and each subcommand offers flags only for the fields its handler reads, plus
 derived from --seed; identical config and seed produce byte-identical
 artifacts.  `pipeline` runs its grammars one after another in one process;
 its --threads is accepted for old command lines and ignored.
+
+Each pipeline step is defined once (`build_dataset`, `long_templates`,
+`targeted_set`, `pair_set`, `report_row`, `summary_row`), and the
+single-step subcommands run the same steps as `pipeline`.  `gen-dataset` and
+`pipeline` merge aliases: each grammar runs once, under its canonical id.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -24,6 +28,7 @@ from .corpus import (
     MEDIUM_BAND,
     PAIR_KINDS,
     SHORT_BAND,
+    TARGETED_KINDS,
     Lexicon,
     Sentence,
     derive_seed,
@@ -33,6 +38,7 @@ from .corpus import (
     sample_split,
     save_pairs,
     save_sentences,
+    write_json,
 )
 from .evaluation import (
     ScoreRecord,
@@ -151,6 +157,24 @@ def long_templates(g: Grammar, cfg: RunConfig, templates, parser: ChartParser) -
     )
 
 
+def targeted_set(
+    g: Grammar, cfg: RunConfig, kind: str, lex: Lexicon, parser: ChartParser
+) -> list[Sentence]:
+    """The targeted step: ``cfg.targeted_n`` sentences of the ``kind``
+    construction (Recursive or Embedded), seeded from the run seed."""
+    seed = derive_seed(cfg.master_seed, g.params, f"targeted-{kind}")
+    return gen_targeted(g, kind, lex, cfg.targeted_n, seed, parser=parser)
+
+
+def pair_set(
+    g: Grammar, cfg: RunConfig, kind: str, source, lex: Lexicon, parser: ChartParser
+) -> list[tuple[Sentence, Sentence]]:
+    """The pair step: ``cfg.pair_n`` ``kind`` minimal pairs perturbing
+    ``source`` sentences, seeded from the run seed."""
+    seed = derive_seed(cfg.master_seed, g.params, f"pairs-{kind}")
+    return gen_minimal_pairs(g, kind, source, lex, cfg.pair_n, seed, parser=parser)
+
+
 def build_dataset(
     g: Grammar, cfg: RunConfig, lex: Lexicon, parser: ChartParser
 ) -> dict[str, list[Sentence]]:
@@ -185,13 +209,42 @@ def build_dataset(
     return splits
 
 
+def artifact_path(out_dir, params: str, name: str) -> Path:
+    """The file of one grammar's artifact ``name``: a split or targeted set,
+    ``<kind>_pairs`` or ``<split>_scores``."""
+    return Path(out_dir) / f"{params}_{name}.jsonl"
+
+
 def _save_splits(params: str, splits: dict[str, list[Sentence]], out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, sentences in splits.items():
-        paths[name] = out_dir / f"{params}_{name}.jsonl"
+        paths[name] = artifact_path(out_dir, params, name)
         save_sentences(sentences, paths[name])
     return paths
+
+
+def _distinct_grammars(params) -> list[Grammar]:
+    """The grammars named by ``params``, in order, each once: an alias and
+    its canonical id name one grammar."""
+    return list({g.params: g for g in map(grammar_by_id, params)}.values())
+
+
+# --- report -----------------------------------------------------------------
+
+SCORED_SPLITS = ("ShortTest", "MediumTest", "LongTest")  # the test splits scored
+
+
+def report_row(g: Grammar, split: str, ppl: float, table: TypologyTable) -> dict:
+    """One `report.csv` row: a grammar's perplexity on a split."""
+    return {"grammar_id": g.params, "base_order": g.base_order, "split": split,
+            "ppl": repr(ppl), "plausibility": repr(plausibility(g, table))}
+
+
+def summary_row(split: str, r: float, p: float, table: TypologyTable) -> dict:
+    """The `report.csv` summary row: the TA correlation on a split."""
+    return {"grammar_id": "ALL", "split": split, "r": repr(r), "p_value": repr(p),
+            "typology_hash": table.provenance_hash()}
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -236,22 +289,18 @@ def cmd_gen_dataset(args) -> None:
     cfg = _build_config(args)
     out_dir = Path(cfg.out_dir)
     lex = _lexicon(cfg)
-    for params in args.params:
-        g = grammar_by_id(params)
+    for g in _distinct_grammars(args.params):
         splits = build_dataset(g, cfg, lex, ChartParser(g.policy))
         for name, path in sorted(_save_splits(g.params, splits, out_dir).items()):
-            print(f"{params} {name} {path}")
+            print(f"{g.params} {name} {path}")
 
 
 def cmd_gen_targeted(args) -> None:
     cfg = _build_config(args)
     g = grammar_by_id(args.params)
     kind = {"recursive": "Recursive", "embedded": "Embedded"}[args.kind]
-    sentences = gen_targeted(
-        g, kind, _lexicon(cfg), cfg.targeted_n,
-        derive_seed(cfg.master_seed, g.params, f"targeted-{kind}"),
-    )
-    out = Path(args.out or f"{g.params}_{kind}.jsonl")
+    sentences = targeted_set(g, cfg, kind, _lexicon(cfg), ChartParser(g.policy))
+    out = Path(args.out or artifact_path(".", g.params, kind))
     save_sentences(sentences, out)
     print(f"{g.params} {kind} {out}")
 
@@ -261,11 +310,8 @@ def cmd_gen_pairs(args) -> None:
     g = grammar_by_id(args.params)
     kind = {"case": "CaseType", "verb": "VerbType"}[args.kind]
     source = load_sentences(args.source)
-    pairs = gen_minimal_pairs(
-        g, kind, source, _lexicon(cfg), cfg.pair_n,
-        derive_seed(cfg.master_seed, g.params, f"pairs-{kind}"),
-    )
-    out = Path(args.out or f"{g.params}_{kind}_pairs.jsonl")
+    pairs = pair_set(g, cfg, kind, source, _lexicon(cfg), ChartParser(g.policy))
+    out = Path(args.out or artifact_path(".", g.params, f"{kind}_pairs"))
     save_pairs(pairs, out)
     print(f"{g.params} {kind} {out}")
 
@@ -295,20 +341,8 @@ def cmd_ta_corr(args) -> None:
     r, p = ta_score(ppls, table)
     print(f"ta={100 * r:.1f} p={p:.4g} typology={table.provenance_hash()}")
     if args.out:
-        rows = []
-        for g in enumerate_grammars():
-            rows.append({
-                "grammar_id": g.params,
-                "base_order": g.base_order,
-                "split": args.split,
-                "ppl": repr(ppls[g.params]),
-                "plausibility": repr(plausibility(g, table)),
-            })
-        write_report(args.out, rows, {
-            "grammar_id": "ALL", "split": args.split,
-            "r": repr(r), "p_value": repr(p),
-            "typology_hash": table.provenance_hash(),
-        })
+        rows = [report_row(g, args.split, ppls[g.params], table) for g in enumerate_grammars()]
+        write_report(args.out, rows, summary_row(args.split, r, p, table))
 
 
 def cmd_judge(args) -> None:
@@ -327,33 +361,26 @@ def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path) -> dict:
     g = grammar_by_id(params)
     lex = _lexicon(cfg)
     parser = ChartParser(g.policy)
-    seed = cfg.master_seed
     splits = build_dataset(g, cfg, lex, parser)
     _save_splits(g.params, splits, out_dir)
 
     targeted = {}
-    for kind in ("Recursive", "Embedded"):
-        targeted[kind] = gen_targeted(
-            g, kind, lex, cfg.targeted_n,
-            derive_seed(seed, g.params, f"targeted-{kind}"), parser=parser,
-        )
-        save_sentences(targeted[kind], out_dir / f"{g.params}_{kind}.jsonl")
+    for kind in TARGETED_KINDS:
+        targeted[kind] = targeted_set(g, cfg, kind, lex, parser)
+        save_sentences(targeted[kind], artifact_path(out_dir, g.params, kind))
 
     pair_sets = {}
     for kind in PAIR_KINDS:
-        pair_sets[kind] = gen_minimal_pairs(
-            g, kind, splits["MediumTest"], lex, cfg.pair_n,
-            derive_seed(seed, g.params, f"pairs-{kind}"), parser=parser,
-        )
-        save_pairs(pair_sets[kind], out_dir / f"{g.params}_{kind}_pairs.jsonl")
+        pair_sets[kind] = pair_set(g, cfg, kind, splits["MediumTest"], lex, parser)
+        save_pairs(pair_sets[kind], artifact_path(out_dir, g.params, f"{kind}_pairs"))
 
     model = ngram_train(splits["ShortTrain"], cfg.ngram_order, cfg.ngram_k)
-    scored = {split: splits[split] for split in ("ShortTest", "MediumTest", "LongTest")}
+    scored = {split: splits[split] for split in SCORED_SPLITS}
     scored.update(targeted)
     ppls = {}
     for split, sents in scored.items():
         records = ngram_score(model, sents)
-        save_scores(records, out_dir / f"{g.params}_{split}_scores.jsonl")
+        save_scores(records, artifact_path(out_dir, g.params, f"{split}_scores"))
         ppls[split] = perplexity(records)
 
     accuracy = {}
@@ -370,37 +397,18 @@ def cmd_pipeline(args) -> None:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = _typology(cfg)
-    canonical = dict.fromkeys(grammar_by_id(p).params for p in args.params)
-    results = [_pipeline_one(p, cfg, out_dir) for p in canonical]
+    results = [_pipeline_one(g.params, cfg, out_dir) for g in _distinct_grammars(args.params)]
     results.sort(key=lambda r: r["grammar"].params)
 
-    rows = []
-    for res in results:
-        g = res["grammar"]
-        for split in ("ShortTest", "MediumTest", "LongTest", "Recursive", "Embedded"):
-            rows.append({
-                "grammar_id": g.params,
-                "base_order": g.base_order,
-                "split": split,
-                "ppl": repr(res["ppls"][split]),
-                "plausibility": repr(plausibility(g, table)),
-            })
+    rows = [report_row(res["grammar"], split, res["ppls"][split], table)
+            for res in results for split in (*SCORED_SPLITS, *TARGETED_KINDS)]
     summary = None
     if len(results) == 96:
-        ppls = {r["grammar"].params: r["ppls"]["ShortTest"] for r in results}
-        r, p = ta_score(ppls, table)
-        summary = {"grammar_id": "ALL", "split": "ShortTest",
-                   "r": repr(r), "p_value": repr(p),
-                   "typology_hash": table.provenance_hash()}
+        ppls = {res["grammar"].params: res["ppls"]["ShortTest"] for res in results}
+        summary = summary_row("ShortTest", *ta_score(ppls, table), table)
     write_report(out_dir / "report.csv", rows, summary)
-
-    judgments = {
-        res["grammar"].params: {k: res["accuracy"][k] for k in sorted(res["accuracy"])}
-        for res in results
-    }
-    with open(out_dir / "judgments.json", "w") as fh:
-        json.dump(judgments, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    judgments = {res["grammar"].params: res["accuracy"] for res in results}
+    write_json(out_dir / "judgments.json", judgments)
     for res in results:
         g = res["grammar"]
         ppl_text = " ".join(f"{k}={v:.2f}" for k, v in sorted(res["ppls"].items()))

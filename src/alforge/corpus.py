@@ -83,9 +83,7 @@ class Lexicon:
         return Lexicon(kept)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({k: list(v) for k, v in self.words.items()}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {k: list(v) for k, v in self.words.items()})
 
     @classmethod
     def load(cls, path) -> "Lexicon":
@@ -128,29 +126,41 @@ class Sentence:
         )
 
 
-def save_sentences(sentences, path) -> None:
+# --- record files: the one JSON and JSONL format of every artifact ----------
+
+
+def write_json(path, data) -> None:
+    """``data`` as one JSON document, keys sorted, indented by 2."""
     with open(path, "w") as fh:
-        for s in sentences:
-            fh.write(json.dumps(s.to_json(), sort_keys=True) + "\n")
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_jsonl(path, records) -> None:
+    """One JSON object a line, keys sorted."""
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def read_jsonl(path) -> list:
+    """The objects of a `write_jsonl` file; blank lines are skipped."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def save_sentences(sentences, path) -> None:
+    write_jsonl(path, (s.to_json() for s in sentences))
 
 
 def save_pairs(pairs, path) -> None:
     """(grammatical, ungrammatical) sentence pairs, one JSON object a line."""
-    with open(path, "w") as fh:
-        for good, bad in pairs:
-            fh.write(json.dumps(
-                {"grammatical": good.to_json(), "ungrammatical": bad.to_json()},
-                sort_keys=True) + "\n")
+    write_jsonl(path, ({"grammatical": good.to_json(), "ungrammatical": bad.to_json()}
+                       for good, bad in pairs))
 
 
 def load_sentences(path) -> list[Sentence]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Sentence.from_json(json.loads(line)))
-    return out
+    return [Sentence.from_json(d) for d in read_jsonl(path)]
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -266,6 +276,9 @@ def _comp_clause(grammar: Grammar, clause: list[str]) -> list[str]:
     if grammar.params[3] == "1":  # preposed complementizer
         return ["COMP"] + clause
     return clause + ["COMP"]
+
+
+TARGETED_KINDS = ("Recursive", "Embedded")
 
 
 def targeted_skeleton(grammar: Grammar, kind: str) -> Template:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from scipy.stats import t as student_t
 
-from .corpus import Sentence
+from .corpus import Sentence, read_jsonl, write_json, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
 EOS = "</s>"
@@ -67,19 +67,11 @@ class ScoreRecord:
 
 
 def save_scores(records, path) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
+    write_jsonl(path, (r.to_json() for r in records))
 
 
 def load_scores(path) -> list[ScoreRecord]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(ScoreRecord.from_json(json.loads(line)))
-    return out
+    return [ScoreRecord.from_json(d) for d in read_jsonl(path)]
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,7 @@ class TypologyTable:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "TypologyTable":

@@ -141,7 +141,6 @@ def build_grammar(params: str) -> Grammar:
         ("CONJ", conj),
     )
     policy = ParserPolicy(
-        allow_permutation=True,
         require_rel=base_order in ("SOV", "OSV", "VOS", "OVS"),
         rel_category=rel,
     )

@@ -48,14 +48,13 @@ class ParserPolicy:
     (base-order-conditional disabling for SOV/OSV/VOS/OVS grammars).
     """
 
-    allow_permutation: bool = True
     require_rel: bool = False
     rel_category: Category | None = None
 
     def permutes(self, has_rel: bool) -> bool:
         """Whether permutation is on for an input that contains
         ``rel_category`` (``has_rel``) or not."""
-        return self.allow_permutation and (has_rel or not self.require_rel)
+        return has_rel or not self.require_rel
 
 
 DEFAULT_POLICY = ParserPolicy()
@@ -388,18 +387,6 @@ class ChartParser:
             return out
 
         return trees(key)[:limit]
-
-
-def parse(
-    seq,
-    policy: ParserPolicy = DEFAULT_POLICY,
-    *,
-    derivations: bool = False,
-    max_derivations: int = 64,
-) -> ParseResult:
-    return ChartParser(policy).parse(
-        seq, derivations=derivations, max_derivations=max_derivations
-    )
 
 
 def derivation_rules(tree: Derivation) -> set[RuleId]:

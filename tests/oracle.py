@@ -156,7 +156,7 @@ def oracle_grammatical(grammar, classes) -> bool:
     if grammar.policy.require_rel:
         permuting = grammar.policy.rel_category in seq
     else:
-        permuting = grammar.policy.allow_permutation
+        permuting = True
     return S in oracle_derivable(seq, permuting)
 
 

@@ -27,7 +27,7 @@ from alforge.evaluation import (
     ta_score,
 )
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
-from alforge.parser import ChartParser, derivation_rules, parse
+from alforge.parser import ChartParser, derivation_rules
 from alforge.templates import grammatical_sequences, heuristic_filter
 
 from oracle import oracle_grammatical
@@ -92,9 +92,10 @@ def test_criterion_3_reference_fixtures():
 
     # Four rule-demonstration derivations over raw English categories.
     vt = parse_category("(S\\NP)/NP")
-    ok &= parse([NP, vt, NP]).grammatical
-    ok &= parse([NP, parse_category("(NP\\NP)/NP"), NP, parse_category("S\\NP")]).grammatical
-    ok &= parse([NP, parse_category("(var\\.,@var)/.,@var"), NP, vt, NP]).grammatical
+    ok &= ChartParser().parse([NP, vt, NP]).grammatical
+    modifier = [NP, parse_category("(NP\\NP)/NP"), NP, parse_category("S\\NP")]
+    ok &= ChartParser().parse(modifier).grammatical
+    ok &= ChartParser().parse([NP, parse_category("(var\\.,@var)/.,@var"), NP, vt, NP]).grammatical
     rel_np = [NP, parse_category("(NP\\NP)/(S/NP)"), NP, vt]
     ok &= NP in ChartParser().derivable(rel_np)
 

@@ -1,6 +1,7 @@
 """Command-line interface: configs, subcommands, error reporting."""
 
 import argparse
+import csv
 import json
 import re
 import shlex
@@ -11,7 +12,17 @@ import pytest
 
 from alforge.cli import RunConfig, build_arg_parser, load_config_file, main
 from alforge.corpus import load_sentences
-from alforge.evaluation import load_scores, perplexity
+from alforge.evaluation import (
+    ScoreRecord,
+    TypologyTable,
+    judge_pairs,
+    load_scores,
+    perplexity,
+    plausibility,
+    save_scores,
+    ta_score,
+)
+from alforge.grammars import enumerate_grammars
 from alforge.templates import load_templates
 
 
@@ -176,6 +187,57 @@ class TestSubcommands:
         assert "missing grammars" in err
         assert "0000000" in err
 
+    def test_ta_corr_report(self, capsys, tmp_path):
+        # Synthetic scores for all 96 grammars, split over two files: one
+        # report row per grammar, then a summary row with ta_score's r and p.
+        grammars = enumerate_grammars()
+        records = [
+            ScoreRecord(g.params, ("Kim",) * (1 + i % 3),
+                        tuple(-(1.0 + (i * 7 % 11) / 10 + j / 5) for j in range(2 + i % 3)))
+            for i, g in enumerate(grammars)
+        ]
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        save_scores(records[:40], paths[0])
+        save_scores(records[40:], paths[1])
+        out = tmp_path / "ta.csv"
+        code, stdout, err = run(capsys, "ta-corr", "--scores", *map(str, paths),
+                                "--split", "MediumTest", "--out", str(out))
+        assert code == 0, err
+        table = TypologyTable.default()
+        ppls = {r.grammar_id: perplexity([r]) for r in records}
+        r, p = ta_score(ppls, table)
+        assert stdout == f"ta={100 * r:.1f} p={p:.4g} typology={table.provenance_hash()}\n"
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 97
+        for g, row in zip(grammars, rows):
+            assert row == {
+                "grammar_id": g.params, "base_order": g.base_order, "split": "MediumTest",
+                "ppl": repr(ppls[g.params]), "plausibility": repr(plausibility(g, table)),
+                "r": "", "p_value": "", "typology_hash": "",
+            }
+        assert rows[-1] == {
+            "grammar_id": "ALL", "base_order": "", "split": "MediumTest", "ppl": "",
+            "plausibility": "", "r": repr(r), "p_value": repr(p),
+            "typology_hash": table.provenance_hash(),
+        }
+
+    def test_judge(self, capsys, tmp_path):
+        good = [ScoreRecord("0101101", ("Kim", "ran"), (-1.0, -2.0, -0.5)),
+                ScoreRecord("0101101", ("Kim", "sang"), (-3.0, -2.0, -0.5)),
+                ScoreRecord("0101101", ("Tom", "ran"), (-1.0, -1.0, -0.5))]
+        bad = [ScoreRecord("0101101", ("ga", "ran"), (-2.0, -2.0, -0.5)),
+               ScoreRecord("0101101", ("ga", "sang"), (-1.0, -2.0, -0.5)),
+               ScoreRecord("0101101", ("o", "ran"), (-4.0, -1.0, -0.5))]
+        save_scores(good, tmp_path / "good.jsonl")
+        save_scores(bad, tmp_path / "bad.jsonl")
+        code, stdout, err = run(capsys, "judge", "--good", str(tmp_path / "good.jsonl"),
+                                "--bad", str(tmp_path / "bad.jsonl"))
+        assert code == 0, err
+        acc = judge_pairs(list(zip(good, bad)))
+        assert acc == pytest.approx(2 / 3)
+        assert stdout == f"accuracy={acc:.4f} pairs=3\n"
+
 
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
@@ -198,8 +260,6 @@ class TestPipeline:
         assert "judgments.json" in names
 
     def test_report_ppls_match_scores(self, pipeline_out):
-        import csv
-
         with open(pipeline_out / "report.csv", newline="") as fh:
             rows = {r["split"]: r for r in csv.DictReader(fh)}
         records = load_scores(pipeline_out / "0101101_ShortTest_scores.jsonl")
@@ -224,9 +284,14 @@ class TestPipeline:
             ("gen-dataset", "--params", "0101101", *opts, "--out-dir", str(made)),
             ("gen-targeted", "--params", "0101101", "--kind", "recursive", *opts,
              "--out", str(made / "0101101_Recursive.jsonl")),
+            ("gen-targeted", "--params", "0101101", "--kind", "embedded", *opts,
+             "--out", str(made / "0101101_Embedded.jsonl")),
             ("gen-pairs", "--params", "0101101", "--kind", "case", *opts,
              "--source", str(pipeline_out / "0101101_MediumTest.jsonl"),
              "--out", str(made / "0101101_CaseType_pairs.jsonl")),
+            ("gen-pairs", "--params", "0101101", "--kind", "verb", *opts,
+             "--source", str(pipeline_out / "0101101_MediumTest.jsonl"),
+             "--out", str(made / "0101101_VerbType_pairs.jsonl")),
             ("score", "--train", str(pipeline_out / "0101101_ShortTrain.jsonl"),
              "--input", str(pipeline_out / "0101101_LongTest.jsonl"),
              "--out", str(made / "0101101_LongTest_scores.jsonl")),
@@ -236,7 +301,8 @@ class TestPipeline:
             assert code == 0, err
         names = [f"0101101_{split}.jsonl"
                  for split in ("ShortTrain", "ShortTest", "MediumTest", "LongTest")]
-        names += ["0101101_Recursive.jsonl", "0101101_CaseType_pairs.jsonl",
+        names += ["0101101_Recursive.jsonl", "0101101_Embedded.jsonl",
+                  "0101101_CaseType_pairs.jsonl", "0101101_VerbType_pairs.jsonl",
                   "0101101_LongTest_scores.jsonl"]
         assert sorted(p.name for p in made.iterdir()) == sorted(names)
         for name in names:
@@ -268,6 +334,17 @@ class TestPipeline:
         assert len(stdout.splitlines()) == 1
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert [row.split(",", 1)[0] for row in rows] == ["0100000"] * 5
+
+    def test_gen_dataset_alias_runs_once(self, capsys, tmp_path):
+        # gen-dataset merges aliases the same way: 0100000's four splits,
+        # written once and printed under the canonical id.
+        out = tmp_path / "d"
+        code, stdout, err = run(capsys, "gen-dataset", "--params", "0100000", "0110000",
+                                "--seed", "3", "--scale", "0.05", "--out-dir", str(out))
+        assert code == 0, err
+        lines = stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["0100000"] * 4
+        assert len(list(out.iterdir())) == 4
 
     def test_config_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

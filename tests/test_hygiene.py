@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses.
+imports a name it never uses, and each ``derive_seed`` label of the package
+is written in one place.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -7,6 +8,7 @@ imports are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,32 @@ def test_checker_flags_unused():
 @pytest.mark.parametrize("path", CHECKED, ids=_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def seed_labels(source: str) -> list[str]:
+    """The label expressions (every argument after the master seed and the
+    grammar id) of the ``derive_seed`` calls in ``source``, as source text."""
+    return [
+        ", ".join(ast.unparse(arg) for arg in node.args[2:])
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "derive_seed"
+    ]
+
+
+def test_seed_label_checker():
+    source = (
+        "a = derive_seed(seed, g.params, 'train')\n"
+        "b = derive_seed(seed, p, f'pairs-{kind}')\n"
+        "def derive_seed(*parts): pass\n"
+    )
+    assert seed_labels(source) == ["'train'", "f'pairs-{kind}'"]
+
+
+def test_each_seed_label_written_once():
+    # A label copied into a second call site can drift from the first, and
+    # then a subcommand no longer draws the pipeline's stream for that step.
+    labels = [label for path in sorted(SRC.glob("*.py"))
+              for label in seed_labels(path.read_text())]
+    assert labels
+    assert [label for label, n in Counter(labels).items() if n > 1] == []

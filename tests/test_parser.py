@@ -18,7 +18,6 @@ from alforge.parser import (
     _rule_results,
     derivation_check,
     derivation_rules,
-    parse,
     rotations,
 )
 from alforge.templates import category_universe, enumerate_templates
@@ -37,7 +36,7 @@ def en_parse(classes, **kw):
 class TestFixtures:
     def test_transitive_sentence(self):
         seq = [NP, parse_category("(S\\NP)/NP"), NP]
-        assert parse(seq).grammatical
+        assert ChartParser().parse(seq).grammatical
 
     def test_composed_modifier_sentence(self):
         seq = [
@@ -46,7 +45,7 @@ class TestFixtures:
             NP,
             parse_category("S\\NP"),
         ]
-        assert parse(seq).grammatical
+        assert ChartParser().parse(seq).grammatical
 
     def test_coordinated_subjects(self):
         seq = [
@@ -56,7 +55,7 @@ class TestFixtures:
             parse_category("(S\\NP)/NP"),
             NP,
         ]
-        assert parse(seq).grammatical
+        assert ChartParser().parse(seq).grammatical
 
     def test_object_relative_noun_phrase(self):
         seq = [
@@ -141,13 +140,13 @@ class TestPolicy:
     def test_permutation_needed(self):
         seq = EN.categorize(("NP", "SUBJ", "REL", "NP", "SUBJ", "VT", "VI"))
         assert ChartParser(EN.policy).parse(seq).grammatical
-        frozen = ParserPolicy(allow_permutation=False)
+        frozen = ParserPolicy(require_rel=True)  # no REL category: never permutes
         assert not ChartParser(frozen).parse(seq).grammatical
 
     def test_disabling_never_adds(self):
         sov = grammar_by_id("0000000")
-        on = ChartParser(ParserPolicy(allow_permutation=True))
-        off = ChartParser(ParserPolicy(allow_permutation=False))
+        on = ChartParser(ParserPolicy())
+        off = ChartParser(ParserPolicy(require_rel=True))  # no REL category: never permutes
         from itertools import product
 
         for classes in product(("NP", "SUBJ", "VT", "VI"), repeat=3):
