@@ -84,23 +84,20 @@ class RunConfig:
     ngram_k: float = 0.1
 
     def __post_init__(self) -> None:
-        if any(getattr(self, name) < 0 for name in (*_SCALED, "long_templates_per_length")):
-            raise ValueError("counts must be >= 0")
+        if any(getattr(self, name) < 1 for name in (*_SCALED, "long_templates_per_length")):
+            raise ValueError("counts must be >= 1")
         if self.ngram_order < 1:
             raise ValueError(f"ngram_order must be >= 1, got {self.ngram_order}")
         if not self.ngram_k > 0:
             raise ValueError(f"ngram_k must be > 0, got {self.ngram_k}")
 
     def scaled(self, factor: float) -> "RunConfig":
-        """The corpus counts in `_SCALED` multiplied by `factor` (> 0); a
-        nonzero count stays at least 1."""
+        """The corpus counts in `_SCALED` multiplied by `factor` (> 0); each
+        stays at least 1."""
         if not factor > 0:
             raise ValueError(f"scale must be > 0, got {factor}")
-
-        def s(v: int) -> int:
-            return max(1, round(v * factor)) if v > 0 else 0
-
-        return replace(self, **{name: s(getattr(self, name)) for name in _SCALED})
+        return replace(self, **{name: max(1, round(getattr(self, name) * factor))
+                                for name in _SCALED})
 
 
 _SCALED = ("train_per_length", "test_per_length", "long_per_length", "targeted_n", "pair_n")

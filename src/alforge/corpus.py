@@ -371,13 +371,18 @@ def gen_minimal_pairs(
     parser: ChartParser | None = None,
 ) -> list[tuple[Sentence, Sentence]]:
     """n (grammatical, ungrammatical) pairs differing in exactly one token,
-    equal lengths; the ungrammatical twin is parser-verified to fail."""
+    equal lengths; the ungrammatical twin is parser-verified to fail.  The
+    source sentences must come from ``grammar`` (its id or an alias), whose
+    language vouches for the grammatical member."""
     if kind not in PAIR_KINDS:
         raise ValueError(f"unknown pair kind: {kind!r}")
     parser = parser or ChartParser(grammar.policy)
     source = list(source)
     if not source:
         raise ValueError("empty source sentence set")
+    foreign = sorted({s.grammar_id for s in source} - {grammar.params, *grammar.aliases})
+    if foreign:
+        raise ValueError(f"source sentences of grammar {foreign[0]}, not {grammar.params}")
     rng = random.Random(seed)
     out: list[tuple[Sentence, Sentence]] = []
     seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()

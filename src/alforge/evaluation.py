@@ -15,7 +15,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .corpus import Sentence, read_jsonl, write_json, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
@@ -171,7 +171,7 @@ def pearson(x, y) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(student_t.sf(abs(t_stat), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))  # the t survival function
     return r, p
 
 

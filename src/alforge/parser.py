@@ -14,13 +14,18 @@ Chart cells are bitmasks over codes, and each cell combination (binary rules
 and coordination) is memoised on its pair of cell masks per permutation mode.
 Every table entry is filled lazily, on first use, so keep one
 ``ChartParser`` per grammar when parsing in bulk.
+
+The chart has one meaning: the codes derivable over each span.  Derivation
+trees are read back from the filled chart: every tree of the input, or
+``MAX_DERIVATIONS`` of them when there are more.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import islice, product
 
 from .categories import (
     Category,
@@ -225,13 +230,15 @@ class ParseResult:
     derivations: list[Derivation] = field(default_factory=list)
 
 
+MAX_DERIVATIONS = 64  # trees kept per chart entry, and so per parse
+
 _Key = tuple[int, int, int]  # (start, end, category code)
 
 
 class ChartParser:
     """Reusable parser over one ``RuleTable``.  The table fills lazily and is
     kept across calls, so keep one instance per grammar when parsing in
-    bulk."""
+    bulk.  Derivations are read back from the recognizer's filled chart."""
 
     def __init__(self, policy: ParserPolicy = DEFAULT_POLICY):
         self.policy = policy
@@ -250,29 +257,27 @@ class ChartParser:
         return policy.permutes(self._rel in codes)
 
     def parse(
-        self,
-        seq: list[Category] | tuple[Category, ...],
-        *,
-        derivations: bool = False,
-        max_derivations: int = 64,
+        self, seq: list[Category] | tuple[Category, ...], *, derivations: bool = False
     ) -> ParseResult:
-        seq = tuple(seq)
-        bps = {} if derivations else None
-        root = self._fill(seq, bps)
+        """Whether ``seq`` derives S and, with ``derivations``, up to
+        ``MAX_DERIVATIONS`` of its derivation trees."""
+        chart, codes, conjs, permuting = self._fill(tuple(seq))
         s = self.table.code(S)
-        result = ParseResult(bool(root >> s & 1))
+        result = ParseResult(bool(chart[0][-1] >> s & 1))
         if derivations and result.grammatical:
-            result.derivations = self._extract((0, len(seq), s), bps, max_derivations)
+            result.derivations = self._extract(chart, codes, conjs, permuting, s)
         return result
 
     def derivable(self, seq: list[Category] | tuple[Category, ...]) -> set[Category]:
         """Categories derivable over the whole sequence."""
         cats = self.table.cats
-        return {cats[a] for a in _bits(self._fill(tuple(seq), None))}
+        chart = self._fill(tuple(seq))[0]
+        return {cats[a] for a in _bits(chart[0][-1])}
 
-    def _fill(self, seq: tuple[Category, ...], bps: dict | None) -> int:
-        """Fill the chart and return the root cell's mask.  With ``bps`` (a
-        dict), also record there, per span, every category's backpointers."""
+    def _fill(self, seq: tuple[Category, ...]):
+        """Fill the chart: ``chart[i][j]`` is the mask of the codes derivable
+        over seq[i:j].  Returns the chart with the input's codes, its
+        (position, code) conjunction tokens and its permutation mode."""
         if not seq:
             raise ValueError("cannot parse an empty sequence")
         table = self.table
@@ -280,15 +285,12 @@ class ChartParser:
         codes = [table.code(c) for c in seq]
         permuting = self._permuting(codes)
         conjs: list[tuple[int, int]] = []  # (position, code) of conjunction tokens
-        # chart[i][j]: mask of the categories derivable over seq[i:j]
         chart = [[0] * (n + 1) for _ in range(n + 1)]
         for i, a in enumerate(codes):
             if is_conjunction(seq[i]):
                 conjs.append((i, a))  # feeds the coordination rule only
-                continue
-            chart[i][i + 1] = table.closure(a, permuting)
-            if bps is not None:
-                self._record(bps.setdefault((i, i + 1), {}), i, i + 1, a, None, permuting)
+            else:
+                chart[i][i + 1] = table.closure(a, permuting)
 
         joined = table.joins(permuting)
         # ends[i]: ascending ends k of the non-empty spans seq[i:k]
@@ -316,77 +318,58 @@ class ChartParser:
                 row[j] = mask
                 if mask:
                     ends[i].append(j)
-                if bps is not None and mask:
-                    self._backpointers(bps, i, j, chart, conjs, permuting)
-        return chart[0][n]
+        return chart, codes, conjs, permuting
 
-    def _backpointers(self, bps, i: int, j: int, chart, conjs, permuting: bool) -> None:
-        """Record every way each category of span (i, j) is built, in chart
-        order: binary rules by split point, then coordination."""
+    def _extract(self, chart, codes, conjs, permuting: bool, root: int) -> list[Derivation]:
+        """The derivations of code ``root`` over the whole input, read back
+        from ``_fill``'s chart.  A code of span (i, j) is built directly: as
+        the input token (j = i + 1), as a binary result at a split k, or by
+        coordination around a conjunction at p.  When the input permutes,
+        the m-th rotation of a code built directly in the span is there too,
+        by m PERMUTE steps."""
         table = self.table
-        cell: dict[int, list] = {}
-        for k in range(i + 1, j):
-            for a in _bits(chart[i][k]):
-                for b in _bits(chart[k][j]):
-                    for rule, c in table.combine(a, b):
-                        self._record(cell, i, j, c, (rule, ((i, k, a), (k, j, b))), permuting)
-        for p, conj in conjs:
-            if i < p < j - 1:
-                for a in _bits(chart[i][p] & chart[p + 1][j]):
-                    if table.coordinable(conj, a):
-                        bp = (RuleId.COORD, ((i, p, a), (p, p + 1, conj), (p + 1, j, a)))
-                        self._record(cell, i, j, a, bp, permuting)
-        bps[(i, j)] = cell
+        cats = table.cats
 
-    def _record(self, cell: dict, i: int, j: int, a: int, bp, permuting: bool) -> None:
-        """Add a backpointer for code a; a category new to the cell also
-        brings its rotations, each derived from the one before it."""
-        existing = cell.get(a)
-        if existing is not None:
-            if bp is not None:
-                existing.append(bp)
-            return
-        cell[a] = [bp] if bp is not None else []
-        if permuting:
-            prev = a
-            for rot in self.table.rotations(a):
-                if rot in cell:
-                    break
-                cell[rot] = [(RuleId.PERMUTE, ((i, j, prev),))]
-                prev = rot
+        @cache
+        def ways(i: int, j: int) -> dict[int, list]:
+            """code -> [(rule, child keys)] for each code built directly,
+            found in one scan of the span."""
+            cell: dict[int, list] = {codes[i]: [(None, ())]} if j == i + 1 else {}
+            for k in range(i + 1, j):
+                for a in _bits(chart[i][k]):
+                    for b in _bits(chart[k][j]):
+                        for rule, c in table.combine(a, b):
+                            cell.setdefault(c, []).append((rule, ((i, k, a), (k, j, b))))
+            for p, conj in conjs:
+                if i < p < j - 1:
+                    for a in _bits(chart[i][p] & chart[p + 1][j]):
+                        if table.coordinable(conj, a):
+                            kids = ((i, p, a), (p, p + 1, conj), (p + 1, j, a))
+                            cell.setdefault(a, []).append((RuleId.COORD, kids))
+            return cell
 
-    def _extract(self, key: _Key, bps, limit: int) -> list[Derivation]:
-        cats = self.table.cats
-        memo: dict[_Key, list[Derivation]] = {}
-
-        def trees(key: _Key) -> list[Derivation]:
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
+        @cache
+        def built(key: _Key) -> list[Derivation]:
             i, j, a = key
-            cat = cats[a]
-            pointers = bps.get((i, j), {}).get(a)
-            out: list[Derivation] = []
-            if not pointers:
-                out.append(Derivation(cat))
-            else:
-                for rule, children in pointers:
-                    child_alternatives = [trees(c) for c in children]
-                    stack = [()]
-                    for alts in child_alternatives:
-                        stack = [prefix + (t,) for prefix in stack for t in alts]
-                        if len(stack) > limit:
-                            stack = stack[:limit]
-                    for combo in stack:
-                        out.append(Derivation(cat, rule, combo))
-                        if len(out) >= limit:
-                            break
-                    if len(out) >= limit:
-                        break
-            memo[key] = out
-            return out
+            nodes = (Derivation(cats[a], rule, kids)
+                     for rule, keys in ways(i, j).get(a, ())
+                     for kids in product(*map(trees, keys)))
+            return list(islice(nodes, MAX_DERIVATIONS))
 
-        return trees(key)[:limit]
+        @cache
+        def trees(key: _Key) -> list[Derivation]:
+            i, j, c = key
+            out = list(built(key))
+            for b in ways(i, j) if permuting else ():
+                chain = table.rotations(b)
+                if c in chain:
+                    for t in built((i, j, b)):
+                        for r in chain[:chain.index(c) + 1]:
+                            t = Derivation(cats[r], RuleId.PERMUTE, (t,))
+                        out.append(t)
+            return out[:MAX_DERIVATIONS]
+
+        return trees((0, len(codes), root))
 
 
 def derivation_rules(tree: Derivation) -> set[RuleId]:

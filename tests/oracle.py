@@ -2,8 +2,11 @@
 
 Deliberately naive: rules are re-implemented by direct pattern matching on
 category structure (no shared code with the chart parser beyond the category
-dataclasses), and the search recursively tries every split point, every rule,
+dataclasses and the ``RuleId`` labels), and the search recursively tries every split point, every rule,
 and every rotation, without a chart or memo table shared across sequences.
+
+``oracle_derivations`` enumerates, by the same search, every derivation tree
+rather than every category.
 
 ``reference_language`` is the other reference kept here: the bottom-up
 template enumerator as it was before outside-length pruning, which builds
@@ -14,6 +17,7 @@ rules ``tests/test_combinators.py`` checks against this module's.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 
 from alforge.categories import (
     BACKWARD,
@@ -27,6 +31,7 @@ from alforge.categories import (
     Variable,
     innermost_result,
 )
+from alforge.combinators import RuleId
 from alforge.templates import category_universe
 
 
@@ -58,32 +63,39 @@ def _marker_shaped(c: Category) -> bool:
     )
 
 
-def _binary_results(a: Category, b: Category) -> set[Category]:
-    out: set[Category] = set()
+def _binary_steps(a: Category, b: Category) -> set[tuple[RuleId, Category]]:
+    """(rule, result) for every binary rule that applies to a, b."""
+    out: set[tuple[RuleId, Category]] = set()
     if not (_ground(a) and _ground(b)):
         return out
     # application
     if isinstance(a, Functor) and a.slash == FORWARD and a.argument == b:
-        out.add(a.result)
+        out.add((RuleId.FWD_APP, a.result))
     if isinstance(b, Functor) and b.slash == BACKWARD and b.argument == a:
-        out.add(b.result)
+        out.add((RuleId.BWD_APP, b.result))
     # composition (plain and crossed); "," blocks all, "." blocks crossed
     if isinstance(a, Functor) and isinstance(b, Functor):
         a_ok = not a.restrictions.no_composition
         b_ok = not b.restrictions.no_composition
         if a_ok and b_ok and a.argument == b.result:
             if a.slash == FORWARD and b.slash == FORWARD:
-                out.add(Functor(a.result, FORWARD, b.argument, b.restrictions))
+                out.add((RuleId.FWD_COMP, Functor(a.result, FORWARD, b.argument, b.restrictions)))
             if a.slash == FORWARD and b.slash == BACKWARD:
                 if not (a.restrictions.no_crossing or b.restrictions.no_crossing):
-                    out.add(Functor(a.result, BACKWARD, b.argument, b.restrictions))
+                    out.add((RuleId.FWD_XCOMP,
+                             Functor(a.result, BACKWARD, b.argument, b.restrictions)))
         if a_ok and b_ok and b.argument == a.result:
             if a.slash == BACKWARD and b.slash == BACKWARD:
-                out.add(Functor(b.result, BACKWARD, a.argument, a.restrictions))
+                out.add((RuleId.BWD_COMP, Functor(b.result, BACKWARD, a.argument, a.restrictions)))
             if a.slash == FORWARD and b.slash == BACKWARD:
                 if not (a.restrictions.no_crossing or b.restrictions.no_crossing):
-                    out.add(Functor(b.result, FORWARD, a.argument, a.restrictions))
+                    out.add((RuleId.BWD_XCOMP,
+                             Functor(b.result, FORWARD, a.argument, a.restrictions)))
     return out
+
+
+def _binary_results(a: Category, b: Category) -> set[Category]:
+    return {c for _rule, c in _binary_steps(a, b)}
 
 
 def _rotate_once(c: Category) -> Category | None:
@@ -150,6 +162,56 @@ def oracle_derivable(seq, permuting: bool) -> set[Category]:
     return search(seq)
 
 
+def oracle_derivations(seq, permuting: bool) -> list[tuple]:
+    """Every derivation of S over the sequence, as nested ``(category, rule,
+    children)`` tuples with rule None at a leaf: every tree whose leaves are
+    the input and each of whose nodes replays one rule.  A PERMUTE chain
+    starts at a category built by another rule (or at a token) and never
+    revisits a category."""
+    seq = tuple(seq)
+    if not seq:
+        raise ValueError("empty sequence")
+
+    @lru_cache(maxsize=None)  # one span's trees, within this sequence only
+    def direct(lo: int, hi: int) -> dict[Category, list]:
+        out: dict[Category, list] = {}
+        if hi - lo == 1:
+            if not _conjunction_shaped(seq[lo]):
+                out[seq[lo]] = [(seq[lo], None, ())]
+            return out
+        for k in range(lo + 1, hi):
+            for a, left in trees(lo, k).items():
+                for b, right in trees(k, hi).items():
+                    for rule, c in _binary_steps(a, b):
+                        out.setdefault(c, []).extend(
+                            (c, rule, (x, y)) for x in left for y in right)
+        for p in range(lo + 1, hi - 1):
+            if not _conjunction_shaped(seq[p]):
+                continue
+            conj = (seq[p], None, ())
+            left, right = trees(lo, p), trees(p + 1, hi)
+            for c in left.keys() & right.keys():
+                if _ground(c) and not _marker_shaped(c):
+                    out.setdefault(c, []).extend(
+                        (c, RuleId.COORD, (x, conj, y)) for x in left[c] for y in right[c])
+        return out
+
+    @lru_cache(maxsize=None)
+    def trees(lo: int, hi: int) -> dict[Category, list]:
+        out = {c: list(ts) for c, ts in direct(lo, hi).items()}
+        for c, ts in direct(lo, hi).items() if permuting else ():
+            seen = {c}
+            cur = _rotate_once(c)
+            while cur is not None and cur not in seen:
+                ts = [(cur, RuleId.PERMUTE, (t,)) for t in ts]
+                out.setdefault(cur, []).extend(ts)
+                seen.add(cur)
+                cur = _rotate_once(cur)
+        return out
+
+    return trees(0, len(seq)).get(S, [])
+
+
 def oracle_grammatical(grammar, classes) -> bool:
     """Parser-independent grammaticality verdict for a class sequence."""
     seq = grammar.categorize(classes)
@@ -165,6 +227,11 @@ def leaves(tree) -> list:
     if not tree.children:
         return [tree.category]
     return [leaf for child in tree.children for leaf in leaves(child)]
+
+
+def as_tuple(tree) -> tuple:
+    """A derivation tree in the nested tuple form of ``oracle_derivations``."""
+    return (tree.category, tree.rule, tuple(as_tuple(child) for child in tree.children))
 
 
 def reference_language(grammar, permutation_active: bool, max_len: int) -> list[set]:

@@ -145,6 +145,18 @@ class TestOptionSurface:
         assert err.startswith("error: ValueError: ngram_order must be >= 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [
+        "--train-per-length", "--test-per-length", "--long-per-length",
+        "--long-templates-per-length", "--targeted-n", "--pair-n",
+    ])
+    def test_zero_count_fails_before_writing(self, capsys, tmp_path, flag):
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--scale", "0.05",
+                           "--seed", "3", flag, "0", "--out-dir", str(out))
+        assert code == 1
+        assert err.startswith("error: ValueError: counts must be >= 1")
+        assert not out.exists()
+
 
 class TestSubcommands:
     def test_list_grammars(self, capsys):
@@ -307,6 +319,16 @@ class TestPipeline:
         assert sorted(p.name for p in made.iterdir()) == sorted(names)
         for name in names:
             assert (made / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+
+    def test_gen_pairs_rejects_foreign_source(self, capsys, tmp_path, pipeline_out):
+        # 0101101's sentences are no evidence for 0000000's language.
+        out = tmp_path / "pairs.jsonl"
+        code, _, err = run(capsys, "gen-pairs", "--params", "0000000", "--kind", "case",
+                           "--seed", "3", "--scale", "0.05", "--out", str(out),
+                           "--source", str(pipeline_out / "0101101_MediumTest.jsonl"))
+        assert code == 1
+        assert err.startswith("error: ValueError: source sentences of grammar 0101101")
+        assert not out.exists()
 
     def test_augment_long_is_the_pipeline_long_step(self, capsys, tmp_path, pipeline_out):
         # Given the pipeline's own templates and seed, augment-long writes

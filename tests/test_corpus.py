@@ -1,5 +1,7 @@
 """Corpus builder: lexicons, stratified sampling, targeted sets, minimal pairs."""
 
+from dataclasses import replace
+
 import pytest
 
 from alforge.corpus import (
@@ -231,6 +233,16 @@ class TestMinimalPairs:
     def test_empty_source(self):
         with pytest.raises(ValueError):
             gen_minimal_pairs(EN, "CaseType", [], LEX, 1, seed=1)
+
+    def test_alias_source(self):
+        # A source written under an alias is the same grammar's; another
+        # grammar's source fails (tests/test_cli.py).
+        g = grammar_by_id("0100000")
+        alias = g.aliases[0]
+        templates = enumerate_templates(g, SHORT_BAND[1])
+        source = [replace(s, grammar_id=alias)
+                  for s in sample_split(g, templates, LEX, 3, SHORT_BAND, seed=2, split="ShortTest")]
+        assert len(gen_minimal_pairs(g, "CaseType", source, LEX, 2, seed=1)) == 2
 
     def test_determinism(self, source):
         a = gen_minimal_pairs(EN, "CaseType", source, LEX, 5, seed=3)

@@ -2,7 +2,8 @@
 
 Class sequences under random grammars are parsed by a parser whose rule
 table is kept warm across examples and by a fresh one, and compared with the
-brute-force oracle.  Half the sequences are short templates of the grammar,
+brute-force oracle, verdicts, derivable categories and derivation trees
+alike.  Half the sequences are short templates of the grammar,
 some with one class replaced, because uniformly random sequences almost
 never parse.  The labelled parse pool of the benchmark covers lengths 11-20,
 beyond the oracle's reach.
@@ -15,10 +16,10 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
-from alforge.parser import ChartParser, derivation_check
+from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
 from alforge.templates import enumerate_templates
 
-from oracle import leaves, oracle_derivable, oracle_grammatical
+from oracle import as_tuple, leaves, oracle_derivable, oracle_derivations, oracle_grammatical
 
 POOL = Path(__file__).parent.parent / "perfbench" / "refs" / "parse_mix_pool.jsonl"
 
@@ -67,6 +68,26 @@ def test_parser_matches_oracle(case):
     assert bool(result.derivations) == want
     assert all(derivation_check(d) for d in result.derivations)
     assert all(leaves(d) == list(seq) for d in result.derivations)
+    assert_oracle_derivations(seq, permuting, result.derivations)
+
+
+def assert_oracle_derivations(seq, permuting, derivations):
+    """The parser's trees are distinct oracle trees, and all of them unless
+    the oracle finds at least ``MAX_DERIVATIONS``."""
+    want = oracle_derivations(seq, permuting)
+    got = [as_tuple(d) for d in derivations]
+    assert len(set(got)) == len(got) == min(len(want), MAX_DERIVATIONS)
+    assert set(got) <= set(want)
+
+
+def test_rotated_coordination_derivations():
+    # Two verbs coordinate as they stand, or rotated to (S/NP_SUBJ)/NP_OBJ
+    # and permuted back: both trees come back, whatever the codes' order.
+    g = grammar_by_id("1101111")
+    seq = g.categorize("VT CONJ VT NP SUBJ NP ADJ OBJ".split())
+    derivations = ChartParser(g.policy).parse(seq, derivations=True).derivations
+    assert len(derivations) == 2
+    assert_oracle_derivations(seq, True, derivations)
 
 
 def test_parse_pool_labels():

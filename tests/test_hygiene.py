@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses, and each ``derive_seed`` label of the package
-is written in one place.
+imports a name it never uses, each ``derive_seed`` label of the package
+is written in one place, and the command line does not load ``scipy.stats``.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -8,6 +8,9 @@ imports are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -98,3 +101,12 @@ def test_each_seed_label_written_once():
               for label in seed_labels(path.read_text())]
     assert labels
     assert [label for label, n in Counter(labels).items() if n > 1] == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # ``pearson`` needs only the t tail (``scipy.special.stdtr``); the whole
+    # of ``scipy.stats`` costs about a second on every command's start-up.
+    code = "import sys, alforge.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"

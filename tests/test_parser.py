@@ -11,6 +11,7 @@ from alforge.categories import NP, S, format_category, parse_category, permute_c
 from alforge.combinators import RuleId
 from alforge.grammars import grammar_by_id
 from alforge.parser import (
+    MAX_DERIVATIONS,
     ChartParser,
     Derivation,
     ParserPolicy,
@@ -22,7 +23,7 @@ from alforge.parser import (
 )
 from alforge.templates import category_universe, enumerate_templates
 
-from oracle import leaves
+from oracle import leaves, oracle_derivations
 
 EN = grammar_by_id("0101101")
 
@@ -132,8 +133,15 @@ class TestDerivations:
             derivation_check("not a tree")
 
     def test_extraction_cap(self):
-        result = en_parse(SHOWCASE_CLASSES, derivations=True, max_derivations=3)
-        assert 0 < len(result.derivations) <= 3
+        # Seven coordinated verbs bracket in Catalan(6) = 132 ways.
+        classes = ("NP", "SUBJ", "VI") + ("CONJ", "VI") * 6
+        seq = EN.categorize(classes)
+        assert len(oracle_derivations(seq, True)) == 132
+        result = en_parse(classes, derivations=True)
+        assert len(set(result.derivations)) == len(result.derivations) == MAX_DERIVATIONS == 64
+        for tree in result.derivations:
+            assert derivation_check(tree)
+            assert leaves(tree) == list(seq)
 
 
 class TestPolicy:
