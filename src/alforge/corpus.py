@@ -89,6 +89,12 @@ class Lexicon:
     def load(cls, path) -> "Lexicon":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("lexicon file must hold one JSON object of word lists")
+        for cls_name, forms in data.items():
+            if not isinstance(forms, list) or not all(isinstance(w, str) for w in forms):
+                raise ValueError(
+                    f"lexicon class {cls_name} must be a list of words, got {forms!r}")
         return cls({k: tuple(v) for k, v in data.items()})
 
 
@@ -235,17 +241,6 @@ def sample_split(
     return out
 
 
-def coverage_check(train, test) -> bool:
-    """No token-sequence overlap and full test-vocabulary coverage."""
-    train_seqs = {tuple(s.tokens) for s in train}
-    train_vocab = {w for s in train for w in s.tokens}
-    for s in test:
-        if tuple(s.tokens) in train_seqs:
-            return False
-    test_vocab = {w for s in test for w in s.tokens}
-    return test_vocab <= train_vocab
-
-
 # --- targeted constructions -------------------------------------------------
 
 
@@ -337,15 +332,21 @@ PAIR_KINDS = ("CaseType", "VerbType")
 PAIR_RETRIES = 100  # gen_minimal_pairs: draws per pair before it gives up
 
 
-def _case_twin(sentence: Sentence, rng: random.Random):
+def _case_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
+    """Swap one case marker's class; the new word is the other class's word
+    at the old word's index, modulo that class's size (no extra draw)."""
     idxs = [i for i, c in enumerate(sentence.classes) if c in ("SUBJ", "OBJ")]
     if not idxs:
         return None
     i = rng.choice(idxs)
     classes = list(sentence.classes)
     tokens = list(sentence.tokens)
+    old = lexicon.words[classes[i]]
+    if tokens[i] not in old:
+        raise ValueError(f"source word {tokens[i]!r} is not a {classes[i]} word of the lexicon")
     classes[i] = "OBJ" if classes[i] == "SUBJ" else "SUBJ"
-    tokens[i] = "o" if tokens[i] == "ga" else "ga"
+    new = lexicon.words[classes[i]]
+    tokens[i] = new[old.index(tokens[i]) % len(new)]
     return tuple(tokens), tuple(classes)
 
 
@@ -390,7 +391,7 @@ def gen_minimal_pairs(
         for _retry in range(PAIR_RETRIES):
             src = rng.choice(source)
             twin = (
-                _case_twin(src, rng)
+                _case_twin(src, lexicon, rng)
                 if kind == "CaseType"
                 else _verb_twin(src, lexicon, rng)
             )

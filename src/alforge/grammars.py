@@ -25,7 +25,6 @@ from .categories import (
     Restrictions,
     Variable,
     format_category,
-    parse_category,
 )
 from .parser import ParserPolicy
 
@@ -197,25 +196,3 @@ def grammar_to_text(g: Grammar) -> str:
     for cls, cat in g.lexicon:
         lines.append(f"{cls} => {format_category(cat)}")
     return "\n".join(lines) + "\n"
-
-
-def grammar_from_text(text: str) -> Grammar:
-    params = None
-    lexicon: dict[str, Category] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("params:"):
-                params = body.split(":", 1)[1].strip()
-            continue
-        cls, _, cat_text = line.partition("=>")
-        lexicon[cls.strip()] = parse_category(cat_text.strip())
-    if params is None:
-        raise ValueError("grammar file missing '# params:' header")
-    g = grammar_by_id(params)
-    if dict(g.lexicon) != lexicon:
-        raise ValueError(f"grammar file lexicon does not match parameters {params}")
-    return g

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from alforge.cli import RunConfig, build_arg_parser, load_config_file, main
-from alforge.corpus import load_sentences
+from alforge.corpus import DEFAULT_WORDS, load_sentences
 from alforge.evaluation import (
     ScoreRecord,
     TypologyTable,
@@ -118,6 +118,11 @@ class TestOptionSurface:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert {words[1] for words in commands} == set(sub.choices)
 
+    def test_readme_library_example_runs(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+
     def test_readme_option_table(self):
         # One row per subcommand with run options, listing exactly its
         # RunConfig flags and --scale; pipeline's row says "all of the above".
@@ -188,6 +193,16 @@ class TestSubcommands:
                            "--out-dir", str(tmp_path))
         assert code == 1
         assert err.startswith("error: ValueError: length 3 has")
+
+    def test_gen_dataset_bad_lexicon_fails_before_writing(self, capsys, tmp_path):
+        lexicon = tmp_path / "lex.json"
+        lexicon.write_text(json.dumps({**DEFAULT_WORDS, "SUBJ": "ga"}))
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "gen-dataset", "--params", "0101101", "--scale", "0.05",
+                           "--seed", "3", "--lexicon-path", str(lexicon), "--out-dir", str(out))
+        assert code == 1
+        assert err.startswith("error: ValueError: lexicon class SUBJ must be a list of words")
+        assert not out.exists()
 
     def test_ta_corr_missing_grammars(self, capsys, tmp_path):
         scores = tmp_path / "scores.jsonl"

@@ -1,5 +1,6 @@
 """Corpus builder: lexicons, stratified sampling, targeted sets, minimal pairs."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,6 @@ from alforge.corpus import (
     SHORT_BAND,
     Lexicon,
     Sentence,
-    coverage_check,
     derive_seed,
     gen_minimal_pairs,
     gen_targeted,
@@ -61,6 +61,17 @@ class TestLexicon:
         path = tmp_path / "lex.json"
         LEX.save(path)
         assert Lexicon.load(path).words == LEX.words
+
+    def test_load_rejects_non_list_class(self, tmp_path):
+        # a bare string would otherwise load as its characters
+        path = tmp_path / "lex.json"
+        for bad in ("ga", ["ga", 1]):
+            path.write_text(json.dumps({**DEFAULT_WORDS, "SUBJ": bad}))
+            with pytest.raises(ValueError, match="lexicon class SUBJ must be a list of words"):
+                Lexicon.load(path)
+        path.write_text(json.dumps(list(DEFAULT_WORDS)))
+        with pytest.raises(ValueError, match="one JSON object"):
+            Lexicon.load(path)
 
 
 class TestSentence:
@@ -154,26 +165,6 @@ class TestSampling:
         assert not {s.tokens for s in rest} & avoid
 
 
-class TestCoverage:
-    def test_clean(self):
-        train = sample_split(EN, EN_TEMPLATES, LEX, 40, SHORT_BAND, seed=1, split="ShortTrain")
-        test_lex = LEX.restricted({w for s in train for w in s.tokens})
-        test = sample_split(
-            EN, EN_TEMPLATES, test_lex, 2, SHORT_BAND, seed=2, split="ShortTest",
-            avoid={s.tokens for s in train},
-        )
-        assert coverage_check(train, test)
-
-    def test_overlap_fails(self):
-        train = sample_split(EN, EN_TEMPLATES, LEX, 2, (3, 4), seed=1, split="ShortTrain")
-        assert not coverage_check(train, train)
-
-    def test_unseen_vocab_fails(self):
-        s = Sentence(("Kim", "ga", "ran"), ("NP", "SUBJ", "VI"), EN.params, "ShortTrain")
-        t = Sentence(("Sandy", "ga", "ran"), ("NP", "SUBJ", "VI"), EN.params, "ShortTest")
-        assert not coverage_check([s], [t])
-
-
 class TestTargeted:
     @pytest.mark.parametrize("kind", ["Recursive", "Embedded"])
     def test_parses_for_all_grammars(self, kind):
@@ -243,6 +234,21 @@ class TestMinimalPairs:
         source = [replace(s, grammar_id=alias)
                   for s in sample_split(g, templates, LEX, 3, SHORT_BAND, seed=2, split="ShortTest")]
         assert len(gen_minimal_pairs(g, "CaseType", source, LEX, 2, seed=1)) == 2
+
+    def test_case_twin_uses_lexicon(self):
+        # The swapped marker is a word of its new class in the run's lexicon.
+        lex = Lexicon({**DEFAULT_WORDS, "SUBJ": ("wa", "ka"), "OBJ": ("wo",)})
+        source = sample_split(EN, EN_TEMPLATES, lex, 5, MEDIUM_BAND, seed=4, split="MediumTest")
+        pairs = gen_minimal_pairs(EN, "CaseType", source, lex, 8, seed=5)
+        assert len(pairs) == 8
+        for sentence in (s for pair in pairs for s in pair):
+            for token, cls in zip(sentence.tokens, sentence.classes):
+                assert token in lex.words[cls], (token, cls)
+
+    def test_case_twin_foreign_word(self, source):
+        lex = Lexicon({**DEFAULT_WORDS, "SUBJ": ("wa",), "OBJ": ("wo",)})
+        with pytest.raises(ValueError, match="not a (SUBJ|OBJ) word of the lexicon"):
+            gen_minimal_pairs(EN, "CaseType", source, lex, 1, seed=1)
 
     def test_determinism(self, source):
         a = gen_minimal_pairs(EN, "CaseType", source, LEX, 5, seed=3)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
-from alforge.templates import enumerate_templates
+from alforge.templates import enumerate_templates, grammatical_sequences
 
 from oracle import as_tuple, leaves, oracle_derivable, oracle_derivations, oracle_grammatical
 
@@ -78,6 +78,28 @@ def assert_oracle_derivations(seq, permuting, derivations):
     got = [as_tuple(d) for d in derivations]
     assert len(set(got)) == len(got) == min(len(want), MAX_DERIVATIONS)
     assert set(got) <= set(want)
+
+
+def test_every_short_sentence_derivations():
+    """Exhaustive small-scope sweep: for every grammatical class sequence of
+    length <= 7 of each of the 96 grammars, the warm parser's derivation set
+    equals the oracle's.  The input set is ``grammatical_sequences``; it is
+    the whole grammatical language only because
+    ``tests/test_templates.py::TestPruning`` checks it against
+    ``oracle.reference_language``.  Rare inputs, such as two rotation chains
+    meeting in one cell, are all reached here, where the sampled test above
+    may miss them."""
+    swept = 0
+    for g in GRAMMARS:
+        parser = warm_parser(g.params)
+        for seqs in grammatical_sequences(g, 7).values():
+            for classes in sorted(seqs):
+                seq = g.categorize(classes)
+                permuting = g.policy.permutes(g.policy.rel_category in seq)
+                assert_oracle_derivations(
+                    seq, permuting, parser.parse(seq, derivations=True).derivations)
+                swept += 1
+    assert swept == 5352
 
 
 def test_rotated_coordination_derivations():

@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package, the tests or the scripts
-imports a name it never uses, each ``derive_seed`` label of the package
-is written in one place, and the command line does not load ``scipy.stats``.
+"""Source hygiene: no module of the package or the tests imports a name it
+never uses, each ``derive_seed`` label of the package is written in one
+place, and the command line does not load ``scipy.stats``.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -18,9 +18,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "alforge"
-CHECKED = sorted(SRC.glob("*.py")) + sorted(
-    path for d in ("tests", "scripts") for path in (ROOT / d).glob("*.py")
-)
+CHECKED = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _id(path: Path) -> str:
