@@ -58,6 +58,7 @@ from .parser import ChartParser
 from .templates import (
     Template,
     enumerate_templates,
+    is_grammatical,
     load_templates,
     sample_long_templates,
     save_templates,
@@ -147,7 +148,9 @@ def _build_config(args) -> RunConfig:
 
 def long_templates(g: Grammar, cfg: RunConfig, templates, parser: ChartParser) -> list[Template]:
     """The Long step: ``cfg.long_templates_per_length`` extensions of
-    ``templates`` at each length of ``LONG_BAND``, seeded from the run seed."""
+    ``templates`` at each length of ``LONG_BAND``, seeded from the run seed.
+    Every template must derive S under ``g``, as ``enumerate_templates``
+    output does; the sampler relies on it to skip parses."""
     return sample_long_templates(
         templates, g, cfg.long_templates_per_length, *LONG_BAND,
         seed=derive_seed(cfg.master_seed, g.params, "long-templates"), parser=parser,
@@ -274,7 +277,11 @@ def cmd_enum_templates(args) -> None:
 def cmd_augment_long(args) -> None:
     g = grammar_by_id(args.params)
     templates = load_templates(args.templates)
-    out = long_templates(g, _build_config(args), templates, ChartParser(g.policy))
+    parser = ChartParser(g.policy)
+    for t in templates:
+        if not is_grammatical(t, g, parser):
+            raise ValueError(f"template does not derive S under {g.params}: {' '.join(t)}")
+    out = long_templates(g, _build_config(args), templates, parser)
     if args.out:
         save_templates(out, args.out)
     else:
@@ -351,12 +358,11 @@ def cmd_judge(args) -> None:
     print(f"accuracy={acc:.4f} pairs={len(good)}")
 
 
-def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path) -> dict:
+def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path, lex: Lexicon) -> dict:
     """Splits, targeted sets, minimal pairs and n-gram scores for one
     grammar, written to ``out_dir``; returns its perplexities and pair
     accuracies.  One lexicon and one parser serve every stage."""
     g = grammar_by_id(params)
-    lex = _lexicon(cfg)
     parser = ChartParser(g.policy)
     splits = build_dataset(g, cfg, lex, parser)
     _save_splits(g.params, splits, out_dir)
@@ -391,10 +397,12 @@ def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path) -> dict:
 
 def cmd_pipeline(args) -> None:
     cfg = _build_config(args)
+    grammars = _distinct_grammars(args.params)
+    lex = _lexicon(cfg)
+    table = _typology(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = _typology(cfg)
-    results = [_pipeline_one(g.params, cfg, out_dir) for g in _distinct_grammars(args.params)]
+    results = [_pipeline_one(g.params, cfg, out_dir, lex) for g in grammars]
     results.sort(key=lambda r: r["grammar"].params)
 
     rows = [report_row(res["grammar"], split, res["ppls"][split], table)

@@ -407,10 +407,18 @@ def _replay(node: Derivation) -> Category | None:
     return got if got == node.category else None
 
 
-def derivation_check(tree: Derivation) -> bool:
-    """True iff replaying every rule reproduces each node's category and the
-    root is S.  It replays rules only: the leaves are not compared with any
-    input sequence, so a caller that has one must check the leaves itself."""
+def _leaves(node: Derivation) -> list[Category]:
+    if not node.children:
+        return [node.category]
+    return [leaf for child in node.children for leaf in _leaves(child)]
+
+
+def derivation_check(tree: Derivation, seq=None) -> bool:
+    """True iff replaying every rule reproduces each node's category, the
+    root is S and, when the input categories ``seq`` are given, the leaves
+    are ``seq`` in order.  Without ``seq`` only the rules are replayed, and
+    a leaf may be any category."""
     if not isinstance(tree, Derivation):
         raise ValueError("malformed derivation tree")
-    return _replay(tree) == tree.category and tree.category == S
+    replays = _replay(tree) == tree.category and tree.category == S
+    return replays and (seq is None or _leaves(tree) == list(seq))

@@ -222,13 +222,6 @@ def oracle_grammatical(grammar, classes) -> bool:
     return S in oracle_derivable(seq, permuting)
 
 
-def leaves(tree) -> list:
-    """The categories at the leaves of a derivation tree, left to right."""
-    if not tree.children:
-        return [tree.category]
-    return [leaf for child in tree.children for leaf in leaves(child)]
-
-
 def as_tuple(tree) -> tuple:
     """A derivation tree in the nested tuple form of ``oracle_derivations``."""
     return (tree.category, tree.rule, tuple(as_tuple(child) for child in tree.children))

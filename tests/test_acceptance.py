@@ -199,7 +199,7 @@ def test_criterion_6_dataset_contracts(tmp_path):
     ok = True
     for gid in ("0101101", "0000000"):
         g = grammar_by_id(gid)
-        res = _pipeline_one(gid, cfg, tmp_path)
+        res = _pipeline_one(gid, cfg, tmp_path, Lexicon.default())
         splits = {
             name: load_sentences(tmp_path / f"{gid}_{name}.jsonl")
             for name in ("ShortTrain", "ShortTest", "MediumTest", "LongTest",
@@ -278,7 +278,7 @@ def test_criterion_8_pipeline_properties(tmp_path):
     cfg = RunConfig(master_seed=11, ngram_order=3).scaled(0.1)
     ok = True
     for gid in ("0101101", "0000000"):
-        ppls = _pipeline_one(gid, cfg, tmp_path)["ppls"]
+        ppls = _pipeline_one(gid, cfg, tmp_path, Lexicon.default())["ppls"]
         ok &= ppls["ShortTest"] <= ppls["MediumTest"] <= ppls["LongTest"]
     elapsed = time.monotonic() - start
     ok = bool(ok) and elapsed < 300.0

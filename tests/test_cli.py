@@ -204,6 +204,28 @@ class TestSubcommands:
         assert err.startswith("error: ValueError: lexicon class SUBJ must be a list of words")
         assert not out.exists()
 
+    def test_pipeline_bad_lexicon_fails_before_writing(self, capsys, tmp_path):
+        lexicon = tmp_path / "lex.json"
+        lexicon.write_text(json.dumps({**DEFAULT_WORDS, "SUBJ": "ga"}))
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--scale", "0.05",
+                           "--seed", "3", "--lexicon-path", str(lexicon), "--out-dir", str(out))
+        assert code == 1
+        assert err.startswith("error: ValueError: lexicon class SUBJ must be a list of words")
+        assert not out.exists()
+
+    def test_augment_long_rejects_non_sentence_template(self, capsys, tmp_path):
+        # The Long step trusts its sources to derive S, so the command
+        # checks a templates file before sampling from it.
+        templates = tmp_path / "templates.txt"
+        templates.write_text("NP SUBJ VI\nNP SUBJ VT\nNP SUBJ NP OBJ VT\n")
+        out = tmp_path / "long.txt"
+        code, _, err = run(capsys, "augment-long", "--params", "0101101",
+                           "--templates", str(templates), "--out", str(out))
+        assert code == 1
+        assert err == "error: ValueError: template does not derive S under 0101101: NP SUBJ VT\n"
+        assert not out.exists()
+
     def test_ta_corr_missing_grammars(self, capsys, tmp_path):
         scores = tmp_path / "scores.jsonl"
         scores.write_text(json.dumps({

@@ -23,7 +23,7 @@ from alforge.parser import (
 )
 from alforge.templates import category_universe, enumerate_templates
 
-from oracle import leaves, oracle_derivations
+from oracle import oracle_derivations
 
 EN = grammar_by_id("0101101")
 
@@ -91,8 +91,21 @@ class TestDerivations:
         assert result.derivations
         seq = EN.categorize(SHOWCASE_CLASSES)
         for tree in result.derivations:
-            assert derivation_check(tree)
-            assert leaves(tree) == list(seq)
+            assert derivation_check(tree, seq)
+
+    def test_rotated_leaf_fails_against_input(self):
+        # A permuted token cut to a bare leaf of the rotated category still
+        # replays to S; only the input's categories expose it.
+        def cut(node):
+            if node.rule is RuleId.PERMUTE and not node.children[0].children:
+                return Derivation(node.category)
+            return Derivation(node.category, node.rule, tuple(map(cut, node.children)))
+
+        seq = EN.categorize(SHOWCASE_CLASSES)
+        trees = [cut(t) for t in en_parse(SHOWCASE_CLASSES, derivations=True).derivations]
+        cut_trees = [t for t in trees if not derivation_check(t, seq)]
+        assert cut_trees
+        assert all(derivation_check(t) for t in cut_trees)
 
     def test_mutated_tree_fails(self):
         tree = en_parse(("NP", "SUBJ", "VI"), derivations=True).derivations[0]
@@ -140,8 +153,7 @@ class TestDerivations:
         result = en_parse(classes, derivations=True)
         assert len(set(result.derivations)) == len(result.derivations) == MAX_DERIVATIONS == 64
         for tree in result.derivations:
-            assert derivation_check(tree)
-            assert leaves(tree) == list(seq)
+            assert derivation_check(tree, seq)
 
 
 class TestPolicy:

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import random
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from alforge import templates as templates_module
+from alforge.categories import S
+from alforge.combinators import coordinate
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
 from alforge.templates import (
@@ -181,6 +185,59 @@ class TestAugmentation:
                 [("NP", "SUBJ", "VI")], EN, per_length=50, min_len=19, max_len=20,
                 seed=0,
             )
+
+
+@lru_cache(maxsize=None)
+def sentences_to_7(params: str) -> list:
+    """Every class sequence of length <= 7 that derives S, heuristics or not."""
+    return sorted(set().union(*grammatical_sequences(grammar_by_id(params), 7).values()))
+
+
+class TestCoordinationByConstruction:
+    """The sampler accepts ``t1 CONJ t2`` without a parse when S
+    coordinates: the parser must agree on every grammar.  The sources are
+    every sequence that derives S, so that some fail the heuristics, which
+    the sampler must still apply."""
+
+    def test_parser_agrees_on_drawn_coordinations(self):
+        rng = random.Random(12)
+        for g in enumerate_grammars():
+            assert coordinate(S, g.category("CONJ"), S) is not None, g.params
+            sources = sentences_to_7(g.params)
+            pairs = [(rng.choice(sources), rng.choice(sources)) for _ in range(30)]
+            if g.policy.require_rel:
+                # one half is judged with permutation off on its own, and on
+                # inside the candidate
+                rel = [t for t in sources if "REL" in t]
+                plain = [t for t in sources if "REL" not in t]
+                pairs += [(rng.choice(rel), rng.choice(plain)) for _ in range(10)]
+                pairs += [(rng.choice(plain), rng.choice(rel)) for _ in range(10)]
+            parser = ChartParser(g.policy)
+            wrong = [p for p in pairs if not is_grammatical(p[0] + ("CONJ",) + p[1], g, parser)]
+            assert not wrong, (g.params, wrong)
+
+    def test_shortcut_changes_no_output(self, monkeypatch):
+        checked = []
+
+        def counted(template, grammar, parser=None):
+            checked.append(template)
+            return is_grammatical(template, grammar, parser)
+
+        monkeypatch.setattr(templates_module, "is_grammatical", counted)
+        for g in enumerate_grammars():
+            sources = sentences_to_7(g.params)
+            checked.clear()
+            with monkeypatch.context() as m:
+                # S does not coordinate: every candidate is parsed
+                m.setattr(templates_module, "coordinate", lambda *args: None)
+                parsed = sample_long_templates(sources, g, 2, 11, 13, seed=5)
+            parse_checks = checked[:]
+            checked.clear()
+            shortcut = sample_long_templates(sources, g, 2, 11, 13, seed=5)
+            assert shortcut == parsed, g.params
+            # the remaining parses still go through the module's is_grammatical
+            assert 0 < len(checked) < len(parse_checks), g.params
+            assert set(checked) <= set(parse_checks), g.params
 
 
 class TestIO:
