@@ -107,19 +107,18 @@ def compose_backward_crossing(g: Category, f: Category) -> Category | None:
     return _compose(f, g, BACKWARD, FORWARD)
 
 
+def coordinable(c: Category) -> bool:
+    """Whether two c-constituents coordinate around a conjunction: c is
+    ground, and not a case particle (those attach to NPs only)."""
+    return not contains_variable(c) and not is_case_marker(c)
+
+
 def coordinate(left: Category, conj: Category, right: Category) -> Category | None:
     """Two like-category constituents around a conjunction combine into one
-    constituent of that category.  Non-ground conjuncts are rejected."""
-    if not is_conjunction(conj):
-        return None
-    if contains_variable(left) or contains_variable(right):
-        return None
-    if left != right:
-        return None
-    # Case particles attach to NPs only; they are not coordinable on their own.
-    if is_case_marker(left):
-        return None
-    return left
+    constituent of that category, when it is ``coordinable``."""
+    if is_conjunction(conj) and left == right and coordinable(left):
+        return left
+    return None
 
 
 BINARY_RULES: tuple[tuple[RuleId, object], ...] = (

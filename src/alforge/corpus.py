@@ -310,6 +310,11 @@ def gen_targeted(
         raise RuntimeError(
             f"targeted {kind} construction does not parse under {grammar.params}"
         )
+    capacity = math.prod(len(lexicon.words[c]) for c in skeleton)
+    if capacity < n:
+        raise ValueError(
+            f"the {kind} skeleton has {capacity} distinct sentences to draw from, "
+            f"{n} requested")
     rng = random.Random(seed)
     used: set[tuple[str, ...]] = set()
     out: list[Sentence] = []

@@ -74,6 +74,10 @@ def load_scores(path) -> list[ScoreRecord]:
     return [ScoreRecord.from_json(d) for d in read_jsonl(path)]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TypologyTable:
     """Cross-linguistic frequencies: joint over the six base orders, plus
@@ -111,20 +115,28 @@ class TypologyTable:
             "param_freq": {k: list(v) for k, v in sorted(self.param_freq.items())},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "TypologyTable":
-        return cls(
-            dict(data["base_order_freq"]),
-            {k: tuple(v) for k, v in data["param_freq"].items()},
-        )
-
     def save(self, path) -> None:
         write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "TypologyTable":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("typology file must hold one JSON object")
+        for key in ("base_order_freq", "param_freq"):
+            if not isinstance(data.get(key), dict):
+                raise ValueError(f"typology file needs a {key} object, got {data.get(key)!r}")
+        for order, freq in data["base_order_freq"].items():
+            if not _is_number(freq):
+                raise ValueError(f"base_order_freq[{order}] must be a number, got {freq!r}")
+        for p, pair in data["param_freq"].items():
+            if not (isinstance(pair, list) and all(map(_is_number, pair))):
+                raise ValueError(f"param_freq[{p}] must be a list of numbers, got {pair!r}")
+        return cls(
+            dict(data["base_order_freq"]),
+            {k: tuple(v) for k, v in data["param_freq"].items()},
+        )
 
     def provenance_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode()

@@ -6,12 +6,12 @@ rule over (left span, conjunction token, right span); conjunction tokens never
 enter ordinary cells, which keeps variable categories out of the chart.
 
 The chart runs on small integer codes.  A ``RuleTable`` interns each category
-to an int the first time it is seen and memoises, per code, the binary rule
-results, the rotation closure (as a bitmask) and coordination eligibility.
-The binary rule results behind those codes come from one process-wide memo
-per category pair, shared by every table.
-Chart cells are bitmasks over codes, and each cell combination (binary rules
-and coordination) is memoised on its pair of cell masks per permutation mode.
+to an int the first time it is seen, keeps the coordinable codes as one
+bitmask, and memoises the binary rule results per pair of codes and the
+rotation closure (as a bitmask) per code.  The binary rule results come
+from one process-wide memo per category pair, shared by every table.
+Chart cells are bitmasks over codes, and the binary results of each pair of
+cell masks are memoised per permutation mode.
 Every table entry is filled lazily, on first use, so keep one
 ``ChartParser`` per grammar when parsing in bulk.
 
@@ -39,6 +39,7 @@ from .categories import (
 from .combinators import (
     BINARY_RULES,
     RuleId,
+    coordinable,
     coordinate,
 )
 
@@ -104,28 +105,26 @@ def _bits(mask: int):
 class RuleTable:
     """Interned categories and lazily memoised rule results over their codes.
 
-    ``code`` assigns each distinct category a small int on first sight, and
-    ``find`` looks one up without assigning.  Four lookups memoise per code:
-    ``combine`` (the ``BINARY_RULES`` results for a pair, taken on a miss
-    from the shared ``_rule_results`` memo), ``rotations`` and ``closure`` (a
-    code's rotation chain, and the bitmask of the code and that chain) and
-    ``coordinable`` (whether a code coordinates around a conjunction).  Two
-    memoise per pair of chart cells, as bitmasks: ``join`` (every closed
-    binary result) and ``coordinated`` (the closed coordination results).
-    Interning takes a lock; every memo entry is a pure function of codes
-    interned under it, so two threads that race to fill one entry write the
-    same value, and one table may be shared between threads.
+    ``code`` assigns each distinct category a small int on first sight and
+    sets its bit in ``coordinating`` when it is ``coordinable``; ``find``
+    looks one up without assigning.  ``combine`` memoises the
+    ``BINARY_RULES`` results per pair of codes (on a miss, from the shared
+    ``_rule_results`` memo), ``rotations`` and ``closure`` a code's rotation
+    chain and the bitmask of the code and that chain, and ``join`` the
+    closed binary results per pair of chart cells.  Interning takes a lock;
+    every memo entry is a pure function of codes interned under it, so two
+    threads that race to fill one entry write the same value, and one table
+    may be shared between threads.
     """
 
     def __init__(self) -> None:
         self.cats: list[Category] = []
+        self.coordinating = 0
         self._codes: dict[Category, int] = {}
         self._lock = threading.Lock()
         self._pairs: dict[tuple[int, int], tuple[tuple[RuleId, int], ...]] = {}
         self._rotations: dict[int, tuple[int, ...]] = {}
         self._closures: dict[int, int] = {}
-        self._coordinable: dict[tuple[int, int], bool] = {}
-        self._coordinated: dict[tuple[int, int, bool], int] = {}
         self._joins: tuple[dict, dict] = ({}, {})  # indexed by permutation mode
 
     def code(self, cat: Category) -> int:
@@ -136,6 +135,7 @@ class RuleTable:
                 if code is None:
                     code = len(self.cats)
                     self.cats.append(cat)  # before publishing the code
+                    self.coordinating |= coordinable(cat) << code
                     self._codes[cat] = code
         return code
 
@@ -172,28 +172,6 @@ class RuleTable:
             for r in self.rotations(a):
                 out |= 1 << r
             self._closures[a] = out
-        return out
-
-    def coordinable(self, conj: int, a: int) -> bool:
-        """Whether two a-constituents coordinate around conjunction conj."""
-        out = self._coordinable.get((conj, a))
-        if out is None:
-            cat = self.cats[a]
-            out = coordinate(cat, self.cats[conj], cat) is not None
-            self._coordinable[(conj, a)] = out
-        return out
-
-    def coordinated(self, conj: int, both: int, permuting: bool) -> int:
-        """Closed bitmask of the codes in ``both`` (categories found on each
-        side of conjunction conj) that coordinate around it."""
-        key = (conj, both, permuting)
-        out = self._coordinated.get(key)
-        if out is None:
-            out = 0
-            for a in _bits(both):
-                if self.coordinable(conj, a):
-                    out |= self.closure(a, permuting)
-            self._coordinated[key] = out
         return out
 
     def joins(self, permuting: bool) -> dict[tuple[int, int], int]:
@@ -276,19 +254,28 @@ class ChartParser:
 
     def _fill(self, seq: tuple[Category, ...]):
         """Fill the chart: ``chart[i][j]`` is the mask of the codes derivable
-        over seq[i:j].  Returns the chart with the input's codes, its
-        (position, code) conjunction tokens and its permutation mode."""
+        over seq[i:j].  Returns the chart with the input's codes, the
+        positions of its conjunction tokens and its permutation mode.
+
+        Coordination adds ``row[p] & chart[p + 1][j] & table.coordinating``,
+        closed as a rule result is.  Every cell is closed under rotation
+        chains (tokens enter as ``closure(a)``, ``join`` ORs closures, and a
+        rotation's own chain stays inside its source's closure), so the meet
+        of two cells is too; and coordinability is constant along a chain
+        (only verb functors rotate, a rotation keeps a category ground, and
+        case markers never rotate).  A ``join`` miss can intern new codes,
+        so ``table.coordinating`` is read at each use."""
         if not seq:
             raise ValueError("cannot parse an empty sequence")
         table = self.table
         n = len(seq)
         codes = [table.code(c) for c in seq]
         permuting = self._permuting(codes)
-        conjs: list[tuple[int, int]] = []  # (position, code) of conjunction tokens
+        conjs: list[int] = []  # positions of conjunction tokens
         chart = [[0] * (n + 1) for _ in range(n + 1)]
         for i, a in enumerate(codes):
             if is_conjunction(seq[i]):
-                conjs.append((i, a))  # feeds the coordination rule only
+                conjs.append(i)  # feeds the coordination rule only
             else:
                 chart[i][i + 1] = table.closure(a, permuting)
 
@@ -310,11 +297,9 @@ class ChartParser:
                         if m is None:
                             m = table.join(left, right, permuting)
                         mask |= m
-                for p, conj in conjs:
+                for p in conjs:
                     if i < p < j - 1:
-                        both = row[p] & chart[p + 1][j]
-                        if both:
-                            mask |= table.coordinated(conj, both, permuting)
+                        mask |= row[p] & chart[p + 1][j] & table.coordinating
                 row[j] = mask
                 if mask:
                     ends[i].append(j)
@@ -340,12 +325,11 @@ class ChartParser:
                     for b in _bits(chart[k][j]):
                         for rule, c in table.combine(a, b):
                             cell.setdefault(c, []).append((rule, ((i, k, a), (k, j, b))))
-            for p, conj in conjs:
+            for p in conjs:
                 if i < p < j - 1:
-                    for a in _bits(chart[i][p] & chart[p + 1][j]):
-                        if table.coordinable(conj, a):
-                            kids = ((i, p, a), (p, p + 1, conj), (p + 1, j, a))
-                            cell.setdefault(a, []).append((RuleId.COORD, kids))
+                    for a in _bits(chart[i][p] & chart[p + 1][j] & table.coordinating):
+                        kids = ((i, p, a), (p, p + 1, codes[p]), (p + 1, j, a))
+                        cell.setdefault(a, []).append((RuleId.COORD, kids))
             return cell
 
         @cache

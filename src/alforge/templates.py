@@ -22,7 +22,7 @@ import random
 from collections import defaultdict
 
 from .categories import S, Category
-from .combinators import coordinate
+from .combinators import coordinable
 from .grammars import LEXICAL_CLASSES, Grammar
 from .parser import ChartParser, RuleTable
 
@@ -187,7 +187,6 @@ def _language(
     and drop pruned result codes before building a cross-product."""
     cats, table, triples = build
     universe = {table.code(c) for c in cats}
-    conj = table.code(grammar.category("CONJ"))
     s = table.code(S)
 
     lex_level: dict[int, set[Template]] = defaultdict(set)
@@ -200,7 +199,7 @@ def _language(
         return table.rotations(a) if permuting else ()
 
     _minlen, need = _length_bounds(universe, lex_level, triples, rotations, s, max_len + 1)
-    coordinable = [c for c in universe if table.coordinable(conj, c)]
+    coordinating = [c for c in universe if table.coordinating >> c & 1]
 
     def close_level(level: dict[int, set[Template]], budget: int) -> None:
         for a in list(level):
@@ -230,7 +229,7 @@ def _language(
                     joined = {sa + sb for sa in a_strs for sb in b_strs}
                     for c in kept:
                         level[c].update(joined)
-        live = [c for c in coordinable if need[c] <= budget]
+        live = [c for c in coordinating if need[c] <= budget]
         for n1 in range(1, n - 1):
             left, right = strings[n1], strings[n - 1 - n1]
             for c in live:
@@ -302,7 +301,7 @@ def sample_long_templates(
     Every source template must derive S under ``grammar``, as
     ``enumerate_templates`` output does by construction.  A ``t1 CONJ t2``
     candidate that passes the heuristics is then accepted without a parse
-    whenever S coordinates in ``grammar``: the chart cells over t1 and t2
+    whenever S is ``coordinable``: the chart cells over t1 and t2
     hold S, so the coordination rule puts S over the whole input.  Under
     ``require_rel`` a candidate with REL in one half only is parsed with
     permutation on, while the other half derived S with it off; permuting
@@ -318,7 +317,6 @@ def sample_long_templates(
     coordinations are decided by construction, and insertion (CONJ t2 inside
     t1) is accepted for 1,105 of 16,828."""
     parser = parser or ChartParser(grammar.policy)
-    coordination_derives_s = coordinate(S, grammar.category("CONJ"), S) is not None
     templates = [tuple(t) for t in templates]
     if not templates:
         raise ValueError("no source templates to extend")
@@ -344,14 +342,12 @@ def sample_long_templates(
             a, b = splits[rng.randrange(len(splits))]
             t1 = rng.choice(by_len[a])
             t2 = rng.choice(by_len[b])
-            if op == 2 and len(t1) < 2:
-                continue
             i = rng.randrange(1, len(t1)) if op == 2 else 0
             cand = _extend(op, t1, t2, i)
-            if len(cand) != target or cand in bucket:
+            if cand in bucket:
                 continue
             if heuristic_filter(cand) and (
-                (op == 1 and coordination_derives_s) or is_grammatical(cand, grammar, parser)
+                (op == 1 and coordinable(S)) or is_grammatical(cand, grammar, parser)
             ):
                 bucket.add(cand)
     short = [n for n, b in buckets.items() if len(b) < per_length]

@@ -232,7 +232,6 @@ def reference_language(grammar, permutation_active: bool, max_len: int) -> list[
     with no pruning: strings[n] maps every category code to every class
     tuple of length n deriving it, over every pair of codes."""
     _cats, table, _triples = category_universe(grammar, permutation_active)
-    conj = table.code(grammar.category("CONJ"))
 
     strings: list[dict[int, set]] = [dict() for _ in range(max_len + 1)]
 
@@ -267,7 +266,7 @@ def reference_language(grammar, permutation_active: bool, max_len: int) -> list[
             left, right = strings[n1], strings[n - 1 - n1]
             for c, a_strs in left.items():
                 b_strs = right.get(c)
-                if not b_strs or not table.coordinable(conj, c):
+                if not b_strs or not table.coordinating >> c & 1:
                     continue
                 level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs)
         level = dict(level)

@@ -26,6 +26,9 @@ from alforge.grammars import enumerate_grammars
 from alforge.templates import load_templates
 
 
+TYPOLOGY = TypologyTable.default().to_json()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -212,6 +215,25 @@ class TestSubcommands:
                            "--seed", "3", "--lexicon-path", str(lexicon), "--out-dir", str(out))
         assert code == 1
         assert err.startswith("error: ValueError: lexicon class SUBJ must be a list of words")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "typology file must hold one JSON object"),
+        ({"base_order_freq": TYPOLOGY["base_order_freq"]},
+         "typology file needs a param_freq object"),
+        ({**TYPOLOGY, "param_freq": {**TYPOLOGY["param_freq"], "COMP": "ab"}},
+         "param_freq[COMP] must be a list of numbers"),
+        ({**TYPOLOGY, "base_order_freq": {**TYPOLOGY["base_order_freq"], "SOV": "0.54"}},
+         "base_order_freq[SOV] must be a number"),
+    ])
+    def test_pipeline_bad_typology_fails_before_writing(self, capsys, tmp_path, data, message):
+        typology = tmp_path / "typology.json"
+        typology.write_text(json.dumps(data))
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--scale", "0.05",
+                           "--typology-path", str(typology), "--out-dir", str(out))
+        assert code == 1
+        assert err.startswith(f"error: ValueError: {message}")
         assert not out.exists()
 
     def test_augment_long_rejects_non_sentence_template(self, capsys, tmp_path):

@@ -198,6 +198,12 @@ class TestTargeted:
         with pytest.raises(ValueError):
             gen_targeted(EN, "Recursive", LEX, 0, seed=1)
 
+    def test_capacity_checked_before_drawing(self):
+        one_each = Lexicon({cls: forms[:1] for cls, forms in LEX.words.items()})
+        with pytest.raises(ValueError, match="has 1 distinct sentences to draw from, 2 requested"):
+            gen_targeted(EN, "Recursive", one_each, 2, seed=1)
+        assert len(gen_targeted(EN, "Recursive", one_each, 1, seed=1)) == 1
+
 
 @pytest.fixture(scope="module")
 def source():

@@ -8,8 +8,8 @@ import threading
 import pytest
 
 from alforge.categories import NP, S, format_category, parse_category, permute_cyclic
-from alforge.combinators import RuleId
-from alforge.grammars import grammar_by_id
+from alforge.combinators import RuleId, coordinable
+from alforge.grammars import enumerate_grammars, grammar_by_id
 from alforge.parser import (
     MAX_DERIVATIONS,
     ChartParser,
@@ -231,6 +231,18 @@ class TestRuleTable:
         assert before
         assert after == before
 
+    def test_coordinable_codes_are_closed_under_rotation(self):
+        """The chart's coordination step, ``both & table.coordinating``,
+        keeps a cell closed only if coordinability is constant along every
+        rotation chain."""
+        for g in enumerate_grammars():
+            _cats, table, _triples = category_universe(g, True)
+            for a in range(len(table.cats)):
+                assert all(coordinable(table.cats[r]) == coordinable(table.cats[a])
+                           for r in table.rotations(a)), (g.params, table.cats[a])
+            assert table.coordinating == sum(
+                1 << c for c, cat in enumerate(table.cats) if coordinable(cat)), g.params
+
     def test_concurrent_interning(self):
         texts = sorted(format_category(c) for c in category_universe(EN, True)[0])
         n_threads, rounds = 8, 20
@@ -261,5 +273,7 @@ class TestRuleTable:
                 assert sorted(seen[0].values()) == list(range(len(texts)))
                 assert len(table.cats) == len(texts)
                 assert all(format_category(table.cats[code]) == t for t, code in seen[0].items())
+                assert all((table.coordinating >> code & 1) == coordinable(table.cats[code])
+                           for code in seen[0].values())
         finally:
             sys.setswitchinterval(interval)

@@ -229,7 +229,7 @@ class TestCoordinationByConstruction:
             checked.clear()
             with monkeypatch.context() as m:
                 # S does not coordinate: every candidate is parsed
-                m.setattr(templates_module, "coordinate", lambda *args: None)
+                m.setattr(templates_module, "coordinable", lambda c: False)
                 parsed = sample_long_templates(sources, g, 2, 11, 13, seed=5)
             parse_checks = checked[:]
             checked.clear()
