@@ -124,15 +124,36 @@ class Sentence:
 
     @classmethod
     def from_json(cls, data: dict) -> "Sentence":
+        tokens = _field(data, "tokens", list, str)
+        classes = _field(data, "classes", list, str)
+        unknown = set(classes) - set(LEXICAL_CLASSES)
+        if unknown:
+            raise ValueError(f"record field 'classes' has unknown classes: {sorted(unknown)}")
         return cls(
-            tuple(data["tokens"]),
-            tuple(data["classes"]),
-            data["grammar_id"],
-            data["split"],
+            tuple(tokens),
+            tuple(classes),
+            _field(data, "grammar_id", str),
+            _field(data, "split", str),
         )
 
 
 # --- record files: the one JSON and JSONL format of every artifact ----------
+
+
+def _field(data, name: str, kind: type, item=None):
+    """Field ``name`` of a record read from a file, checked to be a ``kind``
+    and, when ``item`` is given, a list of ``item`` values (never bool).
+    Anything else is a ValueError that names the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a record must be a JSON object, got {data!r}")
+    if name not in data:
+        raise ValueError(f"record has no field {name!r}")
+    value = data[name]
+    if not isinstance(value, kind) or item is not None and not all(
+        isinstance(v, item) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"record field {name!r} is malformed: {value!r}")
+    return value
 
 
 def write_json(path, data) -> None:

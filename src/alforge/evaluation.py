@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from scipy.special import stdtr
 
-from .corpus import Sentence, read_jsonl, write_json, write_jsonl
+from .corpus import Sentence, _field, read_jsonl, write_json, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
 EOS = "</s>"
@@ -63,7 +63,11 @@ class ScoreRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScoreRecord":
-        return cls(data["grammar_id"], tuple(data["tokens"]), tuple(data["logprobs"]))
+        return cls(
+            _field(data, "grammar_id", str),
+            tuple(_field(data, "tokens", list, str)),
+            tuple(_field(data, "logprobs", list, (int, float))),
+        )
 
 
 def save_scores(records, path) -> None:

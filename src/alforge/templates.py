@@ -9,11 +9,13 @@ small lengths by the test suite.
 
 The universe and the bottom-up language build run on the integer codes of a
 ``parser.RuleTable``, the same lazily filled table type the chart parser
-uses.  Each ``grammatical_sequences`` call builds the permuting universe
-once; the non-permuting language of a ``require_rel`` grammar reads the same
-table and triples.  The build keeps a (length, category) entry only while
-it can still sit inside an S of length <= max_len, an outside estimate by
-span length as in A* parsing (``_length_bounds``); the pruning is exact.
+uses, and its entries are closed under rotation as chart cells are, with
+``RuleTable.closure``.  Each ``grammatical_sequences`` call builds the
+permuting universe once; the non-permuting language of a ``require_rel``
+grammar reads the same table and triples.  The build keeps a (length,
+category) entry only while it can still sit inside an S of length <=
+max_len, an outside estimate by span length as in A* parsing
+(``_length_bounds``); the pruning is exact.
 """
 
 from __future__ import annotations
@@ -64,26 +66,27 @@ Universe = tuple[set[Category], RuleTable, list[Triple]]  # (categories, table, 
 
 
 def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
-    """Closure of the lexical categories under the rules, the rule table
+    """Closure of the lexical categories under the rules (and, with
+    ``permutation_active``, under ``RuleTable.closure``), the rule table
     whose binary results over that closure are now all filled in, and the
-    productive pairs of the closure: one (a, b, distinct result codes)
+    productive pairs of the closure: one (a, b, distinct direct results)
     triple per ordered pair of codes with at least one binary result.
     Conjunction is excluded (it feeds the ternary coordination rule only,
     which creates no new categories)."""
     table = RuleTable()
-
-    def close_rotations(a: int) -> tuple[int, ...]:
-        return (a, *table.rotations(a)) if permutation_active else (a,)
-
     codes: set[int] = set()
     pending: list[int] = []
-    for cls, cat in grammar.lexicon:
-        if cls == "CONJ":
-            continue
-        for c in close_rotations(table.code(cat)):
-            if c not in codes:
+
+    def reach(a: int) -> None:
+        closed = table.closure(a, permutation_active)
+        for c in range(len(table.cats)):
+            if closed >> c & 1 and c not in codes:
                 codes.add(c)
                 pending.append(c)
+
+    for cls, cat in grammar.lexicon:
+        if cls != "CONJ":
+            reach(table.code(cat))
 
     triples: list[Triple] = []
     while pending:
@@ -99,40 +102,32 @@ def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
             outs = tuple(dict.fromkeys(out for _rule, out in results))
             triples.append((a, b, outs))
             for out in outs:
-                for c in close_rotations(out):
-                    if c not in codes:
-                        codes.add(c)
-                        pending.append(c)
+                reach(out)
         if len(codes) > 2000:
             raise RuntimeError("category universe failed to close")
     return {table.cats[c] for c in codes}, table, triples
 
 
 def _length_bounds(
-    codes, lexical, triples: list[Triple], rotations, s: int, cap: int
+    codes, lexical, triples: list[Triple], s: int, cap: int
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """(minlen, need) over ``codes``, both capped at ``cap``.
+    """(minlen, need) over ``codes``, both capped at ``cap``, from closed
+    triples (a pair's results with their rotations, see ``_language``).
 
     minlen[c] is the fewest classes that derive c: 1 for lexical codes, and
-    each triple a b -> c lowers minlen[c] to minlen[a] + minlen[b]; a
-    rotation inherits its source's value.  need[c] is the fewest classes
-    that surround a c constituent in any S: need[s] = 0, each triple lowers
-    need[a] to need[c] + minlen[b] and need[b] to need[c] + minlen[a], and a
-    code needs no more than any of its rotations.  Both are shortest-path
-    fixed points, so each is a lower bound on every actual derivation;
-    coordination (c CONJ c -> c) only ever raises a length and is left
-    out.  A capped value stands for "more than cap - 1"."""
+    each triple a b -> c lowers minlen[c] to minlen[a] + minlen[b].  need[c]
+    is the fewest classes that surround a c constituent in any S: need[s] =
+    0, and each triple lowers need[a] to need[c] + minlen[b] and need[b] to
+    need[c] + minlen[a], for the least need[c] among its results.  Both are
+    shortest-path fixed points, so each is a lower bound on every actual
+    derivation; coordination (c CONJ c -> c) only ever raises a length and
+    is left out.  A capped value stands for "more than cap - 1"."""
     minlen = dict.fromkeys(codes, cap)
     for a in lexical:
         minlen[a] = 1
     changed = True
     while changed:
         changed = False
-        for a in codes:
-            for r in rotations(a):
-                if minlen[a] < minlen[r]:
-                    minlen[r] = minlen[a]
-                    changed = True
         for a, b, results in triples:
             m = min(minlen[a] + minlen[b], cap)
             for c in results:
@@ -153,11 +148,6 @@ def _length_bounds(
             if outside + minlen[a] < need[b]:
                 need[b] = outside + minlen[a]
                 changed = True
-        for a in codes:
-            for r in rotations(a):
-                if need[r] < need[a]:
-                    need[a] = need[r]
-                    changed = True
     return minlen, need
 
 
@@ -167,11 +157,16 @@ def _language(
     """out[n] = the class tuples of length n that derive S, for n <= max_len,
     with permutation on or off, read from ``category_universe(grammar, True)``.
 
-    The permuting build is exact with permutation off too: every code
-    reachable without a rotation is in it, with the same productive pairs,
-    and a code reachable only through a rotation keeps minlen = cap (every
-    triple that yields one has such a child), so it lowers no reachable
-    code's minlen or need, and it never receives a string.
+    Entries are closed under rotation the way chart cells are: a lexical
+    class enters at every code of its category's ``RuleTable.closure``, and
+    each productive pair yields the closure of its results (its closed
+    results).  The permuting build is exact with permutation off too:
+    there the closure is the identity, so the closed results are the
+    direct ones; every code reachable without a rotation is in the
+    permuting universe, with the same productive pairs, and a code
+    reachable only through a rotation keeps minlen = cap (every triple that
+    yields one has such a child), so it lowers no reachable code's minlen or
+    need, and it never receives a string.
 
     Built bottom-up over category codes: strings[n] maps each code c to the
     class tuples of length n deriving it, but only while n + need[c] <=
@@ -179,11 +174,11 @@ def _language(
     inside an S of length <= max_len.  The pruning is exact: need[c] is a
     lower bound on the classes around any c constituent of an S, so a
     dropped entry is part of no S derivation within max_len; and every
-    child of a kept entry is kept (for a b -> c with children of lengths
-    n1 and n2, need[a] <= need[c] + minlen[b] <= need[c] + n2, so n1 +
-    need[a] <= n + need[c]; a rotation's source and a coordination's
-    conjuncts likewise), so each kept entry holds the same tuples as with
-    no pruning.  Binary steps loop over the universe's productive triples
+    child of a kept entry is kept (for a b -> c with c among the closed
+    results and children of lengths n1 and n2, need[a] <= need[c] +
+    minlen[b] <= need[c] + n2, so n1 + need[a] <= n + need[c]; a
+    coordination's conjuncts likewise), so each kept entry holds the same
+    tuples as with no pruning.  Binary steps loop over the closed triples
     and drop pruned result codes before building a cross-product."""
     cats, table, triples = build
     universe = {table.code(c) for c in cats}
@@ -191,30 +186,29 @@ def _language(
 
     lex_level: dict[int, set[Template]] = defaultdict(set)
     for cls, cat in grammar.lexicon:
-        if cls == "CONJ":
-            continue
-        lex_level[table.code(cat)].add((cls,))
+        if cls != "CONJ":
+            closed = table.closure(table.code(cat), permuting)
+            for c in universe:
+                if closed >> c & 1:
+                    lex_level[c].add((cls,))
 
-    def rotations(a: int) -> tuple[int, ...]:
-        return table.rotations(a) if permuting else ()
+    closed_triples: list[Triple] = []
+    for a, b, results in triples:
+        closed = 0
+        for c in results:
+            closed |= table.closure(c, permuting)
+        closed_triples.append((a, b, tuple(c for c in universe if closed >> c & 1)))
 
-    _minlen, need = _length_bounds(universe, lex_level, triples, rotations, s, max_len + 1)
+    need = _length_bounds(universe, lex_level, closed_triples, s, max_len + 1)[1]
     coordinating = [c for c in universe if table.coordinating >> c & 1]
-
-    def close_level(level: dict[int, set[Template]], budget: int) -> None:
-        for a in list(level):
-            for r in rotations(a):
-                if need[r] <= budget:
-                    level.setdefault(r, set()).update(level[a])
 
     strings: list[dict[int, set[Template]]] = [dict() for _ in range(max_len + 1)]
     strings[1] = {a: strs for a, strs in lex_level.items() if need[a] <= max_len - 1}
-    close_level(strings[1], max_len - 1)
 
     for n in range(2, max_len + 1):
         budget = max_len - n
         partners: dict[int, list[tuple[int, tuple[int, ...]]]] = defaultdict(list)
-        for a, b, results in triples:
+        for a, b, results in closed_triples:
             kept = tuple(c for c in results if need[c] <= budget)
             if kept:
                 partners[a].append((b, kept))
@@ -236,9 +230,7 @@ def _language(
                 a_strs, b_strs = left.get(c), right.get(c)
                 if a_strs and b_strs:
                     level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs)
-        level = dict(level)
-        close_level(level, budget)
-        strings[n] = level
+        strings[n] = dict(level)
 
     return [level.get(s, set()) for level in strings]
 

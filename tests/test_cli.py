@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from alforge.cli import RunConfig, build_arg_parser, load_config_file, main
-from alforge.corpus import DEFAULT_WORDS, load_sentences
+from alforge.corpus import DEFAULT_WORDS, load_sentences, write_jsonl
 from alforge.evaluation import (
     ScoreRecord,
     TypologyTable,
@@ -308,6 +308,30 @@ class TestSubcommands:
         acc = judge_pairs(list(zip(good, bad)))
         assert acc == pytest.approx(2 / 3)
         assert stdout == f"accuracy={acc:.4f} pairs=3\n"
+
+    @pytest.mark.parametrize("argv, record, message", [
+        (["score", "--train", "{bad}", "--input", "{bad}", "--out", "{out}"],
+         {"grammar_id": "0101101", "split": "ShortTrain", "tokens": "ab", "classes": "NP"},
+         "record field 'tokens' is malformed: 'ab'"),
+        (["gen-pairs", "--params", "0101101", "--kind", "case", "--source", "{bad}",
+          "--out", "{out}"],
+         {"grammar_id": "0101101", "split": "ShortTrain", "tokens": ["Kim", "ran"],
+          "classes": ["NP", "VERB"]},
+         "record field 'classes' has unknown classes: ['VERB']"),
+        (["judge", "--good", "{bad}", "--bad", "{bad}"], {},
+         "record has no field 'grammar_id'"),
+        (["judge", "--good", "{bad}", "--bad", "{bad}"],
+         {"grammar_id": "0101101", "tokens": ["Kim"], "logprobs": ["-1.0", "-2.0"]},
+         "record field 'logprobs' is malformed"),
+    ], ids=["score", "gen-pairs", "judge-empty", "judge-logprobs"])
+    def test_malformed_record_fails_before_writing(self, capsys, tmp_path, argv, record, message):
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(bad, [record])
+        code, stdout, err = run(capsys, *(a.format(bad=bad, out=out) for a in argv))
+        assert code == 1
+        assert err.startswith("error: ValueError: ") and message in err, err
+        assert stdout == ""
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or the tests imports a name it
 never uses, each ``derive_seed`` label of the package is written in one
-place, and the command line does not load ``scipy.stats``.
+place, only the parser reads rotation chains, and the command line does not
+load ``scipy.stats``.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -99,6 +100,42 @@ def test_each_seed_label_written_once():
               for label in seed_labels(path.read_text())]
     assert labels
     assert [label for label, n in Counter(labels).items() if n > 1] == []
+
+
+ROTATION_NAMES = {"rotations", "permute_cyclic"}
+
+
+def rotation_references(source: str) -> set[str]:
+    """The names of ``ROTATION_NAMES`` that ``source`` defines, imports or
+    references, as a name or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.alias)):
+            found.add(node.name)
+    return found & ROTATION_NAMES
+
+
+def test_rotation_checker():
+    source = (
+        "from .parser import rotations as r\n"
+        "def permute_cyclic(c): pass\n"
+        "x = table.rotations(a)\n"
+    )
+    assert rotation_references(source) == {"rotations", "permute_cyclic"}
+    assert rotation_references("x = table.closure(a, True)  # rotations\n") == set()
+
+
+def test_only_the_parser_reads_rotation_chains():
+    # Everything else closes codes with ``RuleTable.closure``, the chart's
+    # own step; ``categories.py`` defines the single rotation step.
+    allowed = {"parser.py": ROTATION_NAMES, "categories.py": {"permute_cyclic"}}
+    wrong = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := rotation_references(path.read_text()) - allowed.get(path.name, set()))}
+    assert wrong == {}
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -234,14 +234,23 @@ class TestRuleTable:
     def test_coordinable_codes_are_closed_under_rotation(self):
         """The chart's coordination step, ``both & table.coordinating``,
         keeps a cell closed only if coordinability is constant along every
-        rotation chain."""
+        rotation chain.  Closed cells and closed enumeration entries also
+        need each closure to hold the closures of its members."""
+        rotated = 0  # pairs with r != a, so the check is not vacuous
         for g in enumerate_grammars():
             _cats, table, _triples = category_universe(g, True)
-            for a in range(len(table.cats)):
+            codes = range(len(table.cats))
+            for a in codes:
                 assert all(coordinable(table.cats[r]) == coordinable(table.cats[a])
                            for r in table.rotations(a)), (g.params, table.cats[a])
+                closed = table.closure(a, True)
+                for r in codes:
+                    if closed >> r & 1:
+                        rotated += r != a
+                        assert table.closure(r, True) & ~closed == 0, (g.params, table.cats[r])
             assert table.coordinating == sum(
                 1 << c for c, cat in enumerate(table.cats) if coordinable(cat)), g.params
+        assert rotated
 
     def test_concurrent_interning(self):
         texts = sorted(format_category(c) for c in category_universe(EN, True)[0])

@@ -139,17 +139,15 @@ class TestPruning:
     unpruned reference, whose length-n sets do not depend on it."""
 
     def test_length_bounds(self):
-        # lexical 0, 1; 0 1 -> 2 or 3; 2 rotates to 4; 4 1 -> 5, the root;
-        # 3 leads nowhere.  On the 96 grammars the rotation step of need and
-        # the minimum over a pair's results happen to change no value, so
-        # this is where they are checked.
-        triples = [(0, 1, (2, 3)), (4, 1, (5,))]
-        rots = {2: (4,)}
-        minlen, need = _length_bounds(
-            range(6), {0, 1}, triples, lambda a: rots.get(a, ()), 5, 99
-        )
+        # lexical 0, 1; 0 1 -> 2 or 3, where 2 rotates to 4, so the closed
+        # results are 2, 3, 4; 4 1 -> 5, the root; 2 and 3 lead nowhere (4
+        # gets the strings of 0 1 directly).  On the 96 grammars the minimum
+        # over a pair's results happens to change no value, so this is where
+        # it is checked.
+        triples = [(0, 1, (2, 3, 4)), (4, 1, (5,))]
+        minlen, need = _length_bounds(range(6), {0, 1}, triples, 5, 99)
         assert minlen == {0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 5: 3}
-        assert need == {0: 2, 1: 2, 2: 1, 3: 99, 4: 1, 5: 0}
+        assert need == {0: 2, 1: 2, 2: 99, 3: 99, 4: 1, 5: 0}
 
     def test_all_grammars_every_bound(self):
         for g in enumerate_grammars():
