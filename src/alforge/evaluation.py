@@ -47,7 +47,7 @@ class ScoreRecord:
     def __post_init__(self) -> None:
         if len(self.logprobs) != len(self.tokens) + 1:
             raise ValueError("need one logprob per token plus EOS")
-        if any(lp > 0.0 for lp in self.logprobs):
+        if any(not lp <= 0.0 for lp in self.logprobs):  # NaN too
             raise ValueError("logprobs must be <= 0")
 
     @property

@@ -18,6 +18,27 @@ Every table entry is filled lazily, on first use, so keep one
 The chart has one meaning: the codes derivable over each span.  Derivation
 trees are read back from the filled chart: every tree of the input, or
 ``MAX_DERIVATIONS`` of them when there are more.
+
+Before it fills a chart, ``parse`` rejects inputs whose primitive counts
+cannot add up to S (van Benthem's count invariant).  A category's
+*balance* is the signed count of each primitive in it: +1 for each
+occurrence as a result, -1 for each as an argument, so a primitive is +1 of
+itself and ``a|b`` is balance(a) - balance(b); a category with a variable
+has none.  Application and composition add the balances of their inputs,
+and rotation keeps a category's balance, so every constituent of a
+conjunction-free span has the sum of its tokens' balances.  Hence:
+
+- an input without a conjunction derives S only if its total is balance(S);
+- an input with one conjunction at p derives S only through one
+  coordination ``X CONJ X -> X`` over some [l, r) around p.  The whole
+  input then balances as S plus balance(X), so with T = (total of the
+  other tokens) - balance(S), both conjuncts, a non-empty suffix of
+  ``seq[:p]`` and a non-empty prefix of ``seq[p+1:]``, have balance T.
+
+Any other input (two or more conjunctions, or another token with a
+variable) goes to the chart.  The test rejects only what the chart would,
+so ``parse`` verdicts and trees are those of the chart alone; ``derivable``
+reads the chart unfiltered.
 """
 
 from __future__ import annotations
@@ -25,13 +46,16 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import islice, product
+from itertools import accumulate, islice, product
 
 from .categories import (
+    PRIMITIVE_NAMES,
     Category,
     Functor,
+    Primitive,
     S,
     arity,
+    contains_variable,
     innermost_result,
     is_conjunction,
     permute_cyclic,
@@ -85,6 +109,24 @@ def rotations(c: Category) -> list[Category]:
     return out
 
 
+# A balance packs one signed count per primitive into 16-bit fields of one
+# int, so balances add as ints; no input the toolkit builds comes near 2**15.
+_UNITS = {name: 1 << 16 * i for i, name in enumerate(PRIMITIVE_NAMES)}
+
+
+def balance(c: Category) -> int | None:
+    """The packed signed primitive counts of ``c`` (see the module
+    docstring), or None when ``c`` contains a variable."""
+    if contains_variable(c):
+        return None
+    if isinstance(c, Primitive):
+        return _UNITS[c.name]
+    return balance(c.result) - balance(c.argument)
+
+
+_S_BALANCE = balance(S)
+
+
 @lru_cache(maxsize=1 << 15)
 def _rule_results(x: Category, y: Category) -> tuple[tuple[RuleId, Category], ...]:
     """(rule, result) for every binary rule that applies to x, y, in
@@ -105,8 +147,9 @@ def _bits(mask: int):
 class RuleTable:
     """Interned categories and lazily memoised rule results over their codes.
 
-    ``code`` assigns each distinct category a small int on first sight and
-    sets its bit in ``coordinating`` when it is ``coordinable``; ``find``
+    ``code`` assigns each distinct category a small int on first sight,
+    sets its bit in ``coordinating`` when it is ``coordinable`` and records
+    its ``balance`` in ``balances``; ``find``
     looks one up without assigning.  ``combine`` memoises the
     ``BINARY_RULES`` results per pair of codes (on a miss, from the shared
     ``_rule_results`` memo), ``rotations`` and ``closure`` a code's rotation
@@ -120,6 +163,7 @@ class RuleTable:
     def __init__(self) -> None:
         self.cats: list[Category] = []
         self.coordinating = 0
+        self.balances: list[int | None] = []  # indexed by code
         self._codes: dict[Category, int] = {}
         self._lock = threading.Lock()
         self._pairs: dict[tuple[int, int], tuple[tuple[RuleId, int], ...]] = {}
@@ -135,6 +179,7 @@ class RuleTable:
                 if code is None:
                     code = len(self.cats)
                     self.cats.append(cat)  # before publishing the code
+                    self.balances.append(balance(cat))
                     self.coordinating |= coordinable(cat) << code
                     self._codes[cat] = code
         return code
@@ -238,8 +283,13 @@ class ChartParser:
         self, seq: list[Category] | tuple[Category, ...], *, derivations: bool = False
     ) -> ParseResult:
         """Whether ``seq`` derives S and, with ``derivations``, up to
-        ``MAX_DERIVATIONS`` of its derivation trees."""
-        chart, codes, conjs, permuting = self._fill(tuple(seq))
+        ``MAX_DERIVATIONS`` of its derivation trees.  An input that fails
+        ``_balanced`` is rejected without a chart."""
+        seq = tuple(seq)
+        codes = self._encode(seq)
+        if not self._balanced(seq, codes):
+            return ParseResult(False)
+        chart, conjs, permuting = self._fill(seq, codes)
         s = self.table.code(S)
         result = ParseResult(bool(chart[0][-1] >> s & 1))
         if derivations and result.grammatical:
@@ -249,13 +299,39 @@ class ChartParser:
     def derivable(self, seq: list[Category] | tuple[Category, ...]) -> set[Category]:
         """Categories derivable over the whole sequence."""
         cats = self.table.cats
-        chart = self._fill(tuple(seq))[0]
+        seq = tuple(seq)
+        chart = self._fill(seq, self._encode(seq))[0]
         return {cats[a] for a in _bits(chart[0][-1])}
 
-    def _fill(self, seq: tuple[Category, ...]):
-        """Fill the chart: ``chart[i][j]`` is the mask of the codes derivable
-        over seq[i:j].  Returns the chart with the input's codes, the
-        positions of its conjunction tokens and its permutation mode.
+    def _encode(self, seq: tuple[Category, ...]) -> list[int]:
+        """The codes of the input's tokens."""
+        if not seq:
+            raise ValueError("cannot parse an empty sequence")
+        return [self.table.code(c) for c in seq]
+
+    def _balanced(self, seq: tuple[Category, ...], codes: list[int]) -> bool:
+        """False only when the count invariant of the module docstring
+        proves that ``seq`` derives no S: a conjunction-free input costs one
+        ``sum``, an input with one conjunction two linear scans."""
+        bal = self.table.balances
+        try:
+            return sum(map(bal.__getitem__, codes)) == _S_BALANCE
+        except TypeError:  # a token without a balance
+            pass
+        loose = [i for i, a in enumerate(codes) if bal[a] is None]
+        if len(loose) != 1 or not is_conjunction(seq[loose[0]]):
+            return True
+        p = loose[0]
+        left = [bal[a] for a in reversed(codes[:p])]
+        right = [bal[a] for a in codes[p + 1:]]
+        t = sum(left) + sum(right) - _S_BALANCE
+        return t in accumulate(left) and t in accumulate(right)
+
+    def _fill(self, seq: tuple[Category, ...], codes: list[int]):
+        """Fill the chart over the input and its ``codes``: ``chart[i][j]``
+        is the mask of the codes derivable over seq[i:j].  Returns the chart
+        with the positions of the input's conjunction tokens and its
+        permutation mode.
 
         Coordination adds ``row[p] & chart[p + 1][j] & table.coordinating``,
         closed as a rule result is.  Every cell is closed under rotation
@@ -265,11 +341,8 @@ class ChartParser:
         (only verb functors rotate, a rotation keeps a category ground, and
         case markers never rotate).  A ``join`` miss can intern new codes,
         so ``table.coordinating`` is read at each use."""
-        if not seq:
-            raise ValueError("cannot parse an empty sequence")
         table = self.table
         n = len(seq)
-        codes = [table.code(c) for c in seq]
         permuting = self._permuting(codes)
         conjs: list[int] = []  # positions of conjunction tokens
         chart = [[0] * (n + 1) for _ in range(n + 1)]
@@ -303,7 +376,7 @@ class ChartParser:
                 row[j] = mask
                 if mask:
                     ends[i].append(j)
-        return chart, codes, conjs, permuting
+        return chart, conjs, permuting
 
     def _extract(self, chart, codes, conjs, permuting: bool, root: int) -> list[Derivation]:
         """The derivations of code ``root`` over the whole input, read back

@@ -309,6 +309,20 @@ class TestSubcommands:
         assert acc == pytest.approx(2 / 3)
         assert stdout == f"accuracy={acc:.4f} pairs=3\n"
 
+    @pytest.mark.parametrize("nan_side", ["good", "bad"])
+    def test_judge_rejects_nan_logprob(self, capsys, tmp_path, nan_side):
+        # json reads NaN, and NaN > 0 is false: a corrupt score must fail
+        # the record check, not count as a loss on either side.
+        for side in ("good", "bad"):
+            logprobs = [float("nan") if side == nan_side else -3.0, -1.0]
+            write_jsonl(tmp_path / f"{side}.jsonl",
+                        [{"grammar_id": "0101101", "tokens": ["Kim"], "logprobs": logprobs}])
+        code, stdout, err = run(capsys, "judge", "--good", str(tmp_path / "good.jsonl"),
+                                "--bad", str(tmp_path / "bad.jsonl"))
+        assert code == 1
+        assert err.startswith("error: ValueError: ") and "logprobs must be <= 0" in err, err
+        assert stdout == ""
+
     @pytest.mark.parametrize("argv, record, message", [
         (["score", "--train", "{bad}", "--input", "{bad}", "--out", "{out}"],
          {"grammar_id": "0101101", "split": "ShortTrain", "tokens": "ab", "classes": "NP"},

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from alforge.categories import S
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
 from alforge.templates import enumerate_templates, grammatical_sequences
@@ -109,8 +110,11 @@ def test_one_edit_neighbourhood_verdicts():
     reference is the whole grammatical language only because
     ``tests/test_templates.py::TestPruning`` checks it against
     ``oracle.reference_language``; the near misses here are the inputs on
-    which a parser defect flips a verdict."""
+    which a parser defect flips a verdict.  Most of them fail the balance
+    test that ``parse`` runs before the chart; for those the raw chart
+    (``derivable``) is checked too, so every input still reaches it."""
     swept = 0
+    unbalanced = 0
     wrong = []
     for g in GRAMMARS:
         parser = warm_parser(g.params)
@@ -122,11 +126,18 @@ def test_one_edit_neighbourhood_verdicts():
                 if len(seq) > 1:
                     near.add(seq[:i] + seq[i + 1:])
         for classes in sorted(near):
-            if parser.parse(g.categorize(classes)).grammatical != (classes in lang[len(classes)]):
+            seq = g.categorize(classes)
+            want = classes in lang[len(classes)]
+            if not parser._balanced(seq, parser._encode(seq)):
+                unbalanced += 1
+                if (S in parser.derivable(seq)) != want:
+                    wrong.append((g.params, classes, "chart"))
+            if parser.parse(seq).grammatical != want:
                 wrong.append((g.params, classes))
         swept += len(near)
     assert not wrong, wrong[:5]
     assert swept == 89256
+    assert unbalanced > 0
 
 
 def test_rotated_coordination_derivations():

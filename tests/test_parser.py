@@ -17,6 +17,7 @@ from alforge.parser import (
     ParserPolicy,
     RuleTable,
     _rule_results,
+    balance,
     derivation_check,
     derivation_rules,
     rotations,
@@ -217,6 +218,49 @@ class TestRecognizer:
         assert p.parse(EN.categorize(("NP", "SUBJ", "VT", "NP", "OBJ"))).grammatical
 
 
+class TestBalance:
+    """The count invariant behind ``parse``'s rejection before the chart."""
+
+    def test_rules_keep_balance(self):
+        """Over each grammar's closed category universe, every binary result
+        has the summed balance of its inputs, every rotation its source's
+        balance, and only the conjunction has none."""
+        checked = 0
+        for g in enumerate_grammars():
+            _cats, table, triples = category_universe(g, True)
+            bal = table.balances
+            assert None not in bal, g.params
+            for a, b, outs in triples:
+                assert all(bal[c] == bal[a] + bal[b] for c in outs), (g.params, a, b)
+                checked += 1
+            for a in range(len(table.cats)):
+                closed = table.closure(a, True)
+                assert all(bal[r] == bal[a] for r in range(len(table.cats)) if closed >> r & 1)
+            assert balance(g.category("CONJ")) is None
+            assert bal[table.code(g.category("CONJ"))] is None
+        assert checked > 0
+
+    def test_unbalanced_input_skips_chart(self):
+        """A case-swap twin and a failing one-conjunction insertion are
+        rejected before any join is memoised; a balanced ungrammatical
+        input still fills a chart.  The raw chart agrees with each verdict."""
+        rejected = [
+            ("NP", "OBJ", "VI"),  # twin of NP SUBJ VI
+            ("NP", "SUBJ", "CONJ", "NP", "VI"),  # CONJ NP inserted into NP SUBJ VI
+        ]
+        for classes in rejected:
+            parser = ChartParser(EN.policy)
+            seq = EN.categorize(classes)
+            assert not parser.parse(seq).grammatical
+            assert not parser.table.joins(True) and not parser.table.joins(False), classes
+            assert S not in parser.derivable(seq)
+        parser = ChartParser(EN.policy)
+        balanced = EN.categorize(("VI", "NP", "SUBJ"))
+        assert not parser.parse(balanced).grammatical
+        assert parser.table.joins(True) or parser.table.joins(False)
+        assert parser._balanced(balanced, parser._encode(balanced))
+
+
 class TestRuleTable:
     def test_shared_memo_keeps_code_order(self):
         """Rule results shared between tables leave each table's own codes,
@@ -283,6 +327,8 @@ class TestRuleTable:
                 assert len(table.cats) == len(texts)
                 assert all(format_category(table.cats[code]) == t for t, code in seen[0].items())
                 assert all((table.coordinating >> code & 1) == coordinable(table.cats[code])
+                           for code in seen[0].values())
+                assert all(table.balances[code] == balance(table.cats[code])
                            for code in seen[0].values())
         finally:
             sys.setswitchinterval(interval)
