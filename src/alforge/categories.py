@@ -19,16 +19,11 @@ BACKWARD = "\\"
 
 @dataclass(frozen=True)
 class Restrictions:
-    """Rule-restriction flags carried by a functor's argument position.
-
-    ``no_substitution`` is kept for format fidelity only; there is no
-    substitution combinator.
-    """
+    """Rule-restriction flags carried by a functor's argument position."""
 
     no_composition: bool = False   # ","
     no_permutation: bool = False   # "@"
     no_crossing: bool = False      # "."
-    no_substitution: bool = False  # "_"
 
     def annotation(self) -> str:
         out = ""
@@ -36,22 +31,19 @@ class Restrictions:
             out += "."
         if self.no_composition:
             out += ","
-        if self.no_substitution:
-            out += "_"
         if self.no_permutation:
             out += "@"
         return out
 
     @classmethod
     def from_annotation(cls, text: str) -> "Restrictions":
-        bad = set(text) - set(".,_@")
+        bad = set(text) - set(".,@")
         if bad:
             raise ValueError(f"unknown restriction annotation: {''.join(sorted(bad))}")
         return cls(
             no_composition="," in text,
             no_permutation="@" in text,
             no_crossing="." in text,
-            no_substitution="_" in text,
         )
 
 
@@ -107,12 +99,10 @@ class Primitive(Category):
 class Variable(Category):
     """Category variable; appears lexically only inside the conjunction."""
 
-    name: str = "X"
-
     __hash__ = Category.__hash__
 
     def __post_init__(self) -> None:
-        self._cache(hash((Variable, self.name)), True)
+        self._cache(hash(Variable), True)
 
 
 @dataclass(frozen=True, repr=False)
@@ -201,7 +191,7 @@ def is_conjunction(c: Category) -> bool:
 
 # --- text format ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z_]*|[/\\().,_@]")
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z_]*|[/\\().,@]")
 
 
 def _wrap(c: Category) -> str:
@@ -254,7 +244,7 @@ class _Parser:
         while self.peek() in (FORWARD, BACKWARD):
             slash = self.next()
             ann = ""
-            while self.peek() in (".", ",", "_", "@"):
+            while self.peek() in (".", ",", "@"):
                 ann += self.next()
             arg = self.item()
             cat = Functor(cat, slash, arg, Restrictions.from_annotation(ann))

@@ -89,14 +89,14 @@ class RunConfig:
             raise ValueError("counts must be >= 1")
         if self.ngram_order < 1:
             raise ValueError(f"ngram_order must be >= 1, got {self.ngram_order}")
-        if not self.ngram_k > 0:
-            raise ValueError(f"ngram_k must be > 0, got {self.ngram_k}")
+        if not 0 < self.ngram_k < float("inf"):
+            raise ValueError(f"ngram_k must be > 0 and finite, got {self.ngram_k}")
 
     def scaled(self, factor: float) -> "RunConfig":
-        """The corpus counts in `_SCALED` multiplied by `factor` (> 0); each
-        stays at least 1."""
-        if not factor > 0:
-            raise ValueError(f"scale must be > 0, got {factor}")
+        """The corpus counts in `_SCALED` multiplied by `factor` (> 0 and
+        finite); each stays at least 1."""
+        if not 0 < factor < float("inf"):
+            raise ValueError(f"scale must be > 0 and finite, got {factor}")
         return replace(self, **{name: max(1, round(getattr(self, name) * factor))
                                 for name in _SCALED})
 
@@ -118,7 +118,10 @@ def load_config_file(path: str) -> dict:
             value = value.strip()
             if not sep or key not in _FIELD_TYPES:
                 raise ValueError(f"bad config line {lineno}: {line!r}")
-            values[key] = _FIELD_TYPES[key](value)
+            try:
+                values[key] = _FIELD_TYPES[key](value)
+            except ValueError as exc:
+                raise ValueError(f"bad config line {lineno}: {line!r}: {exc}") from None
     return values
 
 

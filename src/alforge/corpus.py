@@ -67,9 +67,6 @@ class Lexicon:
     def default(cls) -> "Lexicon":
         return cls(dict(DEFAULT_WORDS))
 
-    def vocabulary(self) -> set[str]:
-        return {w for forms in self.words.values() for w in forms}
-
     def restricted(self, allowed: set[str]) -> "Lexicon":
         """Sub-lexicon keeping only ``allowed`` words; errors if a class is
         emptied (then the vocabulary-coverage contract cannot be met)."""
@@ -81,9 +78,6 @@ class Lexicon:
         if empty:
             raise ValueError(f"restriction empties lexicon classes: {empty}")
         return Lexicon(kept)
-
-    def save(self, path) -> None:
-        write_json(path, {k: list(v) for k, v in self.words.items()})
 
     @classmethod
     def load(cls, path) -> "Lexicon":

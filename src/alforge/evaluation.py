@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from scipy.special import stdtr
 
-from .corpus import Sentence, _field, read_jsonl, write_json, write_jsonl
+from .corpus import Sentence, _field, read_jsonl, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
 EOS = "</s>"
@@ -118,9 +118,6 @@ class TypologyTable:
             "base_order_freq": dict(sorted(self.base_order_freq.items())),
             "param_freq": {k: list(v) for k, v in sorted(self.param_freq.items())},
         }
-
-    def save(self, path) -> None:
-        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "TypologyTable":

@@ -37,8 +37,7 @@ conjunction-free span has the sum of its tokens' balances.  Hence:
 
 Any other input (two or more conjunctions, or another token with a
 variable) goes to the chart.  The test rejects only what the chart would,
-so ``parse`` verdicts and trees are those of the chart alone; ``derivable``
-reads the chart unfiltered.
+so ``parse`` verdicts and trees are those of the chart alone.
 """
 
 from __future__ import annotations
@@ -296,13 +295,6 @@ class ChartParser:
             result.derivations = self._extract(chart, codes, conjs, permuting, s)
         return result
 
-    def derivable(self, seq: list[Category] | tuple[Category, ...]) -> set[Category]:
-        """Categories derivable over the whole sequence."""
-        cats = self.table.cats
-        seq = tuple(seq)
-        chart = self._fill(seq, self._encode(seq))[0]
-        return {cats[a] for a in _bits(chart[0][-1])}
-
     def _encode(self, seq: tuple[Category, ...]) -> list[int]:
         """The codes of the input's tokens."""
         if not seq:
@@ -427,13 +419,6 @@ class ChartParser:
             return out[:MAX_DERIVATIONS]
 
         return trees((0, len(codes), root))
-
-
-def derivation_rules(tree: Derivation) -> set[RuleId]:
-    rules = {tree.rule} if tree.rule is not None else set()
-    for child in tree.children:
-        rules |= derivation_rules(child)
-    return rules
 
 
 def _replay(node: Derivation) -> Category | None:

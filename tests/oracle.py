@@ -8,6 +8,9 @@ and every rotation, without a chart or memo table shared across sequences.
 ``oracle_derivations`` enumerates, by the same search, every derivation tree
 rather than every category.
 
+``chart_derivable`` and ``derivation_rules`` are not oracles: they read the
+parser's own chart and trees for tests that check those directly.
+
 ``reference_language`` is the other reference kept here: the bottom-up
 template enumerator as it was before outside-length pruning, which builds
 every (length, category) entry.  It runs on the package's rule table, whose
@@ -220,6 +223,22 @@ def oracle_grammatical(grammar, classes) -> bool:
     else:
         permuting = True
     return S in oracle_derivable(seq, permuting)
+
+
+def chart_derivable(parser, seq) -> set[Category]:
+    """The categories of the whole-input cell of ``parser``'s chart over
+    ``seq``, filled without the balance test that ``parse`` runs first."""
+    seq = tuple(seq)
+    cell = parser._fill(seq, parser._encode(seq))[0][0][-1]
+    return {c for code, c in enumerate(parser.table.cats) if cell >> code & 1}
+
+
+def derivation_rules(tree) -> set[RuleId]:
+    """Every rule that a derivation tree applies."""
+    rules = {tree.rule} - {None}
+    for child in tree.children:
+        rules |= derivation_rules(child)
+    return rules
 
 
 def as_tuple(tree) -> tuple:

@@ -41,7 +41,6 @@ restrictions = st.builds(
     no_composition=st.booleans(),
     no_permutation=st.booleans(),
     no_crossing=st.booleans(),
-    no_substitution=st.booleans(),
 )
 
 
@@ -75,7 +74,7 @@ class TestFormatting:
         assert parse_category(format_category(cat)) == cat
 
     def test_malformed_inputs(self):
-        for text in ("", "S/", "(S\\NP", "S//NP"):
+        for text in ("", "S/", "(S\\NP", "S//NP", "NP/_NP"):
             with pytest.raises(ValueError):
                 parse_category(text)
 
@@ -115,7 +114,7 @@ class TestPermutation:
 
 class TestUnification:
     def test_contains_variable(self):
-        assert contains_variable(Functor(Variable("X"), FORWARD, NP))
+        assert contains_variable(Functor(Variable(), FORWARD, NP))
         assert not contains_variable(Functor(S, FORWARD, NP))
 
 

@@ -47,7 +47,7 @@ class TestConfig:
     def test_scaled_floor_is_one(self):
         assert RunConfig(pair_n=3).scaled(0.01).pair_n == 1
 
-    @pytest.mark.parametrize("factor", [0, -2, float("nan")])
+    @pytest.mark.parametrize("factor", [0, -2, float("nan"), float("inf")])
     def test_scale_must_be_positive(self, factor):
         with pytest.raises(ValueError, match="scale must be > 0"):
             RunConfig().scaled(factor)
@@ -58,6 +58,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [
         {"ngram_order": 0}, {"ngram_k": 0.0}, {"ngram_k": -0.1}, {"ngram_k": float("nan")},
+        {"ngram_k": float("inf")},
     ])
     def test_ngram_settings_rejected(self, bad):
         with pytest.raises(ValueError, match="ngram_"):
@@ -74,6 +75,12 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("nonsense = 1\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_config_file(path)
+
+    def test_config_file_bad_value(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# comment\ntrain_per_length = x\n")
+        with pytest.raises(ValueError, match="bad config line 2: 'train_per_length = x'"):
             load_config_file(path)
 
     def test_config_file_threads_rejected(self, tmp_path):

@@ -150,7 +150,7 @@ class TestCoordination:
         assert coordinate(marker, CONJ, marker) is None
 
     def test_rejects_non_ground(self):
-        v = Variable("X")
+        v = Variable()
         assert coordinate(v, CONJ, v) is None
 
 

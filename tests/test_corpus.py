@@ -18,6 +18,7 @@ from alforge.corpus import (
     sample_split,
     save_sentences,
     targeted_skeleton,
+    write_json,
 )
 from alforge.grammars import enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
@@ -30,7 +31,8 @@ LEX = Lexicon.default()
 
 class TestLexicon:
     def test_default_valid(self):
-        assert LEX.vocabulary() >= {"Kim", "ga", "o", "and", "that"}
+        assert {w for forms in LEX.words.values() for w in forms} >= {
+            "Kim", "ga", "o", "and", "that"}
 
     def test_duplicate_word_rejected(self):
         words = dict(DEFAULT_WORDS)
@@ -53,13 +55,13 @@ class TestLexicon:
     def test_restricted(self):
         allowed = {forms[0] for forms in DEFAULT_WORDS.values()}
         small = LEX.restricted(allowed)
-        assert small.vocabulary() == allowed
+        assert {w for forms in small.words.values() for w in forms} == allowed
         with pytest.raises(ValueError):
             LEX.restricted(allowed - {"ga"})
 
     def test_save_load(self, tmp_path):
         path = tmp_path / "lex.json"
-        LEX.save(path)
+        write_json(path, LEX.words)
         assert Lexicon.load(path).words == LEX.words
 
     def test_load_rejects_non_list_class(self, tmp_path):

@@ -15,12 +15,18 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from alforge.categories import S
+from alforge.categories import S, contains_variable
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
 from alforge.templates import enumerate_templates, grammatical_sequences
 
-from oracle import as_tuple, oracle_derivable, oracle_derivations, oracle_grammatical
+from oracle import (
+    as_tuple,
+    chart_derivable,
+    oracle_derivable,
+    oracle_derivations,
+    oracle_grammatical,
+)
 
 POOL = Path(__file__).parent.parent / "perfbench" / "refs" / "parse_mix_pool.jsonl"
 
@@ -62,7 +68,8 @@ def test_parser_matches_oracle(case):
     fresh = ChartParser(g.policy)
 
     assert warm.parse(seq).grammatical == want
-    assert warm.derivable(seq) == fresh.derivable(seq) == oracle_derivable(seq, permuting)
+    assert (chart_derivable(warm, seq) == chart_derivable(fresh, seq)
+            == oracle_derivable(seq, permuting))
 
     result = fresh.parse(seq, derivations=True)
     assert result.grammatical == want
@@ -112,7 +119,7 @@ def test_one_edit_neighbourhood_verdicts():
     ``oracle.reference_language``; the near misses here are the inputs on
     which a parser defect flips a verdict.  Most of them fail the balance
     test that ``parse`` runs before the chart; for those the raw chart
-    (``derivable``) is checked too, so every input still reaches it."""
+    (``chart_derivable``) is checked too, so every input still reaches it."""
     swept = 0
     unbalanced = 0
     wrong = []
@@ -130,7 +137,7 @@ def test_one_edit_neighbourhood_verdicts():
             want = classes in lang[len(classes)]
             if not parser._balanced(seq, parser._encode(seq)):
                 unbalanced += 1
-                if (S in parser.derivable(seq)) != want:
+                if (S in chart_derivable(parser, seq)) != want:
                     wrong.append((g.params, classes, "chart"))
             if parser.parse(seq).grammatical != want:
                 wrong.append((g.params, classes))
@@ -148,6 +155,19 @@ def test_rotated_coordination_derivations():
     derivations = ChartParser(g.policy).parse(seq, derivations=True).derivations
     assert len(derivations) == 2
     assert_oracle_derivations(seq, True, derivations)
+
+
+def test_coordination_mutant_is_caught(monkeypatch):
+    """Mutant check of coordination by construction: a ``coordinable`` that
+    also lets case markers coordinate makes the chart accept a sentence the
+    oracle rejects, so the comparison above would fail on it."""
+    g = grammar_by_id("0101101")
+    classes = "NP SUBJ CONJ SUBJ VI".split()
+    seq = g.categorize(classes)
+    assert not oracle_grammatical(g, classes)
+    assert not ChartParser(g.policy).parse(seq).grammatical
+    monkeypatch.setattr("alforge.parser.coordinable", lambda c: not contains_variable(c))
+    assert ChartParser(g.policy).parse(seq).grammatical
 
 
 def test_parse_pool_labels():

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
-from alforge.corpus import Sentence
+from alforge.corpus import Sentence, write_json
 from alforge.evaluation import (
     EOS,
     ScoreRecord,
@@ -150,7 +150,7 @@ class TestTypologyTable:
     def test_round_trip_and_hash(self, tmp_path):
         table = TypologyTable.default()
         path = tmp_path / "typology.json"
-        table.save(path)
+        write_json(path, table.to_json())
         loaded = TypologyTable.load(path)
         assert loaded == table
         assert loaded.provenance_hash() == table.provenance_hash()

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or the tests imports a name it
-never uses, each ``derive_seed`` label of the package is written in one
+never uses, every function and class of the package has a caller outside
+the tests, each ``derive_seed`` label of the package is written in one
 place, only the parser reads rotation chains, and the command line does not
 load ``scipy.stats``.
 
@@ -73,6 +74,67 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _references(tree: ast.AST):
+    """Every name ``tree`` refers to: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) for every function and class under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def unreferenced(defining: dict[str, str], referring: list[str]) -> list[str]:
+    """The functions and classes of the ``defining`` sources (module name ->
+    source) that no ``referring`` source, the defining ones among them,
+    names outside the definition's own body, as ``module:qualified.name``.
+    Names are matched by name alone, whatever object they reach; dunders are
+    exempt."""
+    count = Counter(name for source in referring for name in _references(ast.parse(source)))
+    out = []
+    for module, source in defining.items():
+        for qualname, node in _definitions(ast.parse(source)):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if count[name] == sum(ref == name for ref in _references(node)):
+                out.append(f"{module}:{qualname}")
+    return out
+
+
+def test_unreferenced_checker():
+    lib = (
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): return self.used()\n"
+        "    def spare(self): pass\n"
+        "def rec(n): return rec(n - 1)\n"
+        "def helper(): pass\n"
+        "def caller(): return helper()\n"
+    )
+    user = "from lib import A\nA().used()\n"
+    assert unreferenced({"lib": lib}, [lib, user]) == ["lib:A.spare", "lib:rec", "lib:caller"]
+
+
+def test_every_definition_has_a_caller():
+    # Library code that only tests reach is dead weight: ``perfbench/``
+    # counts as a caller, ``tests/`` does not.
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced(package, [*package.values(), *bench]) == []
+
+
 def seed_labels(source: str) -> list[str]:
     """The label expressions (every argument after the master seed and the
     grammar id) of the ``derive_seed`` calls in ``source``, as source text."""
@@ -108,15 +170,9 @@ ROTATION_NAMES = {"rotations", "permute_cyclic"}
 def rotation_references(source: str) -> set[str]:
     """The names of ``ROTATION_NAMES`` that ``source`` defines, imports or
     references, as a name or as an attribute."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.FunctionDef, ast.alias)):
-            found.add(node.name)
-    return found & ROTATION_NAMES
+    tree = ast.parse(source)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    return (set(_references(tree)) | defined) & ROTATION_NAMES
 
 
 def test_rotation_checker():

@@ -19,12 +19,11 @@ from alforge.parser import (
     _rule_results,
     balance,
     derivation_check,
-    derivation_rules,
     rotations,
 )
 from alforge.templates import category_universe, enumerate_templates
 
-from oracle import oracle_derivations
+from oracle import chart_derivable, derivation_rules, oracle_derivations
 
 EN = grammar_by_id("0101101")
 
@@ -66,7 +65,7 @@ class TestFixtures:
             NP,
             parse_category("(S\\NP)/NP"),
         ]
-        cats = ChartParser().derivable(seq)
+        cats = chart_derivable(ChartParser(), seq)
         assert NP in cats
         assert S not in cats
 
@@ -253,7 +252,7 @@ class TestBalance:
             seq = EN.categorize(classes)
             assert not parser.parse(seq).grammatical
             assert not parser.table.joins(True) and not parser.table.joins(False), classes
-            assert S not in parser.derivable(seq)
+            assert S not in chart_derivable(parser, seq)
         parser = ChartParser(EN.policy)
         balanced = EN.categorize(("VI", "NP", "SUBJ"))
         assert not parser.parse(balanced).grammatical
