@@ -93,12 +93,15 @@ class RunConfig:
             raise ValueError(f"ngram_k must be > 0 and finite, got {self.ngram_k}")
 
     def scaled(self, factor: float) -> "RunConfig":
-        """The corpus counts in `_SCALED` multiplied by `factor` (> 0 and
-        finite); each stays at least 1."""
-        if not 0 < factor < float("inf"):
-            raise ValueError(f"scale must be > 0 and finite, got {factor}")
-        return replace(self, **{name: max(1, round(getattr(self, name) * factor))
-                                for name in _SCALED})
+        """The corpus counts in `_SCALED` multiplied by `factor` (> 0, with
+        every product a finite float); each stays at least 1."""
+        if 0 < factor < float("inf"):
+            try:
+                return replace(self, **{name: max(1, round(getattr(self, name) * factor))
+                                        for name in _SCALED})
+            except OverflowError:  # a product past the float range
+                pass
+        raise ValueError(f"scale must be > 0 and keep every count finite, got {factor}")
 
 
 _SCALED = ("train_per_length", "test_per_length", "long_per_length", "targeted_n", "pair_n")
@@ -184,11 +187,9 @@ def build_dataset(
     """Short/Medium/Long splits for one grammar, by split name."""
     seed = cfg.master_seed
     templates = enumerate_templates(g, MEDIUM_BAND[1])
-    short_t = [t for t in templates if len(t) <= SHORT_BAND[1]]
-    medium_t = [t for t in templates if MEDIUM_BAND[0] <= len(t) <= MEDIUM_BAND[1]]
 
     train = sample_split(
-        g, short_t, lex, cfg.train_per_length, SHORT_BAND,
+        g, templates, lex, cfg.train_per_length, SHORT_BAND,
         derive_seed(seed, g.params, "train"), "ShortTrain",
     )
     train_vocab = {w for s in train for w in s.tokens}
@@ -197,11 +198,11 @@ def build_dataset(
 
     splits = {"ShortTrain": train}
     splits["ShortTest"] = sample_split(
-        g, short_t, test_lex, cfg.test_per_length, SHORT_BAND,
+        g, templates, test_lex, cfg.test_per_length, SHORT_BAND,
         derive_seed(seed, g.params, "short-test"), "ShortTest", avoid=avoid,
     )
     splits["MediumTest"] = sample_split(
-        g, medium_t, test_lex, cfg.test_per_length, MEDIUM_BAND,
+        g, templates, test_lex, cfg.test_per_length, MEDIUM_BAND,
         derive_seed(seed, g.params, "medium-test"), "MediumTest", avoid=avoid,
     )
     long_t = long_templates(g, cfg, templates, parser)

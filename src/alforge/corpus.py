@@ -21,6 +21,8 @@ from .templates import Template
 SHORT_BAND = (3, 8)
 MEDIUM_BAND = (9, 10)
 LONG_BAND = (11, 20)
+DRAWS_PER_SENTENCE = 1000  # sample_split, gen_targeted: draws per wanted sentence
+PAIR_RETRIES = 100  # gen_minimal_pairs: draws per pair before it gives up
 
 DEFAULT_WORDS: dict[str, tuple[str, ...]] = {
     "NP": (
@@ -189,8 +191,23 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def _fill(template: Template, lexicon: Lexicon, rng: random.Random) -> tuple[str, ...]:
-    return tuple(rng.choice(lexicon.words[cls]) for cls in template)
+def _fill(template: Template, lexicon: Lexicon, rng: random.Random):
+    """``(template, tokens)``: one uniform word of each slot's class."""
+    return template, tuple(rng.choice(lexicon.words[cls]) for cls in template)
+
+
+def _unique_draws(draw, n: int, taken: set, what: str) -> list:
+    """``n`` >= 1 ``(template, tokens)`` results of ``draw()`` whose tokens are
+    not in ``taken``, which gains them; at most ``n * DRAWS_PER_SENTENCE`` draws."""
+    out = []
+    for _ in range(n * DRAWS_PER_SENTENCE):
+        template, tokens = draw()
+        if tokens not in taken:
+            taken.add(tokens)
+            out.append((template, tokens))
+            if len(out) == n:
+                return out
+    raise ValueError(f"insufficient unique {what} (found {len(out)} of {n})")
 
 
 def sample_split(
@@ -208,19 +225,18 @@ def sample_split(
 
     Before any draw, each length's capacity (the distinct sentences its
     templates can produce, less those in ``avoid``) is checked against the
-    count, so an impossible request fails at once."""
+    count, so an impossible request fails at once; a length that still finds
+    too few fails after ``per_length_count * DRAWS_PER_SENTENCE`` draws."""
     if per_length_count == 0:
         return []
     lo, hi = band
     by_length: dict[int, list[Template]] = {}
-    for t in templates:
-        by_length.setdefault(len(t), []).append(tuple(t))
-    for n in by_length:
-        by_length[n].sort()
-    avoid = set(avoid or ())
+    for t in sorted(tuple(t) for t in templates if lo <= len(t) <= hi):
+        by_length.setdefault(len(t), []).append(t)
+    taken = set(avoid or ())
     # each word has one class, so an avoided sentence's template is known
     word_class = {w: cls for cls, forms in lexicon.words.items() for w in forms}
-    avoided = Counter(tuple(word_class.get(w) for w in s) for s in avoid)
+    avoided = Counter(tuple(word_class.get(w) for w in s) for s in taken)
     for n in range(lo, hi + 1):
         pool = set(by_length.get(n, ()))
         if not pool:
@@ -232,27 +248,12 @@ def sample_split(
                 f"length {n} has {capacity} distinct sentences to draw from, "
                 f"{per_length_count} requested")
     rng = random.Random(seed)
-    used: set[tuple[str, ...]] = set()
     out: list[Sentence] = []
     for n in range(lo, hi + 1):
         pool = by_length[n]
-        got = 0
-        attempts = 0
-        limit = per_length_count * 1000
-        while got < per_length_count:
-            attempts += 1
-            if attempts > limit:
-                raise ValueError(
-                    f"insufficient unique sentences for length {n} "
-                    f"(found {got} of {per_length_count})"
-                )
-            template = rng.choice(pool)
-            tokens = _fill(template, lexicon, rng)
-            if tokens in used or tokens in avoid:
-                continue
-            used.add(tokens)
-            out.append(Sentence(tokens, template, grammar.params, split))
-            got += 1
+        drawn = _unique_draws(lambda: _fill(rng.choice(pool), lexicon, rng),
+                              per_length_count, taken, f"sentences for length {n}")
+        out.extend(Sentence(tokens, t, grammar.params, split) for t, tokens in drawn)
     return out
 
 
@@ -331,25 +332,13 @@ def gen_targeted(
             f"the {kind} skeleton has {capacity} distinct sentences to draw from, "
             f"{n} requested")
     rng = random.Random(seed)
-    used: set[tuple[str, ...]] = set()
-    out: list[Sentence] = []
-    attempts = 0
-    while len(out) < n:
-        attempts += 1
-        if attempts > n * 1000:
-            raise ValueError(f"insufficient unique {kind} sentences (got {len(out)})")
-        tokens = _fill(skeleton, lexicon, rng)
-        if tokens in used:
-            continue
-        used.add(tokens)
-        out.append(Sentence(tokens, skeleton, grammar.params, kind))
-    return out
+    drawn = _unique_draws(lambda: _fill(skeleton, lexicon, rng), n, set(), f"{kind} sentences")
+    return [Sentence(tokens, skeleton, grammar.params, kind) for _, tokens in drawn]
 
 
 # --- minimal pairs ----------------------------------------------------------
 
 PAIR_KINDS = ("CaseType", "VerbType")
-PAIR_RETRIES = 100  # gen_minimal_pairs: draws per pair before it gives up
 
 
 def _case_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
@@ -404,17 +393,14 @@ def gen_minimal_pairs(
     foreign = sorted({s.grammar_id for s in source} - {grammar.params, *grammar.aliases})
     if foreign:
         raise ValueError(f"source sentences of grammar {foreign[0]}, not {grammar.params}")
+    twin_of = _case_twin if kind == "CaseType" else _verb_twin
     rng = random.Random(seed)
     out: list[tuple[Sentence, Sentence]] = []
     seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
     for _ in range(n):
         for _retry in range(PAIR_RETRIES):
             src = rng.choice(source)
-            twin = (
-                _case_twin(src, lexicon, rng)
-                if kind == "CaseType"
-                else _verb_twin(src, lexicon, rng)
-            )
+            twin = twin_of(src, lexicon, rng)
             if twin is None:
                 continue
             bad_tokens, bad_classes = twin

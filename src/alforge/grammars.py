@@ -9,7 +9,7 @@ distinct languages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .categories import (
@@ -158,19 +158,13 @@ def _signature(g: Grammar):
 def enumerate_grammars() -> tuple[Grammar, ...]:
     """All distinct grammars (exactly 96), canonical id per equivalence
     group, lexicographically smallest vector first."""
-    groups: dict[object, list[str]] = {}
+    groups: dict[object, list[Grammar]] = {}
     for i in range(128):
-        params = format(i, "07b")
-        sig = _signature(build_grammar(params))
-        groups.setdefault(sig, []).append(params)
-    grammars = []
-    for members in groups.values():
-        canonical = min(members)
-        g = build_grammar(canonical)
-        aliases = tuple(p for p in sorted(members) if p != canonical)
-        grammars.append(
-            Grammar(g.params, g.base_order, g.lexicon, g.policy, aliases=aliases)
-        )
+        g = build_grammar(format(i, "07b"))
+        groups.setdefault(_signature(g), []).append(g)
+    # groups fill in ascending vector order: the first member is canonical
+    grammars = [replace(first, aliases=tuple(g.params for g in rest))
+                for first, *rest in groups.values()]
     grammars.sort(key=lambda g: g.params)
     if len(grammars) != 96:
         raise RuntimeError(f"expected 96 distinct grammars, got {len(grammars)}")

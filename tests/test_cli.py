@@ -47,10 +47,16 @@ class TestConfig:
     def test_scaled_floor_is_one(self):
         assert RunConfig(pair_n=3).scaled(0.01).pair_n == 1
 
-    @pytest.mark.parametrize("factor", [0, -2, float("nan"), float("inf")])
+    # 1e306 is finite, but 1000 * 1e306 is not
+    @pytest.mark.parametrize("factor", [0, -2, float("nan"), float("inf"), 1e306])
     def test_scale_must_be_positive(self, factor):
-        with pytest.raises(ValueError, match="scale must be > 0"):
+        named = re.escape(str(factor))
+        with pytest.raises(ValueError, match=f"scale must be > 0.*, got {named}$"):
             RunConfig().scaled(factor)
+
+    def test_scaled_count_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="keep every count finite, got 0.1$"):
+            RunConfig(train_per_length=10**400).scaled(0.1)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

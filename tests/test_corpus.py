@@ -140,7 +140,8 @@ class TestSampling:
 
     def test_rejection_limit(self):
         """Past the capacity check, a length still fails after
-        ``per_length_count * 1000`` draws: 1 of 40,000 sentences is left."""
+        ``per_length_count * DRAWS_PER_SENTENCE`` draws: 1 of 40,000
+        sentences is left."""
         words = dict(DEFAULT_WORDS, NP=tuple(f"np{i}" for i in range(200)))
         avoid = {(a, b) for a in words["NP"] for b in words["NP"]}
         avoid.discard(("np0", "np0"))

@@ -11,11 +11,13 @@ beyond the oracle's reach.
 
 import json
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from alforge.categories import S, contains_variable
+from alforge import parser as parser_module
+from alforge.categories import S, contains_variable, is_conjunction
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
 from alforge.templates import enumerate_templates, grammatical_sequences
@@ -168,6 +170,35 @@ def test_coordination_mutant_is_caught(monkeypatch):
     assert not ChartParser(g.policy).parse(seq).grammatical
     monkeypatch.setattr("alforge.parser.coordinable", lambda c: not contains_variable(c))
     assert ChartParser(g.policy).parse(seq).grammatical
+
+
+def test_balance_mutant_is_caught(monkeypatch):
+    """Mutant check of the balance test: a one-conjunction scan that reads
+    prefixes of the left part where the conjunct is a suffix of it rejects a
+    sentence the oracle and the chart accept, so the sweeps would fail on it."""
+    g = grammar_by_id("0000000")
+    classes = "NP SUBJ VI CONJ VI".split()
+    seq = g.categorize(classes)
+    assert oracle_grammatical(g, classes)
+    assert ChartParser(g.policy).parse(seq).grammatical
+
+    def balanced_by_prefixes(self, seq, codes):
+        bal = self.table.balances
+        try:
+            return sum(map(bal.__getitem__, codes)) == parser_module._S_BALANCE
+        except TypeError:
+            pass
+        loose = [i for i, a in enumerate(codes) if bal[a] is None]
+        if len(loose) != 1 or not is_conjunction(seq[loose[0]]):
+            return True
+        p = loose[0]
+        left = [bal[a] for a in codes[:p]]  # the mutation: reversed() dropped
+        right = [bal[a] for a in codes[p + 1:]]
+        t = sum(left) + sum(right) - parser_module._S_BALANCE
+        return t in accumulate(left) and t in accumulate(right)
+
+    monkeypatch.setattr(ChartParser, "_balanced", balanced_by_prefixes)
+    assert not ChartParser(g.policy).parse(seq).grammatical
 
 
 def test_parse_pool_labels():

@@ -161,6 +161,21 @@ class TestPruning:
         g = grammar_by_id(gid)
         assert grammatical_sequences(g, 11) == reference_grammatical_sequences(g, 11)
 
+    def test_need_mutant_is_caught(self, monkeypatch):
+        """Mutant check of the pruning: a ``need`` one class too large on
+        every code but the root prunes sentences away, so the comparison with
+        the reference above would fail on it."""
+        ref = reference_grammatical_sequences(EN, 6)
+        assert grammatical_sequences(EN, 6) == ref
+        real = templates_module._length_bounds
+
+        def need_plus_one(*args):
+            minlen, need = real(*args)
+            return minlen, {c: v + 1 if v else 0 for c, v in need.items()}
+
+        monkeypatch.setattr(templates_module, "_length_bounds", need_plus_one)
+        assert grammatical_sequences(EN, 6) != ref
+
 
 class TestAugmentation:
     def test_sampled_extension(self):
