@@ -159,11 +159,16 @@ def write_json(path, data) -> None:
         fh.write("\n")
 
 
+# ``json.dumps(record, sort_keys=True)`` builds a new encoder on every call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(path, records) -> None:
-    """One JSON object a line, keys sorted."""
+    """One JSON object a line, keys sorted: each line is
+    ``json.dumps(record, sort_keys=True)``."""
     with open(path, "w") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_encode(record) + "\n")
 
 
 def read_jsonl(path) -> list:
@@ -191,9 +196,10 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def _fill(template: Template, lexicon: Lexicon, rng: random.Random):
-    """``(template, tokens)``: one uniform word of each slot's class."""
-    return template, tuple(rng.choice(lexicon.words[cls]) for cls in template)
+def _fill(template: Template, words: dict[str, tuple[str, ...]], choice):
+    """``(template, tokens)``: left to right, one ``choice`` among the words
+    of each slot's class, from a lexicon's ``words``."""
+    return template, tuple([choice(words[cls]) for cls in template])
 
 
 def _unique_draws(draw, n: int, taken: set, what: str) -> list:
@@ -221,37 +227,51 @@ def sample_split(
     avoid: set[tuple[str, ...]] | None = None,
 ) -> list[Sentence]:
     """Exactly ``per_length_count`` unique sentences for every length in the
-    band; templates uniform within a length, lexical slots uniform.
+    band; the distinct templates are uniform within a length, lexical slots
+    uniform.
 
     Before any draw, each length's capacity (the distinct sentences its
     templates can produce, less those in ``avoid``) is checked against the
     count, so an impossible request fails at once; a length that still finds
-    too few fails after ``per_length_count * DRAWS_PER_SENTENCE`` draws."""
+    too few fails after ``per_length_count * DRAWS_PER_SENTENCE`` draws.  An
+    avoided sentence lowers the capacity by at most one, so the check stops
+    summing template sizes once they reach the count plus ``len(avoid)``,
+    and counts the avoided sentences of a length only when they do not."""
     if per_length_count == 0:
         return []
     lo, hi = band
     by_length: dict[int, list[Template]] = {}
-    for t in sorted(tuple(t) for t in templates if lo <= len(t) <= hi):
+    for t in dict.fromkeys(sorted(tuple(t) for t in templates if lo <= len(t) <= hi)):
         by_length.setdefault(len(t), []).append(t)
     taken = set(avoid or ())
-    # each word has one class, so an avoided sentence's template is known
-    word_class = {w: cls for cls, forms in lexicon.words.items() for w in forms}
-    avoided = Counter(tuple(word_class.get(w) for w in s) for s in taken)
+    size = {cls: len(forms) for cls, forms in lexicon.words.items()}
+    bound = per_length_count + len(taken)
+    avoided = None
     for n in range(lo, hi + 1):
-        pool = set(by_length.get(n, ()))
+        pool = by_length.get(n)
         if not pool:
             raise ValueError(f"no templates available for length {n}")
-        capacity = sum(
-            math.prod(len(lexicon.words[c]) for c in t) - avoided[t] for t in pool)
-        if capacity < per_length_count:
-            raise ValueError(
-                f"length {n} has {capacity} distinct sentences to draw from, "
-                f"{per_length_count} requested")
-    rng = random.Random(seed)
+        total = 0
+        for t in pool:
+            total += math.prod(size[c] for c in t)
+            if total >= bound:
+                break
+        else:
+            if avoided is None:
+                # each word has one class, so an avoided sentence's template is known
+                word_class = {w: cls for cls, forms in lexicon.words.items() for w in forms}
+                avoided = Counter(tuple(word_class.get(w) for w in s) for s in taken)
+            capacity = total - sum(avoided[t] for t in pool)
+            if capacity < per_length_count:
+                raise ValueError(
+                    f"length {n} has {capacity} distinct sentences to draw from, "
+                    f"{per_length_count} requested")
+    choice = random.Random(seed).choice
+    words = lexicon.words
     out: list[Sentence] = []
     for n in range(lo, hi + 1):
         pool = by_length[n]
-        drawn = _unique_draws(lambda: _fill(rng.choice(pool), lexicon, rng),
+        drawn = _unique_draws(lambda: _fill(choice(pool), words, choice),
                               per_length_count, taken, f"sentences for length {n}")
         out.extend(Sentence(tokens, t, grammar.params, split) for t, tokens in drawn)
     return out
@@ -331,8 +351,9 @@ def gen_targeted(
         raise ValueError(
             f"the {kind} skeleton has {capacity} distinct sentences to draw from, "
             f"{n} requested")
-    rng = random.Random(seed)
-    drawn = _unique_draws(lambda: _fill(skeleton, lexicon, rng), n, set(), f"{kind} sentences")
+    choice = random.Random(seed).choice
+    drawn = _unique_draws(lambda: _fill(skeleton, lexicon.words, choice),
+                          n, set(), f"{kind} sentences")
     return [Sentence(tokens, skeleton, grammar.params, kind) for _, tokens in drawn]
 
 

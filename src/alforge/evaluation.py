@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from scipy.special import stdtr
@@ -254,20 +254,19 @@ def ngram_train(train, order: int, k: float = 1.0) -> NgramModel:
         raise ValueError("smoothing constant must be > 0")
     vocab = sorted({w for s in train for w in s.tokens} | {EOS})
     model = NgramModel(order, k, tuple(vocab))
-    counts: dict[tuple[str, ...], dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    totals: dict[tuple[str, ...], int] = defaultdict(int)
+    grams: Counter[tuple[str, ...]] = Counter()  # full order-n grams, context + word
     for s in train:
         padded = (BOS,) * (order - 1) + tuple(s.tokens) + (EOS,)
-        words = padded[order - 1:]
-        for i, w in enumerate(words):
-            full = padded[i: i + order - 1] if order > 1 else ()
-            # Count every context suffix so backoff distributions are proper.
-            for back in range(len(full) + 1):
-                ctx = full[back:]
-                counts[ctx][w] += 1
-                totals[ctx] += 1
-    model.counts = {k_: dict(v) for k_, v in counts.items()}
-    model.context_totals = dict(totals)
+        grams.update(zip(*(padded[i:] for i in range(order))))
+    # Count every context suffix so backoff distributions are proper.
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    for gram, c in grams.items():
+        w = gram[-1]
+        for back in range(order):
+            row = counts.setdefault(gram[back:-1], {})
+            row[w] = row.get(w, 0) + c
+    model.counts = counts
+    model.context_totals = {ctx: sum(row.values()) for ctx, row in counts.items()}
     return model
 
 

@@ -30,12 +30,14 @@ from .parser import ChartParser, RuleTable
 
 Template = tuple[str, ...]
 
-_MARKERS = ("SUBJ", "OBJ")
 LONG_ATTEMPTS_FACTOR = 2000  # sample_long_templates: draws per wanted template
 
 
 def heuristic_filter(classes) -> bool:
-    """True iff the template survives the eight filtering heuristics.
+    """True iff the template survives the eight filtering heuristics: at
+    least 3 classes; no CONJ first or last; no case marker first; no more
+    case markers than NPs; no COMP without a VCOMP; no CONJ CONJ and no
+    PREP PREP.
 
     The filter runs after the parse check and prunes grammatical sequences
     by design: over the 96 grammars it drops 7,744 of the 118,424
@@ -43,21 +45,16 @@ def heuristic_filter(classes) -> bool:
     VI`` under 0000000) and none of length <= 5, which is why the
     heuristic-soundness acceptance criterion stops at length 5."""
     t = tuple(classes)
-    if len(t) < 3:
+    # the C-level tests first, the pair scan last
+    if len(t) < 3 or t[0] in ("CONJ", "SUBJ", "OBJ") or t[-1] == "CONJ":
         return False
-    if t[0] == "CONJ" or t[-1] == "CONJ":
-        return False
-    for a, b in zip(t, t[1:]):
-        if a == b == "CONJ":
-            return False
-        if a == b == "PREP":
-            return False
-    if t[0] in _MARKERS:
-        return False
-    if sum(t.count(m) for m in _MARKERS) > t.count("NP"):
+    if t.count("SUBJ") + t.count("OBJ") > t.count("NP"):
         return False
     if "COMP" in t and "VCOMP" not in t:
         return False
+    for a, b in zip(t, t[1:]):  # no CONJ CONJ, no PREP PREP
+        if a == b and (a == "CONJ" or a == "PREP"):
+            return False
     return True
 
 
@@ -315,9 +312,16 @@ def sample_long_templates(
     if not templates:
         raise ValueError("no source templates to extend")
     by_len: dict[int, list[Template]] = {}
-    for t in sorted(set(templates)):
+    for t in dict.fromkeys(sorted(templates)):  # sorted and distinct
         by_len.setdefault(len(t), []).append(t)
+    # the (len t1, len t2) pairs that add up to each total, in by_len order
+    splits_of = {
+        need: [(a, need - a) for a in by_len if need - a in by_len]
+        for need in range(min_len - 1, max_len + 1)
+    }
+    s_coordinates = coordinable(S)
     rng = random.Random(seed)
+    choice = rng.choice
     buckets: dict[int, set[Template]] = {n: set() for n in range(min_len, max_len + 1)}
     attempts = LONG_ATTEMPTS_FACTOR * per_length
     for target in sorted(buckets):
@@ -327,21 +331,18 @@ def sample_long_templates(
                 break
             op = rng.randrange(3)
             # concatenation preserves total length; the conjunction ops add 1
-            need = target if op == 0 else target - 1
-            splits = [
-                (a, need - a) for a in by_len if need - a in by_len
-            ]
+            splits = splits_of[target if op == 0 else target - 1]
             if not splits:
                 continue
             a, b = splits[rng.randrange(len(splits))]
-            t1 = rng.choice(by_len[a])
-            t2 = rng.choice(by_len[b])
+            t1 = choice(by_len[a])
+            t2 = choice(by_len[b])
             i = rng.randrange(1, len(t1)) if op == 2 else 0
             cand = _extend(op, t1, t2, i)
             if cand in bucket:
                 continue
             if heuristic_filter(cand) and (
-                (op == 1 and coordinable(S)) or is_grammatical(cand, grammar, parser)
+                (op == 1 and s_coordinates) or is_grammatical(cand, grammar, parser)
             ):
                 bucket.add(cand)
     short = [n for n, b in buckets.items() if len(b) < per_length]

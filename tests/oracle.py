@@ -15,6 +15,11 @@ parser's own chart and trees for tests that check those directly.
 template enumerator as it was before outside-length pruning, which builds
 every (length, category) entry.  It runs on the package's rule table, whose
 rules ``tests/test_combinators.py`` checks against this module's.
+
+``reference_heuristic_filter`` and ``reference_ngram_counts`` keep the
+plain bodies of ``templates.heuristic_filter`` and ``evaluation.ngram_train``
+(one test per rule; one increment per context suffix of every position) for
+the differential tests of the faster ones.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from alforge.categories import (
     innermost_result,
 )
 from alforge.combinators import RuleId
+from alforge.evaluation import BOS, EOS
 from alforge.templates import category_universe
 
 
@@ -308,3 +314,42 @@ def reference_grammatical_sequences(grammar, max_len: int) -> dict[int, set]:
         n: {t for t in lang[n] if "REL" in t} | {t for t in plain[n] if "REL" not in t}
         for n in range(1, max_len + 1)
     }
+
+
+def reference_heuristic_filter(classes) -> bool:
+    """The eight filtering heuristics, tested one at a time."""
+    t = tuple(classes)
+    if len(t) < 3:
+        return False
+    if t[0] == "CONJ" or t[-1] == "CONJ":
+        return False
+    for a, b in zip(t, t[1:]):
+        if a == b == "CONJ":
+            return False
+        if a == b == "PREP":
+            return False
+    if t[0] in ("SUBJ", "OBJ"):
+        return False
+    if sum(t.count(m) for m in ("SUBJ", "OBJ")) > t.count("NP"):
+        return False
+    if "COMP" in t and "VCOMP" not in t:
+        return False
+    return True
+
+
+def reference_ngram_counts(train, order: int) -> tuple[dict, dict]:
+    """(counts, context_totals) of an order-``order`` n-gram model over the
+    token sequences ``train``: every position adds 1 to its word under each
+    suffix of its context, the empty one included."""
+    counts: dict = defaultdict(lambda: defaultdict(int))
+    totals: dict = defaultdict(int)
+    for tokens in train:
+        padded = (BOS,) * (order - 1) + tuple(tokens) + (EOS,)
+        words = padded[order - 1:]
+        for i, w in enumerate(words):
+            full = padded[i: i + order - 1] if order > 1 else ()
+            for back in range(len(full) + 1):
+                ctx = full[back:]
+                counts[ctx][w] += 1
+                totals[ctx] += 1
+    return {ctx: dict(row) for ctx, row in counts.items()}, dict(totals)

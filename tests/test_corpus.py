@@ -1,10 +1,12 @@
 """Corpus builder: lexicons, stratified sampling, targeted sets, minimal pairs."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from alforge import corpus as corpus_module
 from alforge.corpus import (
     DEFAULT_WORDS,
     MEDIUM_BAND,
@@ -15,10 +17,12 @@ from alforge.corpus import (
     gen_minimal_pairs,
     gen_targeted,
     load_sentences,
+    read_jsonl,
     sample_split,
     save_sentences,
     targeted_skeleton,
     write_json,
+    write_jsonl,
 )
 from alforge.grammars import enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
@@ -86,6 +90,21 @@ class TestSentence:
         path = tmp_path / "s.jsonl"
         save_sentences(sents, path)
         assert load_sentences(path) == sents
+
+
+class TestRecordFiles:
+    def test_write_jsonl_lines_are_json_dumps(self, tmp_path):
+        records = [
+            {"tokens": ["Zoë", "日本", "🦉"], "b": 'say "hi"', "a": "back\\slash\n\ttab"},
+            {"logprobs": [-0.0, 1e-300, -1e-300, 0.1 + 0.2, -2.5e17, 7], "nested": [[1, [2.5]], []]},
+            {"z": {"y": [None, True, False], "x": {}}, "": -0.0},
+            {},
+        ]
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, iter(records))
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert path.read_bytes() == expected.encode()
+        assert read_jsonl(path) == records
 
 
 class TestSeeds:
@@ -166,6 +185,64 @@ class TestSampling:
         rest = sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 2, (3, 3), seed=2, split="x",
                             avoid=avoid)
         assert not {s.tokens for s in rest} & avoid
+
+    def test_duplicate_templates_draw_as_distinct(self):
+        """Templates are uniform over the distinct ones: repeating some in
+        the list changes no draw."""
+        doubled = EN_TEMPLATES + EN_TEMPLATES[::3] + [list(t) for t in EN_TEMPLATES[:40]]
+        for band, count in ((SHORT_BAND, 20), (MEDIUM_BAND, 5)):
+            assert sample_split(EN, doubled, LEX, count, band, seed=9, split="x") == \
+                sample_split(EN, EN_TEMPLATES, LEX, count, band, seed=9, split="x")
+
+
+class TestCapacityBoundary:
+    """The capacity check stops summing template sizes once they reach the
+    count plus ``len(avoid)``, and counts the avoided sentences only when
+    they do not; either way a count equal to the capacity passes and one
+    more fails with the exact capacity."""
+
+    SMALL = [("NP", "SUBJ", "VI"), ("NP", "OBJ", "VI")]  # 19 x 1 x 8 = 152 sentences each
+
+    @pytest.fixture
+    def avoided_counts(self, monkeypatch):
+        """One entry per time ``sample_split`` counts the avoided sentences."""
+        calls = []
+
+        def counter(*args):
+            calls.append(1)
+            return Counter(*args)
+
+        monkeypatch.setattr(corpus_module, "Counter", counter)
+        return calls
+
+    def draw(self, count, avoid=None):
+        return sample_split(EN, self.SMALL, LEX, count, (3, 3), seed=1, split="x", avoid=avoid)
+
+    def test_bound_settles(self, avoided_counts):
+        assert len({s.tokens for s in self.draw(304)}) == 304
+        # 2 avoided sentences of the templates: count + 2 is still 304
+        avoid = {s.tokens for s in self.draw(2)}
+        rest = self.draw(302, avoid=avoid)
+        assert len({s.tokens for s in rest}) == 302 and not {s.tokens for s in rest} & avoid
+        assert avoided_counts == []
+        with pytest.raises(ValueError, match=r"^length 3 has 304 distinct sentences to "
+                                             r"draw from, 305 requested$"):
+            self.draw(305)
+        with pytest.raises(ValueError, match=r"^length 3 has 302 distinct sentences to "
+                                             r"draw from, 303 requested$"):
+            self.draw(303, avoid=avoid)
+        assert avoided_counts == [1, 1]
+
+    def test_avoided_sentences_counted(self, avoided_counts):
+        # 150 avoided sentences of the templates and 2 of other templates,
+        # which lower no capacity: 154 + 152 passes the templates' 304
+        avoid = {s.tokens for s in self.draw(150)} | {("Kim", "ran", "ga"), ("o", "Kim", "ran")}
+        rest = self.draw(154, avoid=avoid)
+        assert len({s.tokens for s in rest}) == 154 and not {s.tokens for s in rest} & avoid
+        with pytest.raises(ValueError, match=r"^length 3 has 154 distinct sentences to "
+                                             r"draw from, 155 requested$"):
+            self.draw(155, avoid=avoid)
+        assert avoided_counts == [1, 1]
 
 
 class TestTargeted:

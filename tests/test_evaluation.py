@@ -2,6 +2,7 @@
 
 import csv
 import math
+import random
 
 import pytest
 import scipy.stats
@@ -24,6 +25,8 @@ from alforge.evaluation import (
     write_report,
 )
 from alforge.grammars import enumerate_grammars, grammar_by_id
+
+from oracle import reference_ngram_counts
 
 
 def record(tokens, logprobs, gid="0101101"):
@@ -219,6 +222,21 @@ class TestNgram:
         uni = perplexity(ngram_score(ngram_train(train, 1, k=0.01), train))
         tri = perplexity(ngram_score(ngram_train(train, 3, k=0.01), train))
         assert tri <= uni
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counts_match_reference(self, order, seed):
+        """Counted once per distinct n-gram and folded into its context
+        suffixes, the tables equal one increment per suffix and position;
+        the sentences repeat words and n-grams, and one is empty."""
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(2, 6))]
+        train = [sent(rng.choices(words, k=rng.randint(0, 7))) for _ in range(40)] + [sent([])]
+        model = ngram_train(train, order, k=0.1)
+        counts, totals = reference_ngram_counts([s.tokens for s in train], order)
+        assert model.counts == counts
+        assert model.context_totals == totals
+        assert all(len(ctx) < order for ctx in counts)
 
     def test_eos_in_vocab(self):
         model = ngram_train([sent(["a"])], order=2, k=1.0)

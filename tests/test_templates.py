@@ -26,7 +26,7 @@ from alforge.templates import (
     save_templates,
 )
 
-from oracle import reference_grammatical_sequences
+from oracle import reference_grammatical_sequences, reference_heuristic_filter
 
 EN = grammar_by_id("0101101")
 CENSUS = Path(__file__).parent.parent / "perfbench" / "refs" / "census.json"
@@ -58,6 +58,18 @@ class TestHeuristics:
     def test_orphan_complementizer(self):
         assert not heuristic_filter(("NP", "SUBJ", "COMP", "VI"))
         assert heuristic_filter(("NP", "SUBJ", "VCOMP", "COMP", "NP", "SUBJ", "VI"))
+
+    def test_matches_reference(self):
+        """The reordered filter agrees with the eight rules tested one at a
+        time on every class sequence of length <= 5 (177,156 of them), and
+        on 5,000 seeded random sequences of length 6-20."""
+        seqs = [seq for n in range(6) for seq in product(LEXICAL_CLASSES, repeat=n)]
+        rng = random.Random(5)
+        seqs += [tuple(rng.choices(LEXICAL_CLASSES, k=rng.randint(6, 20))) for _ in range(5000)]
+        differ = [seq for seq in seqs if heuristic_filter(seq) != reference_heuristic_filter(seq)]
+        assert not differ, differ[:5]
+        kept = sum(map(heuristic_filter, seqs))
+        assert 0 < kept < len(seqs)
 
 
 class TestEnumeration:
