@@ -56,6 +56,9 @@ class Lexicon:
         missing = set(LEXICAL_CLASSES) - set(self.words)
         if missing:
             raise ValueError(f"lexicon missing classes: {sorted(missing)}")
+        unknown = set(self.words) - set(LEXICAL_CLASSES)
+        if unknown:
+            raise ValueError(f"lexicon has unknown classes: {sorted(unknown)}")
         seen: dict[str, str] = {}
         for cls, forms in self.words.items():
             if not forms:
@@ -172,9 +175,17 @@ def write_jsonl(path, records) -> None:
 
 
 def read_jsonl(path) -> list:
-    """The objects of a `write_jsonl` file; blank lines are skipped."""
+    """The objects of a `write_jsonl` file; blank lines are skipped.  A line
+    that is not JSON is a ValueError that names the file and the line."""
+    out = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    out.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc.msg} (column {exc.colno})") from None
+    return out
 
 
 def save_sentences(sentences, path) -> None:
@@ -336,11 +347,10 @@ def gen_targeted(
     lexicon: Lexicon,
     n: int,
     seed: int,
-    parser: ChartParser | None = None,
+    parser: ChartParser,
 ) -> list[Sentence]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    parser = parser or ChartParser(grammar.policy)
     skeleton = targeted_skeleton(grammar, kind)
     if not parser.parse(grammar.categorize(skeleton)).grammatical:
         raise RuntimeError(
@@ -399,7 +409,7 @@ def gen_minimal_pairs(
     lexicon: Lexicon,
     n: int,
     seed: int,
-    parser: ChartParser | None = None,
+    parser: ChartParser,
 ) -> list[tuple[Sentence, Sentence]]:
     """n (grammatical, ungrammatical) pairs differing in exactly one token,
     equal lengths; the ungrammatical twin is parser-verified to fail.  The
@@ -407,7 +417,6 @@ def gen_minimal_pairs(
     language vouches for the grammatical member."""
     if kind not in PAIR_KINDS:
         raise ValueError(f"unknown pair kind: {kind!r}")
-    parser = parser or ChartParser(grammar.policy)
     source = list(source)
     if not source:
         raise ValueError("empty source sentence set")

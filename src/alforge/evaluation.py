@@ -244,7 +244,7 @@ class NgramModel:
         return out
 
 
-def ngram_train(train, order: int, k: float = 1.0) -> NgramModel:
+def ngram_train(train, order: int, k: float) -> NgramModel:
     train = list(train)
     if not train:
         raise ValueError("empty training set")
@@ -282,7 +282,7 @@ def ngram_score(model: NgramModel, sentences) -> list[ScoreRecord]:
 # --- reporting --------------------------------------------------------------
 
 
-def write_report(path, rows, summary: dict | None = None) -> None:
+def write_report(path, rows, summary: dict | None) -> None:
     """CSV report: one row per (grammar, split) plus an optional summary row
     carrying the correlation statistics and typology provenance."""
     fieldnames = ["grammar_id", "base_order", "split", "ppl", "plausibility", "r", "p_value", "typology_hash"]

@@ -139,10 +139,7 @@ def build_grammar(params: str) -> Grammar:
         ("REL", rel),
         ("CONJ", conj),
     )
-    policy = ParserPolicy(
-        require_rel=base_order in ("SOV", "OSV", "VOS", "OVS"),
-        rel_category=rel,
-    )
+    policy = ParserPolicy(rel if base_order in ("SOV", "OSV", "VOS", "OVS") else None)
     return Grammar(params, base_order, lexicon, policy)
 
 

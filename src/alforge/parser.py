@@ -72,21 +72,22 @@ class ParserPolicy:
     """Grammar-specific permutation policy.
 
     Permutation only ever applies to categories whose innermost result is S
-    and whose outermost argument is not "@"-restricted.  ``require_rel``
-    additionally disables it for inputs that do not contain ``rel_category``
-    (base-order-conditional disabling for SOV/OSV/VOS/OVS grammars).
+    and whose outermost argument is not "@"-restricted.  A ``rel_category``
+    additionally disables it for inputs that do not contain that category
+    (base-order-conditional disabling for SOV/OSV/VOS/OVS grammars); None
+    means it is always on.
     """
 
-    require_rel: bool = False
-    rel_category: Category | None = None
+    rel_category: Category | None
+
+    @property
+    def require_rel(self) -> bool:
+        return self.rel_category is not None
 
     def permutes(self, has_rel: bool) -> bool:
         """Whether permutation is on for an input that contains
         ``rel_category`` (``has_rel``) or not."""
-        return has_rel or not self.require_rel
-
-
-DEFAULT_POLICY = ParserPolicy()
+        return has_rel or self.rel_category is None
 
 
 def rotations(c: Category) -> list[Category]:
@@ -262,7 +263,7 @@ class ChartParser:
     kept across calls, so keep one instance per grammar when parsing in
     bulk.  Derivations are read back from the recognizer's filled chart."""
 
-    def __init__(self, policy: ParserPolicy = DEFAULT_POLICY):
+    def __init__(self, policy: ParserPolicy):
         self.policy = policy
         self.table = RuleTable()
         self._rel: int | None = None  # code of policy.rel_category, once interned
@@ -345,7 +346,8 @@ class ChartParser:
                 chart[i][i + 1] = table.closure(a, permuting)
 
         joined = table.joins(permuting)
-        # ends[i]: ascending ends k of the non-empty spans seq[i:k]
+        # ends[i]: ascending ends k of the non-empty spans seq[i:k] filled so
+        # far; spans fill by length, so each k is below the current j
         ends = [[i + 1] if chart[i][i + 1] else [] for i in range(n)]
         for length in range(2, n + 1):
             for i in range(0, n - length + 1):
@@ -353,8 +355,6 @@ class ChartParser:
                 row = chart[i]
                 mask = 0
                 for k in ends[i]:
-                    if k >= j:
-                        break
                     right = chart[k][j]
                     if right:
                         left = row[k]
@@ -449,18 +449,9 @@ def _replay(node: Derivation) -> Category | None:
     return got if got == node.category else None
 
 
-def _leaves(node: Derivation) -> list[Category]:
-    if not node.children:
-        return [node.category]
-    return [leaf for child in node.children for leaf in _leaves(child)]
-
-
-def derivation_check(tree: Derivation, seq=None) -> bool:
-    """True iff replaying every rule reproduces each node's category, the
-    root is S and, when the input categories ``seq`` are given, the leaves
-    are ``seq`` in order.  Without ``seq`` only the rules are replayed, and
-    a leaf may be any category."""
+def derivation_check(tree: Derivation) -> bool:
+    """True iff replaying every rule reproduces each node's category and the
+    root is S.  Only the rules are replayed: a leaf may be any category."""
     if not isinstance(tree, Derivation):
         raise ValueError("malformed derivation tree")
-    replays = _replay(tree) == tree.category and tree.category == S
-    return replays and (seq is None or _leaves(tree) == list(seq))
+    return _replay(tree) == tree.category and tree.category == S

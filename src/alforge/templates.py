@@ -43,7 +43,9 @@ def heuristic_filter(classes) -> bool:
     by design: over the 96 grammars it drops 7,744 of the 118,424
     grammatical sequences of length 3-10 (e.g. ``NP NP PREP PREP NP SUBJ
     VI`` under 0000000) and none of length <= 5, which is why the
-    heuristic-soundness acceptance criterion stops at length 5."""
+    heuristic-soundness acceptance criterion stops at length 5.  Every one
+    of them is dropped for PREP PREP: the other rules reject no sequence
+    that derives S."""
     t = tuple(classes)
     # the C-level tests first, the pair scan last
     if len(t) < 3 or t[0] in ("CONJ", "SUBJ", "OBJ") or t[-1] == "CONJ":
@@ -232,7 +234,7 @@ def _language(
     return [level.get(s, set()) for level in strings]
 
 
-def enumerate_templates(grammar: Grammar, max_len: int = 10) -> list[Template]:
+def enumerate_templates(grammar: Grammar, max_len: int) -> list[Template]:
     """Every class sequence of length 3..max_len that passes the heuristics
     and parses to root S, in lexicographic order."""
     if max_len < 3:
@@ -267,8 +269,7 @@ def _extend(op: int, t1: Template, t2: Template, i: int) -> Template:
     return t1[:i] + ("CONJ",) + t2 + t1[i:]
 
 
-def is_grammatical(template, grammar: Grammar, parser: ChartParser | None = None) -> bool:
-    parser = parser or ChartParser(grammar.policy)
+def is_grammatical(template, grammar: Grammar, parser: ChartParser) -> bool:
     return parser.parse(grammar.categorize(template)).grammatical
 
 
@@ -276,10 +277,10 @@ def sample_long_templates(
     templates,
     grammar: Grammar,
     per_length: int,
-    min_len: int = 11,
-    max_len: int = 20,
-    seed: int = 0,
-    parser: ChartParser | None = None,
+    min_len: int,
+    max_len: int,
+    seed: int,
+    parser: ChartParser,
 ) -> list[Template]:
     """Long templates by extension of ``templates``: draws random template
     pairs and extension operators (``_extend``) until every length in
@@ -307,7 +308,6 @@ def sample_long_templates(
     t1) is accepted for 1,105 of 16,828.  The parser's balance test rejects
     9,394 of those concatenations and 3,758 of those insertions before it
     fills a chart (see ``alforge.parser``)."""
-    parser = parser or ChartParser(grammar.policy)
     templates = [tuple(t) for t in templates]
     if not templates:
         raise ValueError("no source templates to extend")

@@ -8,8 +8,9 @@ and every rotation, without a chart or memo table shared across sequences.
 ``oracle_derivations`` enumerates, by the same search, every derivation tree
 rather than every category.
 
-``chart_derivable`` and ``derivation_rules`` are not oracles: they read the
-parser's own chart and trees for tests that check those directly.
+``chart_derivable``, ``derivation_rules`` and ``derivation_leaves`` are not
+oracles: they read the parser's own chart and trees for tests that check
+those directly.
 
 ``reference_language`` is the other reference kept here: the bottom-up
 template enumerator as it was before outside-length pruning, which builds
@@ -245,6 +246,13 @@ def derivation_rules(tree) -> set[RuleId]:
     for child in tree.children:
         rules |= derivation_rules(child)
     return rules
+
+
+def derivation_leaves(tree) -> list[Category]:
+    """The leaf categories of a derivation tree, left to right."""
+    if not tree.children:
+        return [tree.category]
+    return [leaf for child in tree.children for leaf in derivation_leaves(child)]
 
 
 def as_tuple(tree) -> tuple:

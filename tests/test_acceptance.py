@@ -27,7 +27,7 @@ from alforge.evaluation import (
     ta_score,
 )
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
-from alforge.parser import ChartParser
+from alforge.parser import ChartParser, ParserPolicy
 from alforge.templates import grammatical_sequences, heuristic_filter
 
 from oracle import chart_derivable, derivation_rules, oracle_grammatical
@@ -92,12 +92,13 @@ def test_criterion_3_reference_fixtures():
 
     # Four rule-demonstration derivations over raw English categories.
     vt = parse_category("(S\\NP)/NP")
-    ok &= ChartParser().parse([NP, vt, NP]).grammatical
+    always = ChartParser(ParserPolicy(None))  # no REL category: always permutes
+    ok &= always.parse([NP, vt, NP]).grammatical
     modifier = [NP, parse_category("(NP\\NP)/NP"), NP, parse_category("S\\NP")]
-    ok &= ChartParser().parse(modifier).grammatical
-    ok &= ChartParser().parse([NP, parse_category("(var\\.,@var)/.,@var"), NP, vt, NP]).grammatical
+    ok &= always.parse(modifier).grammatical
+    ok &= always.parse([NP, parse_category("(var\\.,@var)/.,@var"), NP, vt, NP]).grammatical
     rel_np = [NP, parse_category("(NP\\NP)/(S/NP)"), NP, vt]
-    ok &= NP in chart_derivable(ChartParser(), rel_np)
+    ok &= NP in chart_derivable(always, rel_np)
 
     # Five multi-word lexical-class examples under 0101101.
     for seq in (
@@ -224,7 +225,7 @@ def test_criterion_6_dataset_contracts(tmp_path):
             ok &= all(s.length > 8 for s in splits[kind])
         pairs = gen_minimal_pairs(
             g, "CaseType", splits["MediumTest"], Lexicon.default(), cfg.pair_n,
-            derive_seed(cfg.master_seed, gid, "pairs-CaseType"),
+            derive_seed(cfg.master_seed, gid, "pairs-CaseType"), ChartParser(g.policy),
         )
         for good, bad in pairs:
             diff = sum(a != b for a, b in zip(good.tokens, bad.tokens))

@@ -30,6 +30,7 @@ from alforge.templates import enumerate_templates
 
 EN = grammar_by_id("0101101")
 EN_TEMPLATES = enumerate_templates(EN, 10)
+EN_PARSER = ChartParser(EN.policy)
 LEX = Lexicon.default()
 
 
@@ -55,6 +56,11 @@ class TestLexicon:
         del words["REL"]
         with pytest.raises(ValueError):
             Lexicon(words)
+
+    def test_unknown_class_rejected(self):
+        # a misspelt class would otherwise be ignored: no template names it
+        with pytest.raises(ValueError, match=r"lexicon has unknown classes: \['VTT'\]"):
+            Lexicon({**DEFAULT_WORDS, "VTT": ("saw",)})
 
     def test_restricted(self):
         allowed = {forms[0] for forms in DEFAULT_WORDS.values()}
@@ -105,6 +111,13 @@ class TestRecordFiles:
         expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         assert path.read_bytes() == expected.encode()
         assert read_jsonl(path) == records
+
+    def test_malformed_line_named(self, tmp_path):
+        # the decoder's own position counts lines inside the one record
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"a": 1}\n\n{"b": 2}\n{"c": 3, "d": [4], "e": 5, }\n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl, line 4: Expecting property name"):
+            read_jsonl(path)
 
 
 class TestSeeds:
@@ -267,7 +280,7 @@ class TestTargeted:
             targeted_skeleton(EN, "Nested")
 
     def test_generated_sentences(self):
-        sents = gen_targeted(EN, "Recursive", LEX, 10, seed=5)
+        sents = gen_targeted(EN, "Recursive", LEX, 10, seed=5, parser=EN_PARSER)
         assert len(sents) == 10
         assert len({s.tokens for s in sents}) == 10
         for s in sents:
@@ -276,13 +289,13 @@ class TestTargeted:
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
-            gen_targeted(EN, "Recursive", LEX, 0, seed=1)
+            gen_targeted(EN, "Recursive", LEX, 0, seed=1, parser=EN_PARSER)
 
     def test_capacity_checked_before_drawing(self):
         one_each = Lexicon({cls: forms[:1] for cls, forms in LEX.words.items()})
         with pytest.raises(ValueError, match="has 1 distinct sentences to draw from, 2 requested"):
-            gen_targeted(EN, "Recursive", one_each, 2, seed=1)
-        assert len(gen_targeted(EN, "Recursive", one_each, 1, seed=1)) == 1
+            gen_targeted(EN, "Recursive", one_each, 2, seed=1, parser=EN_PARSER)
+        assert len(gen_targeted(EN, "Recursive", one_each, 1, seed=1, parser=EN_PARSER)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +307,7 @@ class TestMinimalPairs:
     @pytest.mark.parametrize("kind", ["CaseType", "VerbType"])
     def test_contract(self, kind, source):
         parser = ChartParser(EN.policy)
-        pairs = gen_minimal_pairs(EN, kind, source, LEX, 8, seed=12)
+        pairs = gen_minimal_pairs(EN, kind, source, LEX, 8, seed=12, parser=parser)
         assert len(pairs) == 8
         for good, bad in pairs:
             assert good.length == bad.length
@@ -305,11 +318,11 @@ class TestMinimalPairs:
 
     def test_unknown_kind(self, source):
         with pytest.raises(ValueError):
-            gen_minimal_pairs(EN, "Tense", source, LEX, 1, seed=1)
+            gen_minimal_pairs(EN, "Tense", source, LEX, 1, seed=1, parser=EN_PARSER)
 
     def test_empty_source(self):
         with pytest.raises(ValueError):
-            gen_minimal_pairs(EN, "CaseType", [], LEX, 1, seed=1)
+            gen_minimal_pairs(EN, "CaseType", [], LEX, 1, seed=1, parser=EN_PARSER)
 
     def test_alias_source(self):
         # A source written under an alias is the same grammar's; another
@@ -319,13 +332,15 @@ class TestMinimalPairs:
         templates = enumerate_templates(g, SHORT_BAND[1])
         source = [replace(s, grammar_id=alias)
                   for s in sample_split(g, templates, LEX, 3, SHORT_BAND, seed=2, split="ShortTest")]
-        assert len(gen_minimal_pairs(g, "CaseType", source, LEX, 2, seed=1)) == 2
+        parser = ChartParser(g.policy)
+        pairs = gen_minimal_pairs(g, "CaseType", source, LEX, 2, seed=1, parser=parser)
+        assert len(pairs) == 2
 
     def test_case_twin_uses_lexicon(self):
         # The swapped marker is a word of its new class in the run's lexicon.
         lex = Lexicon({**DEFAULT_WORDS, "SUBJ": ("wa", "ka"), "OBJ": ("wo",)})
         source = sample_split(EN, EN_TEMPLATES, lex, 5, MEDIUM_BAND, seed=4, split="MediumTest")
-        pairs = gen_minimal_pairs(EN, "CaseType", source, lex, 8, seed=5)
+        pairs = gen_minimal_pairs(EN, "CaseType", source, lex, 8, seed=5, parser=EN_PARSER)
         assert len(pairs) == 8
         for sentence in (s for pair in pairs for s in pair):
             for token, cls in zip(sentence.tokens, sentence.classes):
@@ -334,9 +349,9 @@ class TestMinimalPairs:
     def test_case_twin_foreign_word(self, source):
         lex = Lexicon({**DEFAULT_WORDS, "SUBJ": ("wa",), "OBJ": ("wo",)})
         with pytest.raises(ValueError, match="not a (SUBJ|OBJ) word of the lexicon"):
-            gen_minimal_pairs(EN, "CaseType", source, lex, 1, seed=1)
+            gen_minimal_pairs(EN, "CaseType", source, lex, 1, seed=1, parser=EN_PARSER)
 
     def test_determinism(self, source):
-        a = gen_minimal_pairs(EN, "CaseType", source, LEX, 5, seed=3)
-        b = gen_minimal_pairs(EN, "CaseType", source, LEX, 5, seed=3)
+        a = gen_minimal_pairs(EN, "CaseType", source, LEX, 5, seed=3, parser=ChartParser(EN.policy))
+        b = gen_minimal_pairs(EN, "CaseType", source, LEX, 5, seed=3, parser=EN_PARSER)
         assert a == b

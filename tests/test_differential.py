@@ -25,6 +25,7 @@ from alforge.templates import enumerate_templates, grammatical_sequences
 from oracle import (
     as_tuple,
     chart_derivable,
+    derivation_leaves,
     oracle_derivable,
     oracle_derivations,
     oracle_grammatical,
@@ -76,7 +77,8 @@ def test_parser_matches_oracle(case):
     result = fresh.parse(seq, derivations=True)
     assert result.grammatical == want
     assert bool(result.derivations) == want
-    assert all(derivation_check(d, seq) for d in result.derivations)
+    assert all(derivation_check(d) and derivation_leaves(d) == list(seq)
+               for d in result.derivations)
     assert_oracle_derivations(seq, permuting, result.derivations)
 
 

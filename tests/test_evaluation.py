@@ -244,9 +244,9 @@ class TestNgram:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ngram_train([], 2)
+            ngram_train([], 2, k=1.0)
         with pytest.raises(ValueError):
-            ngram_train([sent(["a"])], 0)
+            ngram_train([sent(["a"])], 0, k=1.0)
         with pytest.raises(ValueError):
             ngram_train([sent(["a"])], 2, k=0.0)
 

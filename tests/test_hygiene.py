@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or the tests imports a name it
 never uses, every function and class of the package has a caller outside
-the tests, each ``derive_seed`` label of the package is written in one
+the tests, every default of the package is left out by a call outside the
+tests, each ``derive_seed`` label of the package is written in one
 place, only the parser reads rotation chains, and the command line does not
 load ``scipy.stats``.
 
@@ -133,6 +134,84 @@ def test_every_definition_has_a_caller():
     package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unreferenced(package, [*package.values(), *bench]) == []
+
+
+def _parameters(node: ast.AST, prefix: str = "", method: bool = False):
+    """(qualified name, call name, passed parameters, defaulted parameters)
+    for every function under ``node``.  A method's call name is its own, or
+    its class's for ``__init__``, and its first parameter is passed by the
+    call's receiver unless it is a ``staticmethod``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            for qualname, name, *params in _parameters(child, f"{prefix}{child.name}.", True):
+                yield qualname, child.name if name == "__init__" else name, *params
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            passed = positional[1:] if method and not static else positional
+            yield prefix + child.name, child.name, passed, defaulted
+            yield from _parameters(child, f"{prefix}{child.name}.")
+        else:
+            yield from _parameters(child, prefix, method)
+
+
+def unused_defaults(defining: dict[str, str], calling: list[str]) -> list[str]:
+    """The defaults of the ``defining`` sources' functions (module name ->
+    source) that no call in the ``calling`` sources leaves out, as
+    ``module:qualified.name.parameter``.  Calls are matched by name alone;
+    a starred argument passes every remaining positional parameter, and a
+    call with ``**`` arguments is ignored."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and not any(k.arg is None for k in node.keywords):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module, source in defining.items():
+        for qualname, name, passed, defaulted in _parameters(ast.parse(source)):
+            left_out = set()
+            for call in calls.get(name, ()):
+                starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                given = set(passed if starred else passed[:len(call.args)])
+                left_out |= set(defaulted) - given - {k.arg for k in call.keywords}
+            out += [f"{module}:{qualname}.{p}" for p in defaulted if p not in left_out]
+    return out
+
+
+def test_unused_defaults_checker():
+    lib = (
+        "class A:\n"
+        "    def __init__(self, x=1, y=2): pass\n"
+        "    def m(self, a, b=0, *, c=None): pass\n"
+        "    @staticmethod\n"
+        "    def s(a=0): pass\n"
+        "def f(a, b=1, c=2): pass\n"
+        "def g(k=0): pass\n"
+    )
+    user = (
+        "A(5).m(1, c=3)\n"
+        "A.s(1)\n"
+        "f(*args)\n"
+        "f(0, b=1, c=2)\n"
+        "g(**options)\n"
+    )
+    assert unused_defaults({"lib": lib}, [user]) == [
+        "lib:A.__init__.x", "lib:A.m.c", "lib:A.s.a", "lib:f.b", "lib:f.c", "lib:g.k",
+    ]
+
+
+def test_every_default_is_used():
+    # A default that every program call overrides is a second, untested
+    # behaviour of the function; ``perfbench/`` calls count, ``tests/`` do not.
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unused_defaults(package, [*package.values(), *bench]) == []
 
 
 def seed_labels(source: str) -> list[str]:

@@ -71,6 +71,14 @@ class TestHeuristics:
         kept = sum(map(heuristic_filter, seqs))
         assert 0 < kept < len(seqs)
 
+    def test_only_prep_prep_prunes_sentences(self):
+        """Of the sequences of length <= 7 that derive S, the filter rejects
+        96 over the 96 grammars, each for containing PREP PREP."""
+        rejected = [t for g in enumerate_grammars() for t in sentences_to_7(g.params)
+                    if not heuristic_filter(t)]
+        assert len(rejected) == 96
+        assert all(("PREP", "PREP") in zip(t, t[1:]) for t in rejected), rejected
+
 
 class TestEnumeration:
     def test_matches_parser_small(self):
@@ -192,23 +200,25 @@ class TestPruning:
 class TestAugmentation:
     def test_sampled_extension(self):
         base = enumerate_templates(EN, 8)
-        out = sample_long_templates(base, EN, per_length=3, min_len=11, max_len=14, seed=5)
+        parser = ChartParser(EN.policy)
+        out = sample_long_templates(base, EN, per_length=3, min_len=11, max_len=14, seed=5,
+                                    parser=parser)
         lengths = sorted({len(t) for t in out})
         assert lengths == [11, 12, 13, 14]
-        assert all(is_grammatical(t, EN) for t in out)
+        assert all(is_grammatical(t, EN, parser) for t in out)
         assert all(heuristic_filter(t) for t in out)
 
     def test_sampled_extension_deterministic(self):
         base = enumerate_templates(EN, 8)
-        a = sample_long_templates(base, EN, 2, 11, 12, seed=9)
-        b = sample_long_templates(base, EN, 2, 11, 12, seed=9)
+        a = sample_long_templates(base, EN, 2, 11, 12, seed=9, parser=ChartParser(EN.policy))
+        b = sample_long_templates(base, EN, 2, 11, 12, seed=9, parser=ChartParser(EN.policy))
         assert a == b
 
     def test_exhaustion_error(self):
         with pytest.raises(RuntimeError):
             sample_long_templates(
                 [("NP", "SUBJ", "VI")], EN, per_length=50, min_len=19, max_len=20,
-                seed=0,
+                seed=0, parser=ChartParser(EN.policy),
             )
 
 
@@ -244,7 +254,7 @@ class TestCoordinationByConstruction:
     def test_shortcut_changes_no_output(self, monkeypatch):
         checked = []
 
-        def counted(template, grammar, parser=None):
+        def counted(template, grammar, parser):
             checked.append(template)
             return is_grammatical(template, grammar, parser)
 
@@ -255,10 +265,12 @@ class TestCoordinationByConstruction:
             with monkeypatch.context() as m:
                 # S does not coordinate: every candidate is parsed
                 m.setattr(templates_module, "coordinable", lambda c: False)
-                parsed = sample_long_templates(sources, g, 2, 11, 13, seed=5)
+                parsed = sample_long_templates(sources, g, 2, 11, 13, seed=5,
+                                               parser=ChartParser(g.policy))
             parse_checks = checked[:]
             checked.clear()
-            shortcut = sample_long_templates(sources, g, 2, 11, 13, seed=5)
+            shortcut = sample_long_templates(sources, g, 2, 11, 13, seed=5,
+                                             parser=ChartParser(g.policy))
             assert shortcut == parsed, g.params
             # the remaining parses still go through the module's is_grammatical
             assert 0 < len(checked) < len(parse_checks), g.params
