@@ -13,11 +13,11 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.special import stdtr
 
-from .corpus import Sentence, _field, read_jsonl, write_jsonl
+from .corpus import _field, read_jsonl, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
 EOS = "</s>"
@@ -223,8 +223,8 @@ class NgramModel:
     order: int
     k: float
     vocab: tuple[str, ...]
-    counts: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
-    context_totals: dict[tuple[str, ...], int] = field(default_factory=dict)
+    counts: dict[tuple[str, ...], dict[str, int]]
+    context_totals: dict[tuple[str, ...], int]
 
     def logprob(self, context: tuple[str, ...], word: str) -> float:
         v = len(self.vocab)
@@ -253,7 +253,6 @@ def ngram_train(train, order: int, k: float) -> NgramModel:
     if k <= 0:
         raise ValueError("smoothing constant must be > 0")
     vocab = sorted({w for s in train for w in s.tokens} | {EOS})
-    model = NgramModel(order, k, tuple(vocab))
     grams: Counter[tuple[str, ...]] = Counter()  # full order-n grams, context + word
     for s in train:
         padded = (BOS,) * (order - 1) + tuple(s.tokens) + (EOS,)
@@ -265,17 +264,15 @@ def ngram_train(train, order: int, k: float) -> NgramModel:
         for back in range(order):
             row = counts.setdefault(gram[back:-1], {})
             row[w] = row.get(w, 0) + c
-    model.counts = counts
-    model.context_totals = {ctx: sum(row.values()) for ctx, row in counts.items()}
-    return model
+    totals = {ctx: sum(row.values()) for ctx, row in counts.items()}
+    return NgramModel(order, k, tuple(vocab), counts, totals)
 
 
 def ngram_score(model: NgramModel, sentences) -> list[ScoreRecord]:
     out = []
     for s in sentences:
-        gid = s.grammar_id if isinstance(s, Sentence) else ""
         tokens = tuple(s.tokens)
-        out.append(ScoreRecord(gid, tokens, tuple(model.score_tokens(tokens))))
+        out.append(ScoreRecord(s.grammar_id, tokens, tuple(model.score_tokens(tokens))))
     return out
 
 

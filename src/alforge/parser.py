@@ -6,12 +6,13 @@ rule over (left span, conjunction token, right span); conjunction tokens never
 enter ordinary cells, which keeps variable categories out of the chart.
 
 The chart runs on small integer codes.  A ``RuleTable`` interns each category
-to an int the first time it is seen, keeps the coordinable codes as one
-bitmask, and memoises the binary rule results per pair of codes and the
-rotation closure (as a bitmask) per code.  The binary rule results come
-from one process-wide memo per category pair, shared by every table.
-Chart cells are bitmasks over codes, and the binary results of each pair of
-cell masks are memoised per permutation mode.
+to an int the first time it is seen and keeps its facts (the coordinable and
+the conjunction codes as bitmasks, the balances as a list), so after
+``_encode`` the parser reads codes only.  The table memoises the binary rule
+results per pair of codes (from one process-wide memo per category pair)
+and the rotation closure (as a bitmask) per code.  Chart cells are bitmasks
+over codes, and the binary results of each pair of cell masks are memoised
+per permutation mode; template enumeration reads that memo too.
 Every table entry is filled lazily, on first use, so keep one
 ``ChartParser`` per grammar when parsing in bulk.
 
@@ -136,7 +137,7 @@ def _rule_results(x: Category, y: Category) -> tuple[tuple[RuleId, Category], ..
     return tuple((rule, cat) for rule, fn in BINARY_RULES if (cat := fn(x, y)) is not None)
 
 
-def _bits(mask: int):
+def bits(mask: int):
     """Codes set in ``mask``, lowest first."""
     while mask:
         low = mask & -mask
@@ -148,21 +149,23 @@ class RuleTable:
     """Interned categories and lazily memoised rule results over their codes.
 
     ``code`` assigns each distinct category a small int on first sight,
-    sets its bit in ``coordinating`` when it is ``coordinable`` and records
-    its ``balance`` in ``balances``; ``find``
-    looks one up without assigning.  ``combine`` memoises the
-    ``BINARY_RULES`` results per pair of codes (on a miss, from the shared
-    ``_rule_results`` memo), ``rotations`` and ``closure`` a code's rotation
-    chain and the bitmask of the code and that chain, and ``join`` the
-    closed binary results per pair of chart cells.  Interning takes a lock;
-    every memo entry is a pure function of codes interned under it, so two
-    threads that race to fill one entry write the same value, and one table
-    may be shared between threads.
+    sets its bit in ``coordinating`` when it is ``coordinable`` and in
+    ``conjunctions`` when it ``is_conjunction``, and records its ``balance``
+    in ``balances``; ``find`` looks one up without assigning.  ``combine``
+    memoises the ``BINARY_RULES`` results per pair of codes (on a miss, from
+    the shared ``_rule_results`` memo), ``rotations`` and ``closure`` a
+    code's rotation chain and the bitmask of the code and that chain, and
+    ``join`` the closed binary results per pair of chart cells (enumeration
+    asks it for single codes).  Interning takes a lock; every memo entry is
+    a pure function of codes interned under it, so two threads that race to
+    fill one entry write the same value, and one table may be shared
+    between threads.
     """
 
     def __init__(self) -> None:
         self.cats: list[Category] = []
         self.coordinating = 0
+        self.conjunctions = 0
         self.balances: list[int | None] = []  # indexed by code
         self._codes: dict[Category, int] = {}
         self._lock = threading.Lock()
@@ -181,6 +184,7 @@ class RuleTable:
                     self.cats.append(cat)  # before publishing the code
                     self.balances.append(balance(cat))
                     self.coordinating |= coordinable(cat) << code
+                    self.conjunctions |= is_conjunction(cat) << code
                     self._codes[cat] = code
         return code
 
@@ -230,8 +234,8 @@ class RuleTable:
         out = memo.get((left, right))
         if out is None:
             out = 0
-            for a in _bits(left):
-                for b in _bits(right):
+            for a in bits(left):
+                for b in bits(right):
                     for _rule, c in self.combine(a, b):
                         out |= self.closure(c, permuting)
             memo[(left, right)] = out
@@ -266,18 +270,12 @@ class ChartParser:
     def __init__(self, policy: ParserPolicy):
         self.policy = policy
         self.table = RuleTable()
-        self._rel: int | None = None  # code of policy.rel_category, once interned
 
     def _permuting(self, codes: list[int]) -> bool:
         """``policy.permutes`` for the input, decided on its codes.
         The REL category is looked up, not interned, so that a parse never
         assigns a code its input does not need."""
-        policy = self.policy
-        if not policy.require_rel:
-            return policy.permutes(False)
-        if self._rel is None:
-            self._rel = self.table.find(policy.rel_category)
-        return policy.permutes(self._rel in codes)
+        return self.policy.permutes(self.table.find(self.policy.rel_category) in codes)
 
     def parse(
         self, seq: list[Category] | tuple[Category, ...], *, derivations: bool = False
@@ -285,34 +283,33 @@ class ChartParser:
         """Whether ``seq`` derives S and, with ``derivations``, up to
         ``MAX_DERIVATIONS`` of its derivation trees.  An input that fails
         ``_balanced`` is rejected without a chart."""
-        seq = tuple(seq)
         codes = self._encode(seq)
-        if not self._balanced(seq, codes):
+        if not self._balanced(codes):
             return ParseResult(False)
-        chart, conjs, permuting = self._fill(seq, codes)
+        chart, conjs, permuting = self._fill(codes)
         s = self.table.code(S)
         result = ParseResult(bool(chart[0][-1] >> s & 1))
         if derivations and result.grammatical:
             result.derivations = self._extract(chart, codes, conjs, permuting, s)
         return result
 
-    def _encode(self, seq: tuple[Category, ...]) -> list[int]:
+    def _encode(self, seq: list[Category] | tuple[Category, ...]) -> list[int]:
         """The codes of the input's tokens."""
         if not seq:
             raise ValueError("cannot parse an empty sequence")
         return [self.table.code(c) for c in seq]
 
-    def _balanced(self, seq: tuple[Category, ...], codes: list[int]) -> bool:
+    def _balanced(self, codes: list[int]) -> bool:
         """False only when the count invariant of the module docstring
-        proves that ``seq`` derives no S: a conjunction-free input costs one
-        ``sum``, an input with one conjunction two linear scans."""
+        proves that the input ``codes`` derive no S: a conjunction-free input
+        costs one ``sum``, an input with one conjunction two linear scans."""
         bal = self.table.balances
         try:
             return sum(map(bal.__getitem__, codes)) == _S_BALANCE
         except TypeError:  # a token without a balance
             pass
         loose = [i for i, a in enumerate(codes) if bal[a] is None]
-        if len(loose) != 1 or not is_conjunction(seq[loose[0]]):
+        if len(loose) != 1 or not self.table.conjunctions >> codes[loose[0]] & 1:
             return True
         p = loose[0]
         left = [bal[a] for a in reversed(codes[:p])]
@@ -320,11 +317,11 @@ class ChartParser:
         t = sum(left) + sum(right) - _S_BALANCE
         return t in accumulate(left) and t in accumulate(right)
 
-    def _fill(self, seq: tuple[Category, ...], codes: list[int]):
-        """Fill the chart over the input and its ``codes``: ``chart[i][j]``
-        is the mask of the codes derivable over seq[i:j].  Returns the chart
-        with the positions of the input's conjunction tokens and its
-        permutation mode.
+    def _fill(self, codes: list[int]):
+        """Fill the chart over the input ``codes``: ``chart[i][j]`` is the
+        mask of the codes derivable over codes[i:j].  Returns the chart with
+        the positions of the input's conjunction tokens and its permutation
+        mode.
 
         Coordination adds ``row[p] & chart[p + 1][j] & table.coordinating``,
         closed as a rule result is.  Every cell is closed under rotation
@@ -335,18 +332,18 @@ class ChartParser:
         case markers never rotate).  A ``join`` miss can intern new codes,
         so ``table.coordinating`` is read at each use."""
         table = self.table
-        n = len(seq)
+        n = len(codes)
         permuting = self._permuting(codes)
         conjs: list[int] = []  # positions of conjunction tokens
         chart = [[0] * (n + 1) for _ in range(n + 1)]
         for i, a in enumerate(codes):
-            if is_conjunction(seq[i]):
+            if table.conjunctions >> a & 1:
                 conjs.append(i)  # feeds the coordination rule only
             else:
                 chart[i][i + 1] = table.closure(a, permuting)
 
         joined = table.joins(permuting)
-        # ends[i]: ascending ends k of the non-empty spans seq[i:k] filled so
+        # ends[i]: ascending ends k of the non-empty spans codes[i:k] filled so
         # far; spans fill by length, so each k is below the current j
         ends = [[i + 1] if chart[i][i + 1] else [] for i in range(n)]
         for length in range(2, n + 1):
@@ -386,13 +383,13 @@ class ChartParser:
             found in one scan of the span."""
             cell: dict[int, list] = {codes[i]: [(None, ())]} if j == i + 1 else {}
             for k in range(i + 1, j):
-                for a in _bits(chart[i][k]):
-                    for b in _bits(chart[k][j]):
+                for a in bits(chart[i][k]):
+                    for b in bits(chart[k][j]):
                         for rule, c in table.combine(a, b):
                             cell.setdefault(c, []).append((rule, ((i, k, a), (k, j, b))))
             for p in conjs:
                 if i < p < j - 1:
-                    for a in _bits(chart[i][p] & chart[p + 1][j] & table.coordinating):
+                    for a in bits(chart[i][p] & chart[p + 1][j] & table.coordinating):
                         kids = ((i, p, a), (p, p + 1, codes[p]), (p + 1, j, a))
                         cell.setdefault(a, []).append((RuleId.COORD, kids))
             return cell

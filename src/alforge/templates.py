@@ -9,8 +9,9 @@ small lengths by the test suite.
 
 The universe and the bottom-up language build run on the integer codes of a
 ``parser.RuleTable``, the same lazily filled table type the chart parser
-uses, and its entries are closed under rotation as chart cells are, with
-``RuleTable.closure``.  Each ``grammatical_sequences`` call builds the
+uses: the universe is every code of the build's table, and each productive
+pair's results, closed under rotation, are the chart's own ``RuleTable.join``
+of the two codes.  Each ``grammatical_sequences`` call builds the
 permuting universe once; the non-permuting language of a ``require_rel``
 grammar reads the same table and triples.  The build keeps a (length,
 category) entry only while it can still sit inside an S of length <=
@@ -26,7 +27,7 @@ from collections import defaultdict
 from .categories import S, Category
 from .combinators import coordinable
 from .grammars import LEXICAL_CLASSES, Grammar
-from .parser import ChartParser, RuleTable
+from .parser import ChartParser, RuleTable, bits
 
 Template = tuple[str, ...]
 
@@ -77,9 +78,8 @@ def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
     pending: list[int] = []
 
     def reach(a: int) -> None:
-        closed = table.closure(a, permutation_active)
-        for c in range(len(table.cats)):
-            if closed >> c & 1 and c not in codes:
+        for c in bits(table.closure(a, permutation_active)):
+            if c not in codes:
                 codes.add(c)
                 pending.append(c)
 
@@ -158,9 +158,11 @@ def _language(
 
     Entries are closed under rotation the way chart cells are: a lexical
     class enters at every code of its category's ``RuleTable.closure``, and
-    each productive pair yields the closure of its results (its closed
-    results).  The permuting build is exact with permutation off too:
-    there the closure is the identity, so the closed results are the
+    each productive pair (a, b) yields ``table.join(1 << a, 1 << b)``, the
+    chart's memo of the closure of its results (its closed results).  The
+    universe is every code of the build's table: the build interns no code
+    it does not reach.  The permuting build is exact with permutation off
+    too: there the closure is the identity, so the closed results are the
     direct ones; every code reachable without a rotation is in the
     permuting universe, with the same productive pairs, and a code
     reachable only through a rotation keeps minlen = cap (every triple that
@@ -179,27 +181,20 @@ def _language(
     coordination's conjuncts likewise), so each kept entry holds the same
     tuples as with no pruning.  Binary steps loop over the closed triples
     and drop pruned result codes before building a cross-product."""
-    cats, table, triples = build
-    universe = {table.code(c) for c in cats}
+    _cats, table, triples = build
     s = table.code(S)
+    universe = range(len(table.cats))
 
     lex_level: dict[int, set[Template]] = defaultdict(set)
     for cls, cat in grammar.lexicon:
         if cls != "CONJ":
-            closed = table.closure(table.code(cat), permuting)
-            for c in universe:
-                if closed >> c & 1:
-                    lex_level[c].add((cls,))
+            for c in bits(table.closure(table.code(cat), permuting)):
+                lex_level[c].add((cls,))
 
-    closed_triples: list[Triple] = []
-    for a, b, results in triples:
-        closed = 0
-        for c in results:
-            closed |= table.closure(c, permuting)
-        closed_triples.append((a, b, tuple(c for c in universe if closed >> c & 1)))
-
+    closed_triples = [(a, b, tuple(bits(table.join(1 << a, 1 << b, permuting))))
+                      for a, b, _results in triples]
     need = _length_bounds(universe, lex_level, closed_triples, s, max_len + 1)[1]
-    coordinating = [c for c in universe if table.coordinating >> c & 1]
+    coordinating = list(bits(table.coordinating))
 
     strings: list[dict[int, set[Template]]] = [dict() for _ in range(max_len + 1)]
     strings[1] = {a: strs for a, strs in lex_level.items() if need[a] <= max_len - 1}
@@ -360,15 +355,16 @@ def save_templates(templates, path) -> None:
 
 
 def load_templates(path) -> list[Template]:
+    """The templates of a ``save_templates`` file.  A class outside
+    ``LEXICAL_CLASSES`` is a ValueError that names the file and the line."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in enumerate(fh, 1):
             t = tuple(line.split())
+            if not t:
+                continue
             unknown = set(t) - set(LEXICAL_CLASSES)
             if unknown:
-                raise ValueError(f"unknown lexical classes: {sorted(unknown)}")
+                raise ValueError(f"{path}, line {lineno}: unknown lexical classes: {sorted(unknown)}")
             out.append(t)
     return out

@@ -235,8 +235,7 @@ def oracle_grammatical(grammar, classes) -> bool:
 def chart_derivable(parser, seq) -> set[Category]:
     """The categories of the whole-input cell of ``parser``'s chart over
     ``seq``, filled without the balance test that ``parse`` runs first."""
-    seq = tuple(seq)
-    cell = parser._fill(seq, parser._encode(seq))[0][0][-1]
+    cell = parser._fill(parser._encode(seq))[0][0][-1]
     return {c for code, c in enumerate(parser.table.cats) if cell >> code & 1}
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from alforge import parser as parser_module
-from alforge.categories import S, contains_variable, is_conjunction
+from alforge.categories import S, contains_variable
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
 from alforge.templates import enumerate_templates, grammatical_sequences
@@ -139,7 +139,7 @@ def test_one_edit_neighbourhood_verdicts():
         for classes in sorted(near):
             seq = g.categorize(classes)
             want = classes in lang[len(classes)]
-            if not parser._balanced(seq, parser._encode(seq)):
+            if not parser._balanced(parser._encode(seq)):
                 unbalanced += 1
                 if (S in chart_derivable(parser, seq)) != want:
                     wrong.append((g.params, classes, "chart"))
@@ -184,14 +184,14 @@ def test_balance_mutant_is_caught(monkeypatch):
     assert oracle_grammatical(g, classes)
     assert ChartParser(g.policy).parse(seq).grammatical
 
-    def balanced_by_prefixes(self, seq, codes):
+    def balanced_by_prefixes(self, codes):
         bal = self.table.balances
         try:
             return sum(map(bal.__getitem__, codes)) == parser_module._S_BALANCE
         except TypeError:
             pass
         loose = [i for i, a in enumerate(codes) if bal[a] is None]
-        if len(loose) != 1 or not is_conjunction(seq[loose[0]]):
+        if len(loose) != 1 or not self.table.conjunctions >> codes[loose[0]] & 1:
             return True
         p = loose[0]
         left = [bal[a] for a in codes[:p]]  # the mutation: reversed() dropped

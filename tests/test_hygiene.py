@@ -2,8 +2,9 @@
 never uses, every function and class of the package has a caller outside
 the tests, every default of the package is left out by a call outside the
 tests, each ``derive_seed`` label of the package is written in one
-place, only the parser reads rotation chains, and the command line does not
-load ``scipy.stats``.
+place, only the parser reads rotation chains, the parser classifies a
+category only when it interns it, and the command line does not load
+``scipy.stats``.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -271,6 +272,56 @@ def test_only_the_parser_reads_rotation_chains():
     wrong = {path.name: names for path in sorted(SRC.glob("*.py"))
              if (names := rotation_references(path.read_text()) - allowed.get(path.name, set()))}
     assert wrong == {}
+
+
+CLASSIFIERS = {"is_conjunction", "coordinable"}
+
+
+def classifier_calls(source: str) -> set[str]:
+    """``function:name`` for each call in ``source`` of a name of
+    ``CLASSIFIERS``, as a name or as an attribute, where ``function`` is the
+    qualified name of the innermost enclosing function or class (empty at
+    module level)."""
+    out = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in CLASSIFIERS:
+                    out.add(f"{where}:{name}")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_classifier_checker():
+    source = (
+        "from .combinators import coordinable\n"
+        "class RuleTable:\n"
+        "    def code(self, cat):\n"
+        "        return coordinable(cat), c.is_conjunction(cat)\n"
+        "def _fill(seq):\n"
+        "    return [i for i, c in enumerate(seq) if is_conjunction(c)]\n"
+        "ok = coordinable(S)\n"
+        "f = is_conjunction\n"
+    )
+    assert classifier_calls(source) == {
+        "RuleTable.code:coordinable", "RuleTable.code:is_conjunction",
+        "_fill:is_conjunction", ":coordinable",
+    }
+
+
+def test_parser_classifies_only_when_interning():
+    # After ``_encode`` the chart reads the facts ``RuleTable.code`` records
+    # (``coordinating``, ``conjunctions``), not the categories again.
+    calls = classifier_calls((SRC / "parser.py").read_text())
+    assert calls == {"RuleTable.code:coordinable", "RuleTable.code:is_conjunction"}
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -7,7 +7,14 @@ import threading
 
 import pytest
 
-from alforge.categories import NP, S, format_category, parse_category, permute_cyclic
+from alforge.categories import (
+    NP,
+    S,
+    format_category,
+    is_conjunction,
+    parse_category,
+    permute_cyclic,
+)
 from alforge.combinators import RuleId, coordinable
 from alforge.grammars import enumerate_grammars, grammar_by_id
 from alforge.parser import (
@@ -258,7 +265,7 @@ class TestBalance:
         balanced = EN.categorize(("VI", "NP", "SUBJ"))
         assert not parser.parse(balanced).grammatical
         assert parser.table.joins(True) or parser.table.joins(False)
-        assert parser._balanced(balanced, parser._encode(balanced))
+        assert parser._balanced(parser._encode(balanced))
 
 
 class TestRuleTable:
@@ -279,7 +286,8 @@ class TestRuleTable:
         """The chart's coordination step, ``both & table.coordinating``,
         keeps a cell closed only if coordinability is constant along every
         rotation chain.  Closed cells and closed enumeration entries also
-        need each closure to hold the closures of its members."""
+        need each closure to hold the closures of its members.  The chart
+        tells conjunction tokens by ``table.conjunctions`` alone."""
         rotated = 0  # pairs with r != a, so the check is not vacuous
         for g in enumerate_grammars():
             _cats, table, _triples = category_universe(g, True)
@@ -294,6 +302,9 @@ class TestRuleTable:
                         assert table.closure(r, True) & ~closed == 0, (g.params, table.cats[r])
             assert table.coordinating == sum(
                 1 << c for c, cat in enumerate(table.cats) if coordinable(cat)), g.params
+            conj = table.code(g.category("CONJ"))  # the universe leaves it out
+            assert table.conjunctions == sum(
+                1 << c for c, cat in enumerate(table.cats) if is_conjunction(cat)) == 1 << conj
         assert rotated
 
     def test_concurrent_interning(self):

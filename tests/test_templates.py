@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -148,9 +149,13 @@ class TestSharedClosure:
         assert calls == [True]
 
     def test_plain_closure_within_permuting(self):
+        # and in both modes the build interns no code it does not reach, as
+        # ``_language`` takes ``range(len(table.cats))`` for the universe
         for g in enumerate_grammars():
-            plain = category_universe(g, False)[0]
-            assert plain <= category_universe(g, True)[0], g.params
+            plain, plain_table, _triples = category_universe(g, False)
+            cats, table, _triples = category_universe(g, True)
+            assert plain <= cats, g.params
+            assert (len(plain), len(cats)) == (len(plain_table.cats), len(table.cats)), g.params
 
 
 class TestPruning:
@@ -288,4 +293,11 @@ class TestIO:
         path = tmp_path / "bad.txt"
         path.write_text("NP SUBJ VERB\n")
         with pytest.raises(ValueError):
+            load_templates(path)
+
+    def test_unknown_class_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("NP SUBJ VI\n\nNP SUBJ VX\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 3: "
+                                             r"unknown lexical classes: \['VX'\]$"):
             load_templates(path)
