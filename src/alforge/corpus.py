@@ -2,7 +2,8 @@
 sets, and minimal pairs.
 
 All randomness flows from a master seed; per-grammar streams are derived with
-a stable hash so per-grammar outputs do not depend on iteration order.
+a stable hash so per-grammar outputs do not depend on iteration order.  Each
+failure to sample names the grammar and the split or kind in front.
 """
 
 from __future__ import annotations
@@ -213,9 +214,10 @@ def _fill(template: Template, words: dict[str, tuple[str, ...]], choice):
     return template, tuple([choice(words[cls]) for cls in template])
 
 
-def _unique_draws(draw, n: int, taken: set, what: str) -> list:
+def _unique_draws(draw, n: int, taken: set, failure: str) -> list:
     """``n`` >= 1 ``(template, tokens)`` results of ``draw()`` whose tokens are
-    not in ``taken``, which gains them; at most ``n * DRAWS_PER_SENTENCE`` draws."""
+    not in ``taken``, which gains them; at most ``n * DRAWS_PER_SENTENCE``
+    draws, after which ``failure`` and the count found are raised."""
     out = []
     for _ in range(n * DRAWS_PER_SENTENCE):
         template, tokens = draw()
@@ -224,7 +226,7 @@ def _unique_draws(draw, n: int, taken: set, what: str) -> list:
             out.append((template, tokens))
             if len(out) == n:
                 return out
-    raise ValueError(f"insufficient unique {what} (found {len(out)} of {n})")
+    raise ValueError(f"{failure} (found {len(out)} of {n})")
 
 
 def sample_split(
@@ -250,6 +252,7 @@ def sample_split(
     and counts the avoided sentences of a length only when they do not."""
     if per_length_count == 0:
         return []
+    where = f"{grammar.params} {split}"
     lo, hi = band
     by_length: dict[int, list[Template]] = {}
     for t in dict.fromkeys(sorted(tuple(t) for t in templates if lo <= len(t) <= hi)):
@@ -261,7 +264,7 @@ def sample_split(
     for n in range(lo, hi + 1):
         pool = by_length.get(n)
         if not pool:
-            raise ValueError(f"no templates available for length {n}")
+            raise ValueError(f"{where}: no templates available for length {n}")
         total = 0
         for t in pool:
             total += math.prod(size[c] for c in t)
@@ -275,15 +278,15 @@ def sample_split(
             capacity = total - sum(avoided[t] for t in pool)
             if capacity < per_length_count:
                 raise ValueError(
-                    f"length {n} has {capacity} distinct sentences to draw from, "
-                    f"{per_length_count} requested")
+                    f"{where}: length {n} has {capacity} distinct sentences to draw "
+                    f"from, {per_length_count} requested")
     choice = random.Random(seed).choice
     words = lexicon.words
     out: list[Sentence] = []
     for n in range(lo, hi + 1):
         pool = by_length[n]
-        drawn = _unique_draws(lambda: _fill(choice(pool), words, choice),
-                              per_length_count, taken, f"sentences for length {n}")
+        drawn = _unique_draws(lambda: _fill(choice(pool), words, choice), per_length_count,
+                              taken, f"{where}: insufficient unique sentences for length {n}")
         out.extend(Sentence(tokens, t, grammar.params, split) for t, tokens in drawn)
     return out
 
@@ -336,7 +339,7 @@ def targeted_skeleton(grammar: Grammar, kind: str) -> Template:
         body = _order_clause(order, _marked_np(), _comp_clause(grammar, gap), ["VCOMP"])
         subject = _rel_np(grammar, body)
     else:
-        raise ValueError(f"unknown targeted kind: {kind!r}")
+        raise ValueError(f"{grammar.params}: unknown targeted kind {kind!r}")
     main = _order_clause(order, subject, ["NP", "OBJ"], ["VT"])
     return tuple(main)
 
@@ -349,21 +352,20 @@ def gen_targeted(
     seed: int,
     parser: ChartParser,
 ) -> list[Sentence]:
+    where = f"{grammar.params} {kind}"
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"{where}: n must be >= 1")
     skeleton = targeted_skeleton(grammar, kind)
     if not parser.parse(grammar.categorize(skeleton)).grammatical:
-        raise RuntimeError(
-            f"targeted {kind} construction does not parse under {grammar.params}"
-        )
+        raise RuntimeError(f"{where}: the targeted construction does not parse")
     capacity = math.prod(len(lexicon.words[c]) for c in skeleton)
     if capacity < n:
         raise ValueError(
-            f"the {kind} skeleton has {capacity} distinct sentences to draw from, "
+            f"{where}: the skeleton has {capacity} distinct sentences to draw from, "
             f"{n} requested")
     choice = random.Random(seed).choice
     drawn = _unique_draws(lambda: _fill(skeleton, lexicon.words, choice),
-                          n, set(), f"{kind} sentences")
+                          n, set(), f"{where}: insufficient unique sentences")
     return [Sentence(tokens, skeleton, grammar.params, kind) for _, tokens in drawn]
 
 
@@ -415,14 +417,15 @@ def gen_minimal_pairs(
     equal lengths; the ungrammatical twin is parser-verified to fail.  The
     source sentences must come from ``grammar`` (its id or an alias), whose
     language vouches for the grammatical member."""
+    where = f"{grammar.params} {kind}"
     if kind not in PAIR_KINDS:
-        raise ValueError(f"unknown pair kind: {kind!r}")
+        raise ValueError(f"{where}: unknown pair kind")
     source = list(source)
     if not source:
-        raise ValueError("empty source sentence set")
+        raise ValueError(f"{where}: empty source sentence set")
     foreign = sorted({s.grammar_id for s in source} - {grammar.params, *grammar.aliases})
     if foreign:
-        raise ValueError(f"source sentences of grammar {foreign[0]}, not {grammar.params}")
+        raise ValueError(f"{where}: source sentences of grammar {foreign[0]}")
     twin_of = _case_twin if kind == "CaseType" else _verb_twin
     rng = random.Random(seed)
     out: list[tuple[Sentence, Sentence]] = []
@@ -430,7 +433,10 @@ def gen_minimal_pairs(
     for _ in range(n):
         for _retry in range(PAIR_RETRIES):
             src = rng.choice(source)
-            twin = twin_of(src, lexicon, rng)
+            try:
+                twin = twin_of(src, lexicon, rng)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if twin is None:
                 continue
             bad_tokens, bad_classes = twin
@@ -446,7 +452,5 @@ def gen_minimal_pairs(
             out.append((good, bad))
             break
         else:
-            raise RuntimeError(
-                f"could not build a {kind} pair after {PAIR_RETRIES} retries"
-            )
+            raise RuntimeError(f"{where}: could not build a pair after {PAIR_RETRIES} retries")
     return out

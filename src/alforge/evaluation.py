@@ -97,6 +97,11 @@ class TypologyTable:
         missing = set(_FACTOR_PARAMS) - set(self.param_freq)
         if missing:
             raise ValueError(f"param_freq missing parameters: {sorted(missing)}")
+        entries = [(f"base_order_freq[{o}]", f) for o, f in self.base_order_freq.items()]
+        entries += [(f"param_freq[{p}]", f) for p, pair in self.param_freq.items() for f in pair]
+        for name, freq in entries:
+            if not (_is_number(freq) and 0.0 <= freq <= 1.0):  # NaN fails the test
+                raise ValueError(f"{name} must be a number in [0, 1], got {freq!r}")
         # Source tables are rounded to two decimals, so validate loosely.
         total = sum(self.base_order_freq[o] for o in BASE_ORDERS)
         if abs(total - 1.0) > 1e-2:
@@ -128,11 +133,8 @@ class TypologyTable:
         for key in ("base_order_freq", "param_freq"):
             if not isinstance(data.get(key), dict):
                 raise ValueError(f"typology file needs a {key} object, got {data.get(key)!r}")
-        for order, freq in data["base_order_freq"].items():
-            if not _is_number(freq):
-                raise ValueError(f"base_order_freq[{order}] must be a number, got {freq!r}")
         for p, pair in data["param_freq"].items():
-            if not (isinstance(pair, list) and all(map(_is_number, pair))):
+            if not isinstance(pair, list):
                 raise ValueError(f"param_freq[{p}] must be a list of numbers, got {pair!r}")
         return cls(
             dict(data["base_order_freq"]),
@@ -171,6 +173,8 @@ def pearson(x, y) -> tuple[float, float]:
     n = len(x)
     if n != len(y) or n < 3:
         raise ValueError("need two equal-length vectors of size >= 3")
+    if not all(map(math.isfinite, x + y)):
+        raise ValueError("pearson input must be finite")
     mx = sum(x) / n
     my = sum(y) / n
     dx = [v - mx for v in x]

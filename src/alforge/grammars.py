@@ -143,14 +143,6 @@ def build_grammar(params: str) -> Grammar:
     return Grammar(params, base_order, lexicon, policy)
 
 
-def _signature(g: Grammar):
-    # build_grammar already picks the canonical VT nesting for verb-medial
-    # settings (where the two O choices are rotations generating the same
-    # string language), so plain structural equality is the right key here.
-    lex = tuple((cls, format_category(cat)) for cls, cat in g.lexicon)
-    return (lex, g.policy)
-
-
 @lru_cache(maxsize=1)
 def enumerate_grammars() -> tuple[Grammar, ...]:
     """All distinct grammars (exactly 96), canonical id per equivalence
@@ -158,7 +150,11 @@ def enumerate_grammars() -> tuple[Grammar, ...]:
     groups: dict[object, list[Grammar]] = {}
     for i in range(128):
         g = build_grammar(format(i, "07b"))
-        groups.setdefault(_signature(g), []).append(g)
+        # build_grammar already picks the canonical VT nesting for verb-medial
+        # settings (where the two O choices are rotations generating the same
+        # string language), so structural equality of the lexicon and policy
+        # is the right key here.
+        groups.setdefault((g.lexicon, g.policy), []).append(g)
     # groups fill in ascending vector order: the first member is canonical
     grammars = [replace(first, aliases=tuple(g.params for g in rest))
                 for first, *rest in groups.values()]

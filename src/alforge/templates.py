@@ -9,14 +9,17 @@ small lengths by the test suite.
 
 The universe and the bottom-up language build run on the integer codes of a
 ``parser.RuleTable``, the same lazily filled table type the chart parser
-uses: the universe is every code of the build's table, and each productive
-pair's results, closed under rotation, are the chart's own ``RuleTable.join``
-of the two codes.  Each ``grammatical_sequences`` call builds the
-permuting universe once; the non-permuting language of a ``require_rel``
-grammar reads the same table and triples.  The build keeps a (length,
-category) entry only while it can still sit inside an S of length <=
-max_len, an outside estimate by span length as in A* parsing
-(``_length_bounds``); the pruning is exact.
+uses.  ``category_universe`` walks the table's own code list in code order,
+combining each code with every earlier one in both orders, so the codes
+it interns are walked in turn: the universe is every code of the table,
+and the walk records the productive pairs, the ordered pairs of codes with
+a binary result.  Each productive pair's results, closed under rotation,
+are the chart's own ``RuleTable.join`` of the two codes.  Each
+``grammatical_sequences`` call builds the permuting universe once; the
+non-permuting language of a ``require_rel`` grammar reads the same table
+and pairs.  The build keeps a (length, category) entry only while it can
+still sit inside an S of length <= max_len, an outside estimate by span
+length as in A* parsing (``_length_bounds``); the pruning is exact.
 """
 
 from __future__ import annotations
@@ -61,50 +64,36 @@ def heuristic_filter(classes) -> bool:
     return True
 
 
-Triple = tuple[int, int, tuple[int, ...]]  # (left code, right code, result codes)
-Universe = tuple[set[Category], RuleTable, list[Triple]]  # (categories, table, triples)
+Triple = tuple[int, int, tuple[int, ...]]  # (left code, right code, closed result codes)
+Universe = tuple[set[Category], RuleTable, list[tuple[int, int]]]  # (cats, table, pairs)
 
 
 def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
     """Closure of the lexical categories under the rules (and, with
-    ``permutation_active``, under ``RuleTable.closure``), the rule table
-    whose binary results over that closure are now all filled in, and the
-    productive pairs of the closure: one (a, b, distinct direct results)
-    triple per ordered pair of codes with at least one binary result.
-    Conjunction is excluded (it feeds the ternary coordination rule only,
-    which creates no new categories)."""
+    ``permutation_active``, under ``RuleTable.closure``), the rule table that
+    interned exactly that closure, and its productive pairs: each ordered
+    pair of codes (a, b) with a binary result, once.
+
+    One walk over ``table.cats`` in code order, from the closed lexical
+    codes: code a meets every code b <= a in both orders, and each result is
+    closed.  A code interned on the way is larger than a, so the walk reaches
+    it later.  Conjunction is excluded (it feeds the ternary coordination
+    rule only, which creates no new categories)."""
     table = RuleTable()
-    codes: set[int] = set()
-    pending: list[int] = []
-
-    def reach(a: int) -> None:
-        for c in bits(table.closure(a, permutation_active)):
-            if c not in codes:
-                codes.add(c)
-                pending.append(c)
-
     for cls, cat in grammar.lexicon:
         if cls != "CONJ":
-            reach(table.code(cat))
-
-    triples: list[Triple] = []
-    while pending:
-        new = set(pending)
-        pending = []
-        pairs = [(a, b) for a in new for b in codes] + [
-            (a, b) for a in codes for b in new if a not in new
-        ]
-        for a, b in pairs:
-            results = table.combine(a, b)
-            if not results:
-                continue
-            outs = tuple(dict.fromkeys(out for _rule, out in results))
-            triples.append((a, b, outs))
-            for out in outs:
-                reach(out)
-        if len(codes) > 2000:
+            table.closure(table.code(cat), permutation_active)
+    pairs = []
+    for a, _cat in enumerate(table.cats):  # the list grows as the walk interns
+        if a == 2000:
             raise RuntimeError("category universe failed to close")
-    return {table.cats[c] for c in codes}, table, triples
+        for pair in [(a, b) for b in range(a + 1)] + [(b, a) for b in range(a)]:
+            results = table.combine(*pair)
+            if results:
+                pairs.append(pair)
+                for _rule, out in results:
+                    table.closure(out, permutation_active)
+    return set(table.cats), table, pairs
 
 
 def _length_bounds(
@@ -158,16 +147,17 @@ def _language(
 
     Entries are closed under rotation the way chart cells are: a lexical
     class enters at every code of its category's ``RuleTable.closure``, and
-    each productive pair (a, b) yields ``table.join(1 << a, 1 << b)``, the
-    chart's memo of the closure of its results (its closed results).  The
-    universe is every code of the build's table: the build interns no code
-    it does not reach.  The permuting build is exact with permutation off
-    too: there the closure is the identity, so the closed results are the
-    direct ones; every code reachable without a rotation is in the
-    permuting universe, with the same productive pairs, and a code
-    reachable only through a rotation keeps minlen = cap (every triple that
-    yields one has such a child), so it lowers no reachable code's minlen or
-    need, and it never receives a string.
+    each productive pair (a, b) of the build yields ``table.join(1 << a,
+    1 << b)``, the chart's memo of the closure of its results (its closed
+    results, which form the closed triples).  The universe is every code of
+    the build's table: the walk interns no code it does not reach.  The
+    permuting build is exact with permutation off too: there the closure is
+    the identity, so the closed results are the direct ones; every code
+    reachable without a rotation is in the permuting universe, with the same
+    productive pairs, and a code reachable only through a rotation keeps
+    minlen = cap (every triple that yields one has such a child), so it
+    lowers no reachable code's minlen or need, and it never receives a
+    string.
 
     Built bottom-up over category codes: strings[n] maps each code c to the
     class tuples of length n deriving it, but only while n + need[c] <=
@@ -181,7 +171,7 @@ def _language(
     coordination's conjuncts likewise), so each kept entry holds the same
     tuples as with no pruning.  Binary steps loop over the closed triples
     and drop pruned result codes before building a cross-product."""
-    _cats, table, triples = build
+    _cats, table, pairs = build
     s = table.code(S)
     universe = range(len(table.cats))
 
@@ -192,7 +182,7 @@ def _language(
                 lex_level[c].add((cls,))
 
     closed_triples = [(a, b, tuple(bits(table.join(1 << a, 1 << b, permuting))))
-                      for a, b, _results in triples]
+                      for a, b in pairs]
     need = _length_bounds(universe, lex_level, closed_triples, s, max_len + 1)[1]
     coordinating = list(bits(table.coordinating))
 
@@ -302,10 +292,11 @@ def sample_long_templates(
     coordinations are decided by construction, and insertion (CONJ t2 inside
     t1) is accepted for 1,105 of 16,828.  The parser's balance test rejects
     9,394 of those concatenations and 3,758 of those insertions before it
-    fills a chart (see ``alforge.parser``)."""
+    fills a chart (see ``alforge.parser``).  Each failure names the grammar."""
+    where = f"{grammar.params} Long templates"
     templates = [tuple(t) for t in templates]
     if not templates:
-        raise ValueError("no source templates to extend")
+        raise ValueError(f"{where}: no source templates to extend")
     by_len: dict[int, list[Template]] = {}
     for t in dict.fromkeys(sorted(templates)):  # sorted and distinct
         by_len.setdefault(len(t), []).append(t)
@@ -342,9 +333,7 @@ def sample_long_templates(
                 bucket.add(cand)
     short = [n for n, b in buckets.items() if len(b) < per_length]
     if short:
-        raise RuntimeError(
-            f"could not find {per_length} long templates for lengths {short}"
-        )
+        raise RuntimeError(f"{where}: fewer than {per_length} found for lengths {short}")
     return sorted(t for b in buckets.values() for t in b)
 
 

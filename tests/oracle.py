@@ -263,7 +263,7 @@ def reference_language(grammar, permutation_active: bool, max_len: int) -> list[
     """out[n] = the class tuples of length n that derive S, for n <= max_len,
     with no pruning: strings[n] maps every category code to every class
     tuple of length n deriving it, over every pair of codes."""
-    _cats, table, _triples = category_universe(grammar, permutation_active)
+    _cats, table, _pairs = category_universe(grammar, permutation_active)
 
     strings: list[dict[int, set]] = [dict() for _ in range(max_len + 1)]
 

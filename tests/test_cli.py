@@ -208,7 +208,16 @@ class TestSubcommands:
         code, _, err = run(capsys, "gen-dataset", "--params", "0101101",
                            "--out-dir", str(tmp_path))
         assert code == 1
-        assert err.startswith("error: ValueError: length 3 has")
+        assert err == ("error: ValueError: 0101101 ShortTrain: length 3 has 152 distinct "
+                       "sentences to draw from, 1000 requested\n")
+
+    def test_pipeline_sampling_failure_names_grammar_and_split(self, capsys, tmp_path):
+        # ShortTrain takes 150 of the 152 sentences of NP SUBJ VI
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--seed", "1",
+                           "--scale", "0.15", "--out-dir", str(tmp_path / "d"))
+        assert code == 1
+        assert err == ("error: ValueError: 0101101 ShortTest: length 3 has 2 distinct "
+                       "sentences to draw from, 15 requested\n")
 
     def test_gen_dataset_bad_lexicon_fails_before_writing(self, capsys, tmp_path):
         lexicon = tmp_path / "lex.json"
@@ -437,7 +446,7 @@ class TestPipeline:
                            "--seed", "3", "--scale", "0.05", "--out", str(out),
                            "--source", str(pipeline_out / "0101101_MediumTest.jsonl"))
         assert code == 1
-        assert err.startswith("error: ValueError: source sentences of grammar 0101101")
+        assert err == "error: ValueError: 0000000 CaseType: source sentences of grammar 0101101\n"
         assert not out.exists()
 
     def test_augment_long_is_the_pipeline_long_step(self, capsys, tmp_path, pipeline_out):

@@ -1,6 +1,7 @@
 """Corpus builder: lexicons, stratified sampling, targeted sets, minimal pairs."""
 
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from alforge.corpus import (
 )
 from alforge.grammars import enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
-from alforge.templates import enumerate_templates
+from alforge.templates import enumerate_templates, sample_long_templates
 
 EN = grammar_by_id("0101101")
 EN_TEMPLATES = enumerate_templates(EN, 10)
@@ -238,11 +239,11 @@ class TestCapacityBoundary:
         rest = self.draw(302, avoid=avoid)
         assert len({s.tokens for s in rest}) == 302 and not {s.tokens for s in rest} & avoid
         assert avoided_counts == []
-        with pytest.raises(ValueError, match=r"^length 3 has 304 distinct sentences to "
-                                             r"draw from, 305 requested$"):
+        with pytest.raises(ValueError, match=r"^0101101 x: length 3 has 304 distinct "
+                                             r"sentences to draw from, 305 requested$"):
             self.draw(305)
-        with pytest.raises(ValueError, match=r"^length 3 has 302 distinct sentences to "
-                                             r"draw from, 303 requested$"):
+        with pytest.raises(ValueError, match=r"^0101101 x: length 3 has 302 distinct "
+                                             r"sentences to draw from, 303 requested$"):
             self.draw(303, avoid=avoid)
         assert avoided_counts == [1, 1]
 
@@ -252,8 +253,8 @@ class TestCapacityBoundary:
         avoid = {s.tokens for s in self.draw(150)} | {("Kim", "ran", "ga"), ("o", "Kim", "ran")}
         rest = self.draw(154, avoid=avoid)
         assert len({s.tokens for s in rest}) == 154 and not {s.tokens for s in rest} & avoid
-        with pytest.raises(ValueError, match=r"^length 3 has 154 distinct sentences to "
-                                             r"draw from, 155 requested$"):
+        with pytest.raises(ValueError, match=r"^0101101 x: length 3 has 154 distinct "
+                                             r"sentences to draw from, 155 requested$"):
             self.draw(155, avoid=avoid)
         assert avoided_counts == [1, 1]
 
@@ -296,6 +297,52 @@ class TestTargeted:
         with pytest.raises(ValueError, match="has 1 distinct sentences to draw from, 2 requested"):
             gen_targeted(EN, "Recursive", one_each, 2, seed=1, parser=EN_PARSER)
         assert len(gen_targeted(EN, "Recursive", one_each, 1, seed=1, parser=EN_PARSER)) == 1
+
+
+class TestFailuresNameGrammar:
+    """Every sampling failure names the grammar and the split or kind."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 1, SHORT_BAND, seed=1,
+                              split="ShortTest"),
+         ValueError, "0101101 ShortTest: no templates available for length 4"),
+        (lambda: gen_targeted(EN, "Recursive", LEX, 0, seed=1, parser=EN_PARSER),
+         ValueError, "0101101 Recursive: n must be >= 1"),
+        (lambda: gen_targeted(EN, "Nested", LEX, 1, seed=1, parser=EN_PARSER),
+         ValueError, "0101101: unknown targeted kind 'Nested'"),
+        (lambda: gen_targeted(EN, "Embedded", Lexicon({c: f[:1] for c, f in LEX.words.items()}),
+                              2, seed=1, parser=EN_PARSER),
+         ValueError, "0101101 Embedded: the skeleton has 1 distinct sentences to draw from, "
+                     "2 requested"),
+        (lambda: gen_minimal_pairs(EN, "Nested", [], LEX, 1, seed=1, parser=EN_PARSER),
+         ValueError, "0101101 Nested: unknown pair kind"),
+        (lambda: gen_minimal_pairs(EN, "CaseType", [], LEX, 1, seed=1, parser=EN_PARSER),
+         ValueError, "0101101 CaseType: empty source sentence set"),
+        (lambda: gen_minimal_pairs(
+            EN, "VerbType",
+            sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 2, (3, 3), seed=1, split="ShortTest"),
+            LEX, 1, seed=1, parser=EN_PARSER),
+         RuntimeError, "0101101 VerbType: could not build a pair after 100 retries"),
+        (lambda: sample_long_templates([("NP", "SUBJ", "VI")], EN, per_length=5, min_len=19,
+                                       max_len=20, seed=0, parser=EN_PARSER),
+         RuntimeError, "0101101 Long templates: fewer than 5 found for lengths [19, 20]"),
+    ])
+    def test_message(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_drawn_failures(self, source):
+        lex = Lexicon({**DEFAULT_WORDS, "SUBJ": ("wa",), "OBJ": ("wo",)})
+        with pytest.raises(ValueError, match=r"^0101101 CaseType: source word '\w+' is not a "
+                                             r"(SUBJ|OBJ) word of the lexicon$"):
+            gen_minimal_pairs(EN, "CaseType", source, lex, 1, seed=1, parser=EN_PARSER)
+        # as in test_rejection_limit: 1 of 40,000 sentences is left
+        words = dict(DEFAULT_WORDS, NP=tuple(f"np{i}" for i in range(200)))
+        avoid = {(a, b) for a in words["NP"] for b in words["NP"]} - {("np0", "np0")}
+        with pytest.raises(ValueError, match=r"^0101101 x: insufficient unique sentences for "
+                                             r"length 2 \(found 0 of 1\)$"):
+            sample_split(EN, [("NP", "NP")], Lexicon(words), 1, (2, 2), seed=1, split="x",
+                         avoid=avoid)
 
 
 @pytest.fixture(scope="module")

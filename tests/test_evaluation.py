@@ -1,8 +1,10 @@
 """Evaluation metrics: perplexity, correlations, judgments, n-gram baseline."""
 
 import csv
+import json
 import math
 import random
+import re
 
 import pytest
 import scipy.stats
@@ -112,6 +114,14 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        # the clamp to [-1, 1] would turn a NaN r into a perfect correlation
+        with pytest.raises(ValueError, match="^pearson input must be finite$"):
+            pearson([1, 2, bad], [1, 2, 3])
+        with pytest.raises(ValueError, match="^pearson input must be finite$"):
+            pearson([1, 2, 3], [1, bad, 3])
+
 
 class TestPlausibility:
     def test_english(self):
@@ -149,6 +159,19 @@ class TestTypologyTable:
         del freq["VOS"]
         with pytest.raises(ValueError):
             TypologyTable(freq, TypologyTable.default().param_freq)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("base_order_freq", "SOV", math.nan, "base_order_freq[SOV] must be a number in [0, 1], got nan"),
+        ("param_freq", "REL", [1.5, -0.5], "param_freq[REL] must be a number in [0, 1], got 1.5"),
+    ])
+    def test_load_rejects_bad_frequency(self, tmp_path, section, key, value, message):
+        # both pass the sum check: a NaN compares False, and 1.5 - 0.5 is 1
+        data = TypologyTable.default().to_json()
+        data[section][key] = value
+        path = tmp_path / "typology.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TypologyTable.load(path)
 
     def test_round_trip_and_hash(self, tmp_path):
         table = TypologyTable.default()

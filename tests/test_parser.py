@@ -234,10 +234,11 @@ class TestBalance:
         balance, and only the conjunction has none."""
         checked = 0
         for g in enumerate_grammars():
-            _cats, table, triples = category_universe(g, True)
+            _cats, table, pairs = category_universe(g, True)
             bal = table.balances
             assert None not in bal, g.params
-            for a, b, outs in triples:
+            for a, b in pairs:
+                outs = [c for _rule, c in table.combine(a, b)]
                 assert all(bal[c] == bal[a] + bal[b] for c in outs), (g.params, a, b)
                 checked += 1
             for a in range(len(table.cats)):
@@ -290,7 +291,7 @@ class TestRuleTable:
         tells conjunction tokens by ``table.conjunctions`` alone."""
         rotated = 0  # pairs with r != a, so the check is not vacuous
         for g in enumerate_grammars():
-            _cats, table, _triples = category_universe(g, True)
+            _cats, table, _pairs = category_universe(g, True)
             codes = range(len(table.cats))
             for a in codes:
                 assert all(coordinable(table.cats[r]) == coordinable(table.cats[a])

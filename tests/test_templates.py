@@ -152,10 +152,23 @@ class TestSharedClosure:
         # and in both modes the build interns no code it does not reach, as
         # ``_language`` takes ``range(len(table.cats))`` for the universe
         for g in enumerate_grammars():
-            plain, plain_table, _triples = category_universe(g, False)
-            cats, table, _triples = category_universe(g, True)
+            plain, plain_table, _pairs = category_universe(g, False)
+            cats, table, _pairs = category_universe(g, True)
             assert plain <= cats, g.params
             assert (len(plain), len(cats)) == (len(plain_table.cats), len(table.cats)), g.params
+
+    @pytest.mark.parametrize("permutation_active", [True, False])
+    def test_walk_lists_every_productive_pair_once(self, permutation_active):
+        """The walk's pairs are exactly the ordered pairs of the table's
+        codes that have a binary result, each once, and combining any two
+        codes of the table interns no new one."""
+        for g in enumerate_grammars():
+            _cats, table, pairs = category_universe(g, permutation_active)
+            n = len(table.cats)
+            productive = {(a, b) for a in range(n) for b in range(n) if table.combine(a, b)}
+            assert len(table.cats) == n, g.params
+            assert len(pairs) == len(set(pairs)), g.params
+            assert set(pairs) == productive, g.params
 
 
 class TestPruning:
