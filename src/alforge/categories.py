@@ -4,6 +4,9 @@ Categories are immutable values.  The text syntax round-trips through
 ``parse_category`` / ``str``: ``(S\\NP_SUBJ)/NP_OBJ``, with restriction
 annotations written immediately after the slash, e.g. ``NP/,NP`` or the
 conjunction ``(var\\.,@var)/.,@var``.
+
+How a verb functor's arguments rotate (permutation) is the parser's
+business: ``parser.rotations`` is the only rotation code.
 """
 
 from __future__ import annotations
@@ -128,47 +131,6 @@ NP = Primitive("NP")
 NP_SUBJ = Primitive("NP_SUBJ")
 NP_OBJ = Primitive("NP_OBJ")
 SCOMP = Primitive("SCOMP")
-
-
-def arity(c: Category) -> int:
-    """Number of argument positions on the outer spine."""
-    n = 0
-    while isinstance(c, Functor):
-        n += 1
-        c = c.result
-    return n
-
-
-def innermost_result(c: Category) -> Category:
-    while isinstance(c, Functor):
-        c = c.result
-    return c
-
-
-def spine(c: Category) -> tuple[Category, list[tuple[str, Category, Restrictions]]]:
-    """Split off the argument spine, outermost argument first."""
-    args: list[tuple[str, Category, Restrictions]] = []
-    while isinstance(c, Functor):
-        args.append((c.slash, c.argument, c.restrictions))
-        c = c.result
-    return c, args
-
-
-def unspine(core: Category, args: list[tuple[str, Category, Restrictions]]) -> Category:
-    """Inverse of ``spine``; ``args`` are outermost-first."""
-    c = core
-    for slash, argument, restr in reversed(args):
-        c = Functor(c, slash, argument, restr)
-    return c
-
-
-def permute_cyclic(c: Category) -> Category:
-    """Rotate the argument spine by one: the outermost argument moves to the
-    innermost position, every argument keeps its slash and restrictions."""
-    if not isinstance(c, Functor):
-        raise ValueError(f"not a functor: {c}")
-    core, args = spine(c)
-    return unspine(core, args[1:] + [args[0]])
 
 
 def contains_variable(c: Category) -> bool:

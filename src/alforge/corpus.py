@@ -250,9 +250,9 @@ def sample_split(
     avoided sentence lowers the capacity by at most one, so the check stops
     summing template sizes once they reach the count plus ``len(avoid)``,
     and counts the avoided sentences of a length only when they do not."""
-    if per_length_count == 0:
-        return []
     where = f"{grammar.params} {split}"
+    if per_length_count < 1:
+        raise ValueError(f"{where}: per_length_count must be >= 1")
     lo, hi = band
     by_length: dict[int, list[Template]] = {}
     for t in dict.fromkeys(sorted(tuple(t) for t in templates if lo <= len(t) <= hi)):

@@ -248,6 +248,13 @@ class NgramModel:
         return out
 
 
+def _reject_boundary_tokens(tokens) -> None:
+    """A word spelled like ``BOS`` or ``EOS`` would be counted as padding."""
+    for symbol in (BOS, EOS):
+        if symbol in tokens:
+            raise ValueError(f"token {symbol!r} is an n-gram boundary symbol")
+
+
 def ngram_train(train, order: int, k: float) -> NgramModel:
     train = list(train)
     if not train:
@@ -256,7 +263,9 @@ def ngram_train(train, order: int, k: float) -> NgramModel:
         raise ValueError("order must be >= 1")
     if k <= 0:
         raise ValueError("smoothing constant must be > 0")
-    vocab = sorted({w for s in train for w in s.tokens} | {EOS})
+    words = {w for s in train for w in s.tokens}
+    _reject_boundary_tokens(words)
+    vocab = sorted(words | {EOS})
     grams: Counter[tuple[str, ...]] = Counter()  # full order-n grams, context + word
     for s in train:
         padded = (BOS,) * (order - 1) + tuple(s.tokens) + (EOS,)
@@ -276,6 +285,7 @@ def ngram_score(model: NgramModel, sentences) -> list[ScoreRecord]:
     out = []
     for s in sentences:
         tokens = tuple(s.tokens)
+        _reject_boundary_tokens(tokens)
         out.append(ScoreRecord(s.grammar_id, tokens, tuple(model.score_tokens(tokens))))
     return out
 

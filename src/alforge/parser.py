@@ -54,11 +54,8 @@ from .categories import (
     Functor,
     Primitive,
     S,
-    arity,
     contains_variable,
-    innermost_result,
     is_conjunction,
-    permute_cyclic,
 )
 from .combinators import (
     BINARY_RULES,
@@ -92,18 +89,28 @@ class ParserPolicy:
 
 
 def rotations(c: Category) -> list[Category]:
-    """Proper rotations of ``c`` reachable under the eligibility rules, in
-    application order (at most arity-1).  Only verb functors (innermost
-    result S) rotate, and the chain stops at a category whose outermost
-    argument is "@"-restricted."""
+    """The proper rotations of ``c``, in application order: the m-th moves
+    the m outermost arguments innermost, each with its slash and
+    restrictions.  This is the toolkit's only rotation code.
+
+    Only verb functors (innermost result S) rotate.  The chain stops before
+    the m-th rotation when the (m-1)-th has an "@"-restricted outermost
+    argument, or when a rotation comes back to ``c`` or to an earlier one,
+    so it has at most arity-1 entries."""
+    args: list[Functor] = []  # the spine's nodes, outermost first
+    core = c
+    while isinstance(core, Functor):
+        args.append(core)
+        core = core.result
+    if core != S:
+        return []
     out: list[Category] = []
-    if not (isinstance(c, Functor) and innermost_result(c) == S):
-        return out  # a rotation keeps the innermost result: checked once
-    cur = c
-    for _ in range(arity(c) - 1):
-        if cur.restrictions.no_permutation:
+    for m in range(1, len(args)):
+        if args[m - 1].restrictions.no_permutation:
             break
-        cur = permute_cyclic(cur)
+        cur = core
+        for f in reversed(args[m:] + args[:m]):
+            cur = Functor(cur, f.slash, f.argument, f.restrictions)
         if cur == c or cur in out:
             break
         out.append(cur)

@@ -28,7 +28,6 @@ import random
 from collections import defaultdict
 
 from .categories import S, Category
-from .combinators import coordinable
 from .grammars import LEXICAL_CLASSES, Grammar
 from .parser import ChartParser, RuleTable, bits
 
@@ -275,16 +274,16 @@ def sample_long_templates(
 
     Every source template must derive S under ``grammar``, as
     ``enumerate_templates`` output does by construction.  A ``t1 CONJ t2``
-    candidate that passes the heuristics is then accepted without a parse
-    whenever S is ``coordinable``: the chart cells over t1 and t2
-    hold S, so the coordination rule puts S over the whole input.  Under
-    ``require_rel`` a candidate with REL in one half only is parsed with
-    permutation on, while the other half derived S with it off; permuting
-    cells are supersets of non-permuting ones (``closure`` only adds
-    rotations and ``join`` is monotone), so that half still holds S.  Every
-    other candidate is parsed.  The random draws do not depend on how a
-    verdict is reached, so the output is the one a parse of every candidate
-    gives.
+    candidate that passes the heuristics is then accepted without a parse:
+    the chart cells over t1 and t2 hold S, and S, a ground primitive that is
+    no case marker, is ``coordinable``, so the coordination rule puts S over
+    the whole input.  Under ``require_rel`` a candidate with REL in one half
+    only is parsed with permutation on, while the other half derived S with
+    it off; permuting cells are supersets of non-permuting ones (``closure``
+    only adds rotations and ``join`` is monotone), so that half still holds
+    S.  Every other candidate is parsed.  The random draws do not depend on
+    how a verdict is reached, so the output is the one a parse of every
+    candidate gives.
 
     As implemented, the operators differ sharply.  In the 96-grammar
     pipeline at ``--scale 0.1 --seed 11``, concatenation (``t1 t2``) is
@@ -305,7 +304,6 @@ def sample_long_templates(
         need: [(a, need - a) for a in by_len if need - a in by_len]
         for need in range(min_len - 1, max_len + 1)
     }
-    s_coordinates = coordinable(S)
     rng = random.Random(seed)
     choice = rng.choice
     buckets: dict[int, set[Template]] = {n: set() for n in range(min_len, max_len + 1)}
@@ -327,9 +325,7 @@ def sample_long_templates(
             cand = _extend(op, t1, t2, i)
             if cand in bucket:
                 continue
-            if heuristic_filter(cand) and (
-                (op == 1 and s_coordinates) or is_grammatical(cand, grammar, parser)
-            ):
+            if heuristic_filter(cand) and (op == 1 or is_grammatical(cand, grammar, parser)):
                 bucket.add(cand)
     short = [n for n, b in buckets.items() if len(b) < per_length]
     if short:

@@ -2,8 +2,10 @@
 
 Deliberately naive: rules are re-implemented by direct pattern matching on
 category structure (no shared code with the chart parser beyond the category
-dataclasses and the ``RuleId`` labels), and the search recursively tries every split point, every rule,
-and every rotation, without a chart or memo table shared across sequences.
+dataclasses and the ``RuleId`` labels; ``_rotate_once`` peels the argument
+spine and finds the innermost result itself), and the search recursively
+tries every split point, every rule, and every rotation, without a chart or
+memo table shared across sequences.
 
 ``oracle_derivations`` enumerates, by the same search, every derivation tree
 rather than every category.
@@ -38,7 +40,6 @@ from alforge.categories import (
     Category,
     Functor,
     Variable,
-    innermost_result,
 )
 from alforge.combinators import RuleId
 from alforge.evaluation import BOS, EOS
@@ -109,9 +110,7 @@ def _binary_results(a: Category, b: Category) -> set[Category]:
 
 
 def _rotate_once(c: Category) -> Category | None:
-    if not isinstance(c, Functor) or innermost_result(c) != S:
-        return None
-    if c.restrictions.no_permutation:
+    if not isinstance(c, Functor) or c.restrictions.no_permutation:
         return None
     # peel the argument spine, move the outermost argument innermost
     args = []
@@ -119,7 +118,7 @@ def _rotate_once(c: Category) -> Category | None:
     while isinstance(cur, Functor):
         args.append((cur.slash, cur.argument, cur.restrictions))
         cur = cur.result
-    if len(args) < 2:
+    if cur != S or len(args) < 2:
         return None
     first = args[0]
     rebuilt = cur

@@ -23,16 +23,12 @@ from alforge.categories import (
     Functor,
     Restrictions,
     Variable,
-    arity,
     contains_variable,
     format_category,
-    innermost_result,
     is_conjunction,
     parse_category,
-    permute_cyclic,
-    spine,
-    unspine,
 )
+from alforge.parser import rotations
 
 primitives = st.sampled_from([S, NP, NP_SUBJ, NP_OBJ, SCOMP])
 slashes = st.sampled_from([FORWARD, BACKWARD])
@@ -79,37 +75,36 @@ class TestFormatting:
                 parse_category(text)
 
 
+def _spine(c: Category) -> tuple[Category, int]:
+    """(innermost result, arity) of ``c``."""
+    n = 0
+    while isinstance(c, Functor):
+        c, n = c.result, n + 1
+    return c, n
+
+
 class TestPermutation:
     def test_transitive_verb_rotation(self):
         vt = parse_category("(S\\NP_SUBJ)/NP_OBJ")
-        assert format_category(permute_cyclic(vt)) == "(S/NP_OBJ)\\NP_SUBJ"
+        assert [format_category(r) for r in rotations(vt)] == ["(S/NP_OBJ)\\NP_SUBJ"]
 
     def test_orbit_returns_home(self):
         vt = parse_category("(S\\NP_SUBJ)/NP_OBJ")
-        assert permute_cyclic(permute_cyclic(vt)) == vt
+        assert rotations(rotations(vt)[0]) == [vt]
 
     def test_primitive_rejected(self):
-        with pytest.raises(ValueError):
-            permute_cyclic(S)
+        assert rotations(S) == []
 
     @given(categories())
     def test_preserves_arity_and_innermost(self, cat):
-        if arity(cat) == 0:
-            return
-        rotated = permute_cyclic(cat)
-        assert arity(rotated) == arity(cat)
-        assert innermost_result(rotated) == innermost_result(cat)
+        for rotated in rotations(cat):
+            assert _spine(rotated) == _spine(cat)
 
     @given(categories())
     def test_orbit_size_bounded(self, cat):
-        if arity(cat) == 0:
-            return
-        seen = {cat}
-        cur = cat
-        for _ in range(arity(cat)):
-            cur = permute_cyclic(cur)
-            seen.add(cur)
-        assert permute_cyclic(cur) in seen
+        chain = rotations(cat)
+        assert len(chain) <= max(_spine(cat)[1] - 1, 0)
+        assert cat not in chain
 
 
 class TestUnification:
@@ -149,11 +144,9 @@ class TestCachedHash:
         for other in (parse_category(format_category(cat)), _rebuilt(cat)):
             assert other == cat
             assert hash(other) == hash(cat)
-        if arity(cat):
-            core, args = spine(cat)
-            rotated = unspine(core, args[1:] + args[:1])
-            assert rotated == permute_cyclic(cat)
-            assert hash(rotated) == hash(permute_cyclic(cat))
+        for rotated in rotations(cat):
+            assert _rebuilt(rotated) == rotated
+            assert hash(_rebuilt(rotated)) == hash(rotated)
 
     @given(with_variables)
     def test_replace(self, cat):

@@ -30,7 +30,7 @@ from alforge.grammars import enumerate_grammars
 from alforge.parser import rotations
 from alforge.templates import category_universe
 
-from oracle import _binary_results, _rotation_closure
+from oracle import _binary_results, _rotate_once, _rotation_closure
 from test_categories import categories, restrictions, slashes
 
 CONJ = parse_category("(var\\.,@var)/.,@var")
@@ -213,6 +213,16 @@ def linked_pairs(draw):
     return (b, a) if draw(st.booleans()) else (a, b)
 
 
+def _oracle_chain(c) -> list:
+    """``_rotate_once`` iterated from ``c`` until it stops or repeats."""
+    out = []
+    cur = _rotate_once(c)
+    while cur is not None and cur != c and cur not in out:
+        out.append(cur)
+        cur = _rotate_once(cur)
+    return out
+
+
 class TestAgainstOracle:
     """The rule schemata against the independent re-implementation in
     ``tests/oracle.py``: every ordered pair of the categories the 96 grammars
@@ -227,6 +237,24 @@ class TestAgainstOracle:
     def test_universe_rotations(self):
         for c in grammar_universe():
             assert {c, *rotations(c)} == _rotation_closure({c}, True), c
+
+    def test_chain_order(self):
+        # The chain's order decides code numbers and derivation order, so it
+        # is pinned step by step, not as a set.
+        cats = {c for g in enumerate_grammars() for permuting in (False, True)
+                for c in category_universe(g, permuting)[0]}
+        cats |= {parse_category(text) for text in (
+            "((S\\NP_SUBJ)/NP_OBJ)/SCOMP",
+            "((S\\NP_SUBJ)/@NP_OBJ)/SCOMP",
+            "(((S\\NP_SUBJ)/NP_OBJ)/SCOMP)/NP",
+            "(((S\\NP_SUBJ)/NP_OBJ)/@SCOMP)\\NP",
+            "((S/NP)/NP)/NP",
+            "((S/NP)\\NP)/NP",
+            "(((S/NP)\\NP)/NP)\\NP",
+        )}
+        chains = {c: rotations(c) for c in cats}
+        assert {c: _oracle_chain(c) for c in cats} == chains
+        assert max(len(chain) for chain in chains.values()) == 3
 
     @settings(max_examples=500, deadline=None)
     @given(linked_pairs())

@@ -160,7 +160,9 @@ class TestSampling:
         assert not {s.tokens for s in train} & {s.tokens for s in test}
 
     def test_zero_count(self):
-        assert sample_split(EN, EN_TEMPLATES, LEX, 0, SHORT_BAND, seed=1, split="x") == []
+        for count in (0, -1):
+            with pytest.raises(ValueError, match=r"^0101101 x: per_length_count must be >= 1$"):
+                sample_split(EN, EN_TEMPLATES, LEX, count, SHORT_BAND, seed=1, split="x")
 
     def test_missing_length_errors(self):
         with pytest.raises(ValueError, match="length 4"):

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from alforge.corpus import Sentence, write_json
 from alforge.evaluation import (
+    BOS,
     EOS,
     ScoreRecord,
     TypologyTable,
@@ -272,6 +273,17 @@ class TestNgram:
             ngram_train([sent(["a"])], 0, k=1.0)
         with pytest.raises(ValueError):
             ngram_train([sent(["a"])], 2, k=0.0)
+
+    @pytest.mark.parametrize("symbol", [BOS, EOS])
+    def test_train_rejects_boundary_token(self, symbol):
+        with pytest.raises(ValueError, match=re.escape(repr(symbol))):
+            ngram_train([sent(["x", symbol]), sent(["y"])], order=2, k=1.0)
+
+    @pytest.mark.parametrize("symbol", [BOS, EOS])
+    def test_score_rejects_boundary_token(self, symbol):
+        model = ngram_train([sent(["x"])], order=2, k=1.0)
+        with pytest.raises(ValueError, match=re.escape(repr(symbol))):
+            ngram_score(model, [sent(["x"]), sent([symbol, "x"])])
 
     def test_scores_carry_grammar_id(self):
         model = ngram_train([sent(["a"])], order=1, k=1.0)

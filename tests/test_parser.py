@@ -13,7 +13,6 @@ from alforge.categories import (
     format_category,
     is_conjunction,
     parse_category,
-    permute_cyclic,
 )
 from alforge.combinators import RuleId, coordinable
 from alforge.grammars import enumerate_grammars, grammar_by_id
@@ -131,20 +130,21 @@ class TestDerivations:
         def node(text, rule=None, *kids):
             return Derivation(parse_category(text), rule, kids)
 
-        def permuted(text):
+        def permuted(text, rotated):
             cat = parse_category(text)
             assert rotations(cat) == []
-            return Derivation(permute_cyclic(cat), RuleId.PERMUTE, (Derivation(cat),))
+            return Derivation(parse_category(rotated), RuleId.PERMUTE, (Derivation(cat),))
 
         fwd, bwd = RuleId.FWD_APP, RuleId.BWD_APP
         trees = {
             "@ blocks it": node("S", fwd, node(
-                "S/@NP_OBJ", bwd, node("NP_SUBJ"), permuted("(S\\NP_SUBJ)/@NP_OBJ"),
+                "S/@NP_OBJ", bwd, node("NP_SUBJ"),
+                permuted("(S\\NP_SUBJ)/@NP_OBJ", "(S/@NP_OBJ)\\NP_SUBJ"),
             ), node("NP_OBJ")),
             "not a verb functor": node("S", bwd, node("NP", fwd, node(
-                "NP/NP", bwd, node("NP"), permuted("(NP\\NP)/NP"),
+                "NP/NP", bwd, node("NP"), permuted("(NP\\NP)/NP", "(NP/NP)\\NP"),
             ), node("NP")), node("S\\NP")),
-            "arity 1": node("S", bwd, node("NP"), permuted("S\\NP")),
+            "arity 1": node("S", bwd, node("NP"), permuted("S\\NP", "S\\NP")),
         }
         for why, tree in trees.items():
             assert not derivation_check(tree), why
