@@ -1,5 +1,5 @@
 """Sentence sampling: length-stratified splits, targeted relative-clause test
-sets, and minimal pairs.
+sets, and minimal pairs, each drawn through ``templates.unique_draws``.
 
 All randomness flows from a master seed; per-grammar streams are derived with
 a stable hash so per-grammar outputs do not depend on iteration order.  Each
@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 from .grammars import LEXICAL_CLASSES, Grammar
 from .parser import ChartParser
-from .templates import Template
+from .templates import Template, unique_draws
 
 SHORT_BAND = (3, 8)
 MEDIUM_BAND = (9, 10)
 LONG_BAND = (11, 20)
-DRAWS_PER_SENTENCE = 1000  # sample_split, gen_targeted: draws per wanted sentence
-PAIR_RETRIES = 100  # gen_minimal_pairs: draws per pair before it gives up
+BOS = "<s>"  # the n-gram boundary symbols, which no lexicon word may spell
+EOS = "</s>"
 
 DEFAULT_WORDS: dict[str, tuple[str, ...]] = {
     "NP": (
@@ -65,6 +65,8 @@ class Lexicon:
             if not forms:
                 raise ValueError(f"lexicon class {cls} has no words")
             for w in forms:
+                if w in (BOS, EOS):
+                    raise ValueError(f"word {w!r} of {cls} is an n-gram boundary symbol")
                 if w in seen:
                     raise ValueError(f"word {w!r} in both {seen[w]} and {cls}")
                 seen[w] = cls
@@ -214,21 +216,6 @@ def _fill(template: Template, words: dict[str, tuple[str, ...]], choice):
     return template, tuple([choice(words[cls]) for cls in template])
 
 
-def _unique_draws(draw, n: int, taken: set, failure: str) -> list:
-    """``n`` >= 1 ``(template, tokens)`` results of ``draw()`` whose tokens are
-    not in ``taken``, which gains them; at most ``n * DRAWS_PER_SENTENCE``
-    draws, after which ``failure`` and the count found are raised."""
-    out = []
-    for _ in range(n * DRAWS_PER_SENTENCE):
-        template, tokens = draw()
-        if tokens not in taken:
-            taken.add(tokens)
-            out.append((template, tokens))
-            if len(out) == n:
-                return out
-    raise ValueError(f"{failure} (found {len(out)} of {n})")
-
-
 def sample_split(
     grammar: Grammar,
     templates,
@@ -246,10 +233,10 @@ def sample_split(
     Before any draw, each length's capacity (the distinct sentences its
     templates can produce, less those in ``avoid``) is checked against the
     count, so an impossible request fails at once; a length that still finds
-    too few fails after ``per_length_count * DRAWS_PER_SENTENCE`` draws.  An
-    avoided sentence lowers the capacity by at most one, so the check stops
-    summing template sizes once they reach the count plus ``len(avoid)``,
-    and counts the avoided sentences of a length only when they do not."""
+    too few fails when ``unique_draws`` runs out of draws.  An avoided
+    sentence lowers the capacity by at most one, so the check stops summing
+    template sizes once they reach the count plus ``len(avoid)``, and counts
+    the avoided sentences of a length only when they do not."""
     where = f"{grammar.params} {split}"
     if per_length_count < 1:
         raise ValueError(f"{where}: per_length_count must be >= 1")
@@ -285,8 +272,8 @@ def sample_split(
     out: list[Sentence] = []
     for n in range(lo, hi + 1):
         pool = by_length[n]
-        drawn = _unique_draws(lambda: _fill(choice(pool), words, choice), per_length_count,
-                              taken, f"{where}: insufficient unique sentences for length {n}")
+        drawn = unique_draws(lambda: _fill(choice(pool), words, choice), per_length_count,
+                             taken, f"{where}: insufficient unique sentences for length {n}")
         out.extend(Sentence(tokens, t, grammar.params, split) for t, tokens in drawn)
     return out
 
@@ -364,8 +351,8 @@ def gen_targeted(
             f"{where}: the skeleton has {capacity} distinct sentences to draw from, "
             f"{n} requested")
     choice = random.Random(seed).choice
-    drawn = _unique_draws(lambda: _fill(skeleton, lexicon.words, choice),
-                          n, set(), f"{where}: insufficient unique sentences")
+    drawn = unique_draws(lambda: _fill(skeleton, lexicon.words, choice),
+                         n, set(), f"{where}: insufficient unique sentences")
     return [Sentence(tokens, skeleton, grammar.params, kind) for _, tokens in drawn]
 
 
@@ -420,6 +407,8 @@ def gen_minimal_pairs(
     where = f"{grammar.params} {kind}"
     if kind not in PAIR_KINDS:
         raise ValueError(f"{where}: unknown pair kind")
+    if n < 1:
+        raise ValueError(f"{where}: n must be >= 1")
     source = list(source)
     if not source:
         raise ValueError(f"{where}: empty source sentence set")
@@ -428,29 +417,22 @@ def gen_minimal_pairs(
         raise ValueError(f"{where}: source sentences of grammar {foreign[0]}")
     twin_of = _case_twin if kind == "CaseType" else _verb_twin
     rng = random.Random(seed)
-    out: list[tuple[Sentence, Sentence]] = []
-    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-    for _ in range(n):
-        for _retry in range(PAIR_RETRIES):
-            src = rng.choice(source)
-            try:
-                twin = twin_of(src, lexicon, rng)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if twin is None:
-                continue
-            bad_tokens, bad_classes = twin
-            if bad_tokens == tuple(src.tokens):
-                continue
-            if (tuple(src.tokens), bad_tokens) in seen:
-                continue
-            if parser.parse(grammar.categorize(bad_classes)).grammatical:
-                continue
-            good = Sentence(tuple(src.tokens), tuple(src.classes), grammar.params, "PairGrammatical")
-            bad = Sentence(bad_tokens, bad_classes, grammar.params, "PairUngrammatical")
-            seen.add((good.tokens, bad.tokens))
-            out.append((good, bad))
-            break
-        else:
-            raise RuntimeError(f"{where}: could not build a pair after {PAIR_RETRIES} retries")
-    return out
+    taken: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+
+    def draw():
+        src = rng.choice(source)
+        try:
+            twin = twin_of(src, lexicon, rng)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if twin is None:
+            return None
+        bad_tokens, bad_classes = twin
+        key = (tuple(src.tokens), bad_tokens)
+        if bad_tokens == key[0] or key in taken or parser.parse(
+                grammar.categorize(bad_classes)).grammatical:
+            return None
+        good = Sentence(key[0], tuple(src.classes), grammar.params, "PairGrammatical")
+        return (good, Sentence(bad_tokens, bad_classes, grammar.params, "PairUngrammatical")), key
+
+    return [pair for pair, _ in unique_draws(draw, n, taken, f"{where}: insufficient pairs")]

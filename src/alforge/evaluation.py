@@ -17,11 +17,8 @@ from dataclasses import dataclass
 
 from scipy.special import stdtr
 
-from .corpus import _field, read_jsonl, write_jsonl
+from .corpus import BOS, EOS, _field, read_jsonl, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
-
-EOS = "</s>"
-BOS = "<s>"
 
 _FACTOR_PARAMS = ("COMP", "PP", "ADJ", "REL")
 _FACTOR_INDEX = {"COMP": 3, "PP": 4, "ADJ": 5, "REL": 6}

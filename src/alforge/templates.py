@@ -1,4 +1,5 @@
-"""Template enumeration, heuristic filtering, and Long-set augmentation.
+"""Template enumeration, heuristic filtering, Long-set augmentation, and
+``unique_draws``, the one rejection-sampling loop of every sampler.
 
 Templates are sequences of lexical-class labels.  Enumeration works bottom-up
 over the grammar's finite category universe (the lexical categories closed
@@ -33,7 +34,24 @@ from .parser import ChartParser, RuleTable, bits
 
 Template = tuple[str, ...]
 
-LONG_ATTEMPTS_FACTOR = 2000  # sample_long_templates: draws per wanted template
+DRAWS_PER_RESULT = 1000  # unique_draws: the draw budget of every sampler, per wanted result
+
+
+def unique_draws(draw, n: int, taken: set, failure: str) -> list:
+    """The first ``n`` >= 1 ``(value, key)`` results of ``draw()`` whose key
+    is not in ``taken``, which gains their keys; ``draw()`` returns None for
+    a draw its caller rejects.  After ``n * DRAWS_PER_RESULT`` draws, a
+    ValueError gives ``failure`` and the count found.  Every sampler (splits,
+    targeted sets, Long templates, minimal pairs) draws through this loop."""
+    out = []
+    for _ in range(n * DRAWS_PER_RESULT):
+        result = draw()
+        if result is not None and result[1] not in taken:
+            taken.add(result[1])
+            out.append(result)
+            if len(out) == n:
+                return out
+    raise ValueError(f"{failure} (found {len(out)} of {n})")
 
 
 def heuristic_filter(classes) -> bool:
@@ -266,11 +284,14 @@ def sample_long_templates(
     seed: int,
     parser: ChartParser,
 ) -> list[Template]:
-    """Long templates by extension of ``templates``: draws random template
-    pairs and extension operators (``_extend``) until every length in
-    [min_len, max_len] has ``per_length`` candidates that pass the
-    heuristics and derive S under ``grammar`` (or attempts run out, which
-    raises).
+    """Long templates by extension of ``templates``: for each length in
+    [min_len, max_len], one ``unique_draws`` call draws an extension
+    operator, a pair of template lengths, t1, t2 and an insertion point
+    (``_extend``) until the length has ``per_length`` distinct candidates
+    that pass the heuristics and derive S under ``grammar``.  A candidate
+    already kept is rejected before the heuristics or a parse, and a draw
+    whose operator leaves no pair of lengths draws nothing more.  The first
+    length that runs out of draws fails, named.
 
     Every source template must derive S under ``grammar``, as
     ``enumerate_templates`` output does by construction.  A ``t1 CONJ t2``
@@ -293,6 +314,8 @@ def sample_long_templates(
     9,394 of those concatenations and 3,758 of those insertions before it
     fills a chart (see ``alforge.parser``).  Each failure names the grammar."""
     where = f"{grammar.params} Long templates"
+    if per_length < 1:
+        raise ValueError(f"{where}: per_length must be >= 1")
     templates = [tuple(t) for t in templates]
     if not templates:
         raise ValueError(f"{where}: no source templates to extend")
@@ -305,32 +328,29 @@ def sample_long_templates(
         for need in range(min_len - 1, max_len + 1)
     }
     rng = random.Random(seed)
-    choice = rng.choice
-    buckets: dict[int, set[Template]] = {n: set() for n in range(min_len, max_len + 1)}
-    attempts = LONG_ATTEMPTS_FACTOR * per_length
-    for target in sorted(buckets):
-        bucket = buckets[target]
-        for _ in range(attempts):
-            if len(bucket) >= per_length:
-                break
-            op = rng.randrange(3)
-            # concatenation preserves total length; the conjunction ops add 1
-            splits = splits_of[target if op == 0 else target - 1]
-            if not splits:
-                continue
-            a, b = splits[rng.randrange(len(splits))]
-            t1 = choice(by_len[a])
-            t2 = choice(by_len[b])
-            i = rng.randrange(1, len(t1)) if op == 2 else 0
-            cand = _extend(op, t1, t2, i)
-            if cand in bucket:
-                continue
-            if heuristic_filter(cand) and (op == 1 or is_grammatical(cand, grammar, parser)):
-                bucket.add(cand)
-    short = [n for n, b in buckets.items() if len(b) < per_length]
-    if short:
-        raise RuntimeError(f"{where}: fewer than {per_length} found for lengths {short}")
-    return sorted(t for b in buckets.values() for t in b)
+
+    def draw(target: int, taken: set[Template]):
+        op = rng.randrange(3)
+        # concatenation preserves total length; the conjunction ops add 1
+        splits = splits_of[target if op == 0 else target - 1]
+        if not splits:
+            return None
+        a, b = splits[rng.randrange(len(splits))]
+        t1 = rng.choice(by_len[a])
+        t2 = rng.choice(by_len[b])
+        i = rng.randrange(1, len(t1)) if op == 2 else 0
+        cand = _extend(op, t1, t2, i)
+        if cand in taken or not heuristic_filter(cand) or (
+                op != 1 and not is_grammatical(cand, grammar, parser)):
+            return None
+        return cand, cand
+
+    drawn = []
+    for target in range(min_len, max_len + 1):
+        taken: set[Template] = set()
+        drawn += unique_draws(lambda: draw(target, taken), per_length, taken,
+                              f"{where}: insufficient templates for length {target}")
+    return sorted(cand for cand, _ in drawn)
 
 
 def save_templates(templates, path) -> None:

@@ -23,10 +23,17 @@ rules ``tests/test_combinators.py`` checks against this module's.
 plain bodies of ``templates.heuristic_filter`` and ``evaluation.ngram_train``
 (one test per rule; one increment per context suffix of every position) for
 the differential tests of the faster ones.
+
+``reference_long_templates`` and ``reference_minimal_pairs`` keep the
+samplers' own draw loops as they were before both moved onto
+``templates.unique_draws``, with their old budgets (2,000 draws per Long
+template, 100 per pair), so a test can check that the shared loop makes the
+same random draws in the same order.
 """
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 from functools import lru_cache
 
@@ -42,8 +49,9 @@ from alforge.categories import (
     Variable,
 )
 from alforge.combinators import RuleId
+from alforge.corpus import Sentence, _case_twin, _verb_twin
 from alforge.evaluation import BOS, EOS
-from alforge.templates import category_universe
+from alforge.templates import _extend, category_universe, heuristic_filter, is_grammatical
 
 
 def _ground(c: Category) -> bool:
@@ -359,3 +367,71 @@ def reference_ngram_counts(train, order: int) -> tuple[dict, dict]:
                 counts[ctx][w] += 1
                 totals[ctx] += 1
     return {ctx: dict(row) for ctx, row in counts.items()}, dict(totals)
+
+
+def reference_long_templates(templates, grammar, per_length, min_len, max_len, seed, parser):
+    """``templates.sample_long_templates`` with its own loop: per length, up
+    to 2,000 draws per wanted template, each drawing the operator, then (if
+    the operator leaves a pair of lengths) the pair, t1, t2 and the
+    insertion point."""
+    by_len: dict[int, list] = {}
+    for t in dict.fromkeys(sorted(tuple(t) for t in templates)):
+        by_len.setdefault(len(t), []).append(t)
+    splits_of = {
+        need: [(a, need - a) for a in by_len if need - a in by_len]
+        for need in range(min_len - 1, max_len + 1)
+    }
+    rng = random.Random(seed)
+    buckets: dict[int, set] = {n: set() for n in range(min_len, max_len + 1)}
+    for target in sorted(buckets):
+        bucket = buckets[target]
+        for _ in range(2000 * per_length):
+            if len(bucket) >= per_length:
+                break
+            op = rng.randrange(3)
+            splits = splits_of[target if op == 0 else target - 1]
+            if not splits:
+                continue
+            a, b = splits[rng.randrange(len(splits))]
+            t1 = rng.choice(by_len[a])
+            t2 = rng.choice(by_len[b])
+            i = rng.randrange(1, len(t1)) if op == 2 else 0
+            cand = _extend(op, t1, t2, i)
+            if cand in bucket:
+                continue
+            if heuristic_filter(cand) and (op == 1 or is_grammatical(cand, grammar, parser)):
+                bucket.add(cand)
+    short = [n for n, b in buckets.items() if len(b) < per_length]
+    if short:
+        raise RuntimeError(f"fewer than {per_length} found for lengths {short}")
+    return sorted(t for b in buckets.values() for t in b)
+
+
+def reference_minimal_pairs(grammar, kind, source, lexicon, n, seed, parser):
+    """``corpus.gen_minimal_pairs`` with its own loop: up to 100 draws per
+    pair, each drawing a source sentence, then the twin's draws."""
+    twin_of = _case_twin if kind == "CaseType" else _verb_twin
+    rng = random.Random(seed)
+    out: list = []
+    seen: set = set()
+    for _ in range(n):
+        for _retry in range(100):
+            src = rng.choice(source)
+            twin = twin_of(src, lexicon, rng)
+            if twin is None:
+                continue
+            bad_tokens, bad_classes = twin
+            if bad_tokens == tuple(src.tokens):
+                continue
+            if (tuple(src.tokens), bad_tokens) in seen:
+                continue
+            if parser.parse(grammar.categorize(bad_classes)).grammatical:
+                continue
+            good = Sentence(tuple(src.tokens), tuple(src.classes), grammar.params, "PairGrammatical")
+            bad = Sentence(bad_tokens, bad_classes, grammar.params, "PairUngrammatical")
+            seen.add((good.tokens, bad.tokens))
+            out.append((good, bad))
+            break
+        else:
+            raise RuntimeError("could not build a pair after 100 retries")
+    return out

@@ -239,6 +239,18 @@ class TestSubcommands:
         assert err.startswith("error: ValueError: lexicon class SUBJ must be a list of words")
         assert not out.exists()
 
+    def test_pipeline_boundary_word_fails_before_writing(self, capsys, tmp_path):
+        # an n-gram boundary symbol as a word used to fail only in ngram_train,
+        # after the grammar's dataset files were written
+        lexicon = tmp_path / "lex.json"
+        lexicon.write_text(json.dumps({**DEFAULT_WORDS, "VI": [*DEFAULT_WORDS["VI"][:-1], "</s>"]}))
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--scale", "0.05",
+                           "--seed", "3", "--lexicon-path", str(lexicon), "--out-dir", str(out))
+        assert code == 1
+        assert err == "error: ValueError: word '</s>' of VI is an n-gram boundary symbol\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("data, message", [
         ([], "typology file must hold one JSON object"),
         ({"base_order_freq": TYPOLOGY["base_order_freq"]},

@@ -8,8 +8,11 @@ from dataclasses import replace
 import pytest
 
 from alforge import corpus as corpus_module
+from alforge import templates as templates_module
 from alforge.corpus import (
+    BOS,
     DEFAULT_WORDS,
+    EOS,
     MEDIUM_BAND,
     SHORT_BAND,
     Lexicon,
@@ -57,6 +60,13 @@ class TestLexicon:
         del words["REL"]
         with pytest.raises(ValueError):
             Lexicon(words)
+
+    @pytest.mark.parametrize("symbol", [BOS, EOS])
+    def test_boundary_symbol_rejected(self, symbol):
+        # such a word would be counted as n-gram padding
+        with pytest.raises(ValueError, match=f"^word {re.escape(repr(symbol))} of VI is an "
+                                             "n-gram boundary symbol$"):
+            Lexicon({**DEFAULT_WORDS, "VI": DEFAULT_WORDS["VI"] + (symbol,)})
 
     def test_unknown_class_rejected(self):
         # a misspelt class would otherwise be ignored: no template names it
@@ -175,7 +185,7 @@ class TestSampling:
 
     def test_rejection_limit(self):
         """Past the capacity check, a length still fails after
-        ``per_length_count * DRAWS_PER_SENTENCE`` draws: 1 of 40,000
+        ``per_length_count * DRAWS_PER_RESULT`` draws: 1 of 40,000
         sentences is left."""
         words = dict(DEFAULT_WORDS, NP=tuple(f"np{i}" for i in range(200)))
         avoid = {(a, b) for a in words["NP"] for b in words["NP"]}
@@ -324,10 +334,18 @@ class TestFailuresNameGrammar:
             EN, "VerbType",
             sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 2, (3, 3), seed=1, split="ShortTest"),
             LEX, 1, seed=1, parser=EN_PARSER),
-         RuntimeError, "0101101 VerbType: could not build a pair after 100 retries"),
+         ValueError, "0101101 VerbType: insufficient pairs (found 0 of 1)"),
         (lambda: sample_long_templates([("NP", "SUBJ", "VI")], EN, per_length=5, min_len=19,
                                        max_len=20, seed=0, parser=EN_PARSER),
-         RuntimeError, "0101101 Long templates: fewer than 5 found for lengths [19, 20]"),
+         ValueError, "0101101 Long templates: insufficient templates for length 19 "
+                     "(found 0 of 5)"),
+        (lambda: sample_long_templates(EN_TEMPLATES, EN, 0, 11, 12, seed=1, parser=EN_PARSER),
+         ValueError, "0101101 Long templates: per_length must be >= 1"),
+        (lambda: gen_minimal_pairs(
+            EN, "VerbType",
+            sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 2, (3, 3), seed=1, split="ShortTest"),
+            LEX, 0, seed=1, parser=EN_PARSER),
+         ValueError, "0101101 VerbType: n must be >= 1"),
     ])
     def test_message(self, make, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -345,6 +363,28 @@ class TestFailuresNameGrammar:
                                              r"length 2 \(found 0 of 1\)$"):
             sample_split(EN, [("NP", "NP")], Lexicon(words), 1, (2, 2), seed=1, split="x",
                          avoid=avoid)
+
+
+class TestOneDrawBudget:
+    """``templates.unique_draws`` is every sampler's draw loop, and its one
+    constant is every sampler's budget: at 0 draws per result each sampler
+    fails with its grammar-prefixed ``(found 0 of n)`` message."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda src: sample_split(EN, EN_TEMPLATES, LEX, 2, (3, 4), seed=1, split="ShortTest"),
+         "0101101 ShortTest: insufficient unique sentences for length 3 (found 0 of 2)"),
+        (lambda src: gen_targeted(EN, "Embedded", LEX, 3, seed=1, parser=EN_PARSER),
+         "0101101 Embedded: insufficient unique sentences (found 0 of 3)"),
+        (lambda src: sample_long_templates(EN_TEMPLATES, EN, 4, 11, 12, seed=1, parser=EN_PARSER),
+         "0101101 Long templates: insufficient templates for length 11 (found 0 of 4)"),
+        (lambda src: gen_minimal_pairs(EN, "CaseType", src, LEX, 5, seed=1, parser=EN_PARSER),
+         "0101101 CaseType: insufficient pairs (found 0 of 5)"),
+    ])
+    def test_budget_is_shared(self, make, message, source, monkeypatch):
+        assert make(source)  # the samplers succeed at the real budget
+        monkeypatch.setattr(templates_module, "DRAWS_PER_RESULT", 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(source)
 
 
 @pytest.fixture(scope="module")

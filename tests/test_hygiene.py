@@ -3,8 +3,9 @@ never uses, every function and class of the package has a caller outside
 the tests, every default of the package is left out by a call outside the
 tests, each ``derive_seed`` label of the package is written in one
 place, only the parser rotates categories or reads rotation chains, the
-parser classifies a category only when it interns it, and the command line
-does not load ``scipy.stats``.
+parser classifies a category only when it interns it, only the shared draw
+loop reads the draw budget, and the command line does not load
+``scipy.stats``.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -323,6 +324,60 @@ def test_parser_classifies_only_when_interning():
     # (``coordinating``, ``conjunctions``), not the categories again.
     calls = classifier_calls((SRC / "parser.py").read_text())
     assert calls == {"RuleTable.code:coordinable", "RuleTable.code:is_conjunction"}
+
+
+BUDGET = "DRAWS_PER_RESULT"
+OLD_BUDGETS = {"LONG_ATTEMPTS_FACTOR", "PAIR_RETRIES"}
+
+
+def budget_references(source: str) -> list[str]:
+    """``function:name`` for each place ``source`` names ``BUDGET`` or one of
+    ``OLD_BUDGETS``, as a name, an attribute or an import, in source order,
+    where ``function`` is the qualified name of the innermost enclosing
+    function or class (empty at module level)."""
+    out = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else child.name if isinstance(child, ast.alias) else None)
+            if name == BUDGET or name in OLD_BUDGETS:
+                out.append(f"{where}:{name}")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_budget_checker():
+    source = (
+        "DRAWS_PER_RESULT = 1000\n"
+        "PAIR_RETRIES = 100\n"
+        "def unique_draws(n):\n"
+        "    return range(n * DRAWS_PER_RESULT)\n"
+        "class Long:\n"
+        "    def sample(self):\n"
+        "        return templates.DRAWS_PER_RESULT\n"
+        "from .templates import DRAWS_PER_RESULT as budget\n"
+        "doc = 'DRAWS_PER_RESULT draws, LONG_ATTEMPTS_FACTOR'\n"
+    )
+    assert budget_references(source) == [
+        ":DRAWS_PER_RESULT", ":PAIR_RETRIES", "unique_draws:DRAWS_PER_RESULT",
+        "Long.sample:DRAWS_PER_RESULT", ":DRAWS_PER_RESULT",
+    ]
+
+
+def test_one_draw_budget():
+    # Every sampler draws through ``templates.unique_draws``, so how many
+    # draws a sampler may spend, and how it fails when they run out, is
+    # decided there alone; the per-sampler budgets are gone.
+    refs = {path.name: uses for path in sorted(SRC.glob("*.py"))
+            if (uses := budget_references(path.read_text()))}
+    assert refs == {"templates.py": [":DRAWS_PER_RESULT", "unique_draws:DRAWS_PER_RESULT"]}
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -233,7 +233,7 @@ class TestAugmentation:
         assert a == b
 
     def test_exhaustion_error(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="insufficient templates for length 19"):
             sample_long_templates(
                 [("NP", "SUBJ", "VI")], EN, per_length=50, min_len=19, max_len=20,
                 seed=0, parser=ChartParser(EN.policy),
