@@ -177,17 +177,20 @@ def write_jsonl(path, records) -> None:
             fh.write(_encode(record) + "\n")
 
 
-def read_jsonl(path) -> list:
-    """The objects of a `write_jsonl` file; blank lines are skipped.  A line
-    that is not JSON is a ValueError that names the file and the line."""
+def read_jsonl(path, build) -> list:
+    """``build`` of each object of a `write_jsonl` file; blank lines are
+    skipped.  A line that is not JSON, or whose object ``build`` rejects with
+    a ValueError, is a ValueError that names the file and the line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    out.append(json.loads(line))
+                    out.append(build(json.loads(line)))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc.msg} (column {exc.colno})") from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return out
 
 
@@ -202,7 +205,7 @@ def save_pairs(pairs, path) -> None:
 
 
 def load_sentences(path) -> list[Sentence]:
-    return [Sentence.from_json(d) for d in read_jsonl(path)]
+    return read_jsonl(path, Sentence.from_json)
 
 
 def derive_seed(master_seed: int, *parts) -> int:

@@ -20,8 +20,7 @@ from scipy.special import stdtr
 from .corpus import BOS, EOS, _field, read_jsonl, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
-_FACTOR_PARAMS = ("COMP", "PP", "ADJ", "REL")
-_FACTOR_INDEX = {"COMP": 3, "PP": 4, "ADJ": 5, "REL": 6}
+_FACTOR_PARAMS = {"COMP": 3, "PP": 4, "ADJ": 5, "REL": 6}  # name -> digit of the params id
 
 DEFAULT_BASE_ORDER_FREQ = {
     "SOV": 0.54,
@@ -72,7 +71,7 @@ def save_scores(records, path) -> None:
 
 
 def load_scores(path) -> list[ScoreRecord]:
-    return [ScoreRecord.from_json(d) for d in read_jsonl(path)]
+    return read_jsonl(path, ScoreRecord.from_json)
 
 
 def _is_number(x) -> bool:
@@ -88,12 +87,14 @@ class TypologyTable:
     param_freq: dict[str, tuple[float, float]]
 
     def __post_init__(self) -> None:
-        missing = set(BASE_ORDERS) - set(self.base_order_freq)
-        if missing:
-            raise ValueError(f"base_order_freq missing orders: {sorted(missing)}")
-        missing = set(_FACTOR_PARAMS) - set(self.param_freq)
-        if missing:
-            raise ValueError(f"param_freq missing parameters: {sorted(missing)}")
+        for name, given, known, what in (
+            ("base_order_freq", self.base_order_freq, BASE_ORDERS, "orders"),
+            ("param_freq", self.param_freq, _FACTOR_PARAMS, "parameters"),
+        ):
+            if missing := set(known) - set(given):
+                raise ValueError(f"{name} missing {what}: {sorted(missing)}")
+            if unknown := set(given) - set(known):
+                raise ValueError(f"{name} has unknown {what}: {sorted(unknown)}")
         entries = [(f"base_order_freq[{o}]", f) for o, f in self.base_order_freq.items()]
         entries += [(f"param_freq[{p}]", f) for p, pair in self.param_freq.items() for f in pair]
         for name, freq in entries:
@@ -155,9 +156,8 @@ def perplexity(records) -> float:
 def plausibility(grammar: Grammar, table: TypologyTable) -> float:
     try:
         value = table.base_order_freq[grammar.base_order]
-        for name in _FACTOR_PARAMS:
-            bit = int(grammar.params[_FACTOR_INDEX[name]])
-            value *= table.param_freq[name][bit]
+        for name, digit in _FACTOR_PARAMS.items():
+            value *= table.param_freq[name][int(grammar.params[digit])]
     except KeyError as exc:
         raise ValueError(f"typology table missing entry: {exc}") from exc
     return value

@@ -10,7 +10,7 @@ distinct languages.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .categories import (
     BACKWARD,
@@ -75,7 +75,7 @@ class Grammar:
     policy: ParserPolicy
     aliases: tuple[str, ...] = ()
 
-    @property
+    @cached_property  # built once: a frozen dataclass without slots keeps it
     def lexicon_map(self) -> dict[str, Category]:
         return dict(self.lexicon)
 

@@ -8,13 +8,13 @@ enter ordinary cells, which keeps variable categories out of the chart.
 The chart runs on small integer codes.  A ``RuleTable`` interns each category
 to an int the first time it is seen and keeps its facts (the coordinable and
 the conjunction codes as bitmasks, the balances as a list), so after
-``_encode`` the parser reads codes only.  The table memoises the binary rule
-results per pair of codes (from one process-wide memo per category pair)
-and the rotation closure (as a bitmask) per code.  Chart cells are bitmasks
-over codes, and the binary results of each pair of cell masks are memoised
-per permutation mode; template enumeration reads that memo too.
-Every table entry is filled lazily, on first use, so keep one
-``ChartParser`` per grammar when parsing in bulk.
+``_encode`` the parser reads codes only.  Three memos remain: the binary rule
+results per category pair (``_rule_results``, one for the process), the
+rotation closure per code (as a bitmask) and, per permutation mode, the
+closed binary results per pair of cell masks (chart cells are bitmasks over
+codes); template enumeration reads the last two too.  The table's memos
+fill lazily, on first use, so keep one ``ChartParser`` per grammar when
+parsing in bulk.
 
 The chart has one meaning: the codes derivable over each span.  Derivation
 trees are read back from the filled chart: every tree of the input, or
@@ -160,14 +160,13 @@ class RuleTable:
     sets its bit in ``coordinating`` when it is ``coordinable`` and in
     ``conjunctions`` when it ``is_conjunction``, and records its ``balance``
     in ``balances``; ``find`` looks one up without assigning.  ``combine``
-    memoises the ``BINARY_RULES`` results per pair of codes (on a miss, from
-    the shared ``_rule_results`` memo), ``rotations`` and ``closure`` a
-    code's rotation chain and the bitmask of the code and that chain, and
-    ``join`` the closed binary results per pair of chart cells (enumeration
-    asks it for single codes).  Interning takes a lock; every memo entry is
-    a pure function of codes interned under it, so two threads that race to
-    fill one entry write the same value, and one table may be shared
-    between threads.
+    maps the shared ``_rule_results`` memo to codes on every call.  Two memos
+    are the table's own: ``closure`` keeps the bitmask of a code and its
+    rotation chain, and ``join`` the closed binary results per pair of chart
+    cells (enumeration asks it for single codes).  Interning takes a lock;
+    every memo entry is a pure function of codes interned under it, so two
+    threads that race to fill one entry write the same value, and one table
+    may be shared between threads.
     """
 
     def __init__(self) -> None:
@@ -177,8 +176,6 @@ class RuleTable:
         self.balances: list[int | None] = []  # indexed by code
         self._codes: dict[Category, int] = {}
         self._lock = threading.Lock()
-        self._pairs: dict[tuple[int, int], tuple[tuple[RuleId, int], ...]] = {}
-        self._rotations: dict[int, tuple[int, ...]] = {}
         self._closures: dict[int, int] = {}
         self._joins: tuple[dict, dict] = ({}, {})  # indexed by permutation mode
 
@@ -202,22 +199,8 @@ class RuleTable:
 
     def combine(self, a: int, b: int) -> tuple[tuple[RuleId, int], ...]:
         """(rule, result code) for every binary rule that applies to a, b."""
-        out = self._pairs.get((a, b))
-        if out is None:
-            out = tuple(
-                (rule, self.code(cat))
-                for rule, cat in _rule_results(self.cats[a], self.cats[b])
-            )
-            self._pairs[(a, b)] = out
-        return out
-
-    def rotations(self, a: int) -> tuple[int, ...]:
-        """Codes of ``rotations`` of a, in application order."""
-        out = self._rotations.get(a)
-        if out is None:
-            out = tuple(self.code(r) for r in rotations(self.cats[a]))
-            self._rotations[a] = out
-        return out
+        return tuple((rule, self.code(cat))
+                     for rule, cat in _rule_results(self.cats[a], self.cats[b]))
 
     def closure(self, a: int, permuting: bool) -> int:
         """Bitmask of a and, when permuting, every rotation reachable from it."""
@@ -226,8 +209,8 @@ class RuleTable:
         out = self._closures.get(a)
         if out is None:
             out = 1 << a
-            for r in self.rotations(a):
-                out |= 1 << r
+            for r in rotations(self.cats[a]):
+                out |= 1 << self.code(r)
             self._closures[a] = out
         return out
 
@@ -381,7 +364,8 @@ class ChartParser:
         the input token (j = i + 1), as a binary result at a split k, or by
         coordination around a conjunction at p.  When the input permutes,
         the m-th rotation of a code built directly in the span is there too,
-        by m PERMUTE steps."""
+        by m PERMUTE steps; only a code in its source's ``closure`` rebuilds
+        the source's ``rotations`` to count them."""
         table = self.table
         cats = table.cats
 
@@ -415,11 +399,11 @@ class ChartParser:
             i, j, c = key
             out = list(built(key))
             for b in ways(i, j) if permuting else ():
-                chain = table.rotations(b)
-                if c in chain:
+                if b != c and table.closure(b, True) >> c & 1:
+                    chain = rotations(cats[b])
                     for t in built((i, j, b)):
-                        for r in chain[:chain.index(c) + 1]:
-                            t = Derivation(cats[r], RuleId.PERMUTE, (t,))
+                        for r in chain[:chain.index(cats[c]) + 1]:
+                            t = Derivation(r, RuleId.PERMUTE, (t,))
                         out.append(t)
             return out[:MAX_DERIVATIONS]
 

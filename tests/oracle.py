@@ -17,7 +17,8 @@ those directly.
 ``reference_language`` is the other reference kept here: the bottom-up
 template enumerator as it was before outside-length pruning, which builds
 every (length, category) entry.  It runs on the package's rule table, whose
-rules ``tests/test_combinators.py`` checks against this module's.
+rules ``tests/test_combinators.py`` checks against this module's, and closes
+each level under this module's ``_rotation_closure``.
 
 ``reference_heuristic_filter`` and ``reference_ngram_counts`` keep the
 plain bodies of ``templates.heuristic_filter`` and ``evaluation.ngram_train``
@@ -278,8 +279,8 @@ def reference_language(grammar, permutation_active: bool, max_len: int) -> list[
         if not permutation_active:
             return
         for a in list(level):
-            for r in table.rotations(a):
-                level.setdefault(r, set()).update(level[a])
+            for r in _rotation_closure({table.cats[a]}, True) - {table.cats[a]}:
+                level.setdefault(table.code(r), set()).update(level[a])
 
     lex_level: dict[int, set] = defaultdict(set)
     for cls, cat in grammar.lexicon:

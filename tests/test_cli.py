@@ -377,7 +377,7 @@ class TestSubcommands:
         write_jsonl(bad, [record])
         code, stdout, err = run(capsys, *(a.format(bad=bad, out=out) for a in argv))
         assert code == 1
-        assert err.startswith("error: ValueError: ") and message in err, err
+        assert err.startswith(f"error: ValueError: {bad}, line 1: ") and message in err, err
         assert stdout == ""
         assert not out.exists()
 

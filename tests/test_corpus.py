@@ -121,14 +121,21 @@ class TestRecordFiles:
         write_jsonl(path, iter(records))
         expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         assert path.read_bytes() == expected.encode()
-        assert read_jsonl(path) == records
+        assert read_jsonl(path, dict) == records
 
     def test_malformed_line_named(self, tmp_path):
         # the decoder's own position counts lines inside the one record
         path = tmp_path / "bad.jsonl"
         path.write_text('{"a": 1}\n\n{"b": 2}\n{"c": 3, "d": [4], "e": 5, }\n')
         with pytest.raises(ValueError, match=r"bad\.jsonl, line 4: Expecting property name"):
-            read_jsonl(path)
+            read_jsonl(path, dict)
+
+    def test_rejected_record_named(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        good = Sentence(("Kim", "ran"), ("NP", "VI"), "0101101", "ShortTrain").to_json()
+        write_jsonl(path, [good, {k: v for k, v in good.items() if k != "tokens"}])
+        with pytest.raises(ValueError, match=r"t\.jsonl, line 2: record has no field 'tokens'$"):
+            load_sentences(path)
 
 
 class TestSeeds:

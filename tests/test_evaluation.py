@@ -174,6 +174,19 @@ class TestTypologyTable:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TypologyTable.load(path)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("base_order_freq", "SXV", 0.0, "base_order_freq has unknown orders: ['SXV']"),
+        ("param_freq", "VP", [0.5, 0.5], "param_freq has unknown parameters: ['VP']"),
+    ])
+    def test_load_rejects_unknown_key(self, tmp_path, section, key, value, message):
+        # plausibility never reads either, but both would change the hash
+        data = TypologyTable.default().to_json()
+        data[section][key] = value
+        path = tmp_path / "typology.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TypologyTable.load(path)
+
     def test_round_trip_and_hash(self, tmp_path):
         table = TypologyTable.default()
         path = tmp_path / "typology.json"

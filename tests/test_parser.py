@@ -29,7 +29,13 @@ from alforge.parser import (
 )
 from alforge.templates import category_universe, enumerate_templates
 
-from oracle import chart_derivable, derivation_leaves, derivation_rules, oracle_derivations
+from oracle import (
+    as_tuple,
+    chart_derivable,
+    derivation_leaves,
+    derivation_rules,
+    oracle_derivations,
+)
 
 EN = grammar_by_id("0101101")
 ALWAYS = ParserPolicy(None)  # no REL category: always permutes
@@ -99,6 +105,19 @@ class TestDerivations:
         seq = EN.categorize(SHOWCASE_CLASSES)
         for tree in result.derivations:
             assert derivation_check(tree) and derivation_leaves(tree) == list(seq)
+
+    def test_two_step_rotation(self):
+        # The verb reaches S only by its second rotation, so the one tree
+        # holds two PERMUTE nodes in a row: the chain walked past its first
+        # entry.  No grammar's universe has a rotation chain longer than one.
+        verb = parse_category("((S\\NP_SUBJ)\\NP_OBJ)\\SCOMP")
+        seq = [*map(parse_category, ("NP_OBJ", "SCOMP", "NP_SUBJ")), verb]
+        trees = ChartParser(ALWAYS).parse(seq, derivations=True).derivations
+        assert len(trees) == 1 and derivation_check(trees[0])
+        assert [as_tuple(t) for t in trees] == oracle_derivations(seq, True)
+        node = trees[0].children[1].children[1].children[1]
+        assert node.rule is node.children[0].rule is RuleId.PERMUTE
+        assert node.children[0].children[0].category == verb
 
     def test_rotated_leaf_fails_against_input(self):
         # A permuted token cut to a bare leaf of the rotated category still
@@ -294,8 +313,8 @@ class TestRuleTable:
             _cats, table, _pairs = category_universe(g, True)
             codes = range(len(table.cats))
             for a in codes:
-                assert all(coordinable(table.cats[r]) == coordinable(table.cats[a])
-                           for r in table.rotations(a)), (g.params, table.cats[a])
+                assert all(coordinable(r) == coordinable(table.cats[a])
+                           for r in rotations(table.cats[a])), (g.params, table.cats[a])
                 closed = table.closure(a, True)
                 for r in codes:
                     if closed >> r & 1:
