@@ -193,7 +193,10 @@ def build_dataset(
         derive_seed(seed, g.params, "train"), "ShortTrain",
     )
     train_vocab = {w for s in train for w in s.tokens}
-    test_lex = lex.restricted(train_vocab)
+    try:
+        test_lex = lex.restricted(train_vocab)
+    except ValueError as exc:
+        raise ValueError(f"{g.params} test lexicon from ShortTrain's vocabulary: {exc}") from None
     avoid = {tuple(s.tokens) for s in train}
 
     splits = {"ShortTrain": train}

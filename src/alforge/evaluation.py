@@ -15,8 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from scipy.special import stdtr
-
 from .corpus import BOS, EOS, _field, read_jsonl, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
@@ -184,6 +182,8 @@ def pearson(x, y) -> tuple[float, float]:
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0
+    from scipy.special import stdtr  # only the p-value loads scipy (and numpy)
+
     t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
     p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))  # the t survival function
     return r, p

@@ -26,7 +26,6 @@ from .categories import (
     Variable,
     format_category,
 )
-from .parser import ParserPolicy
 
 LEXICAL_CLASSES = (
     "NP",
@@ -67,12 +66,13 @@ def base_order_of(s_bit: int, vp_bit: int, o_bit: int) -> str:
 @dataclass(frozen=True)
 class Grammar:
     """One artificial language: canonical parameter id, induced lexical
-    category assignment, and parser policy."""
+    category assignment, and permutation policy: the REL category an input
+    must contain to permute, or None when every input permutes."""
 
     params: str
     base_order: str
     lexicon: tuple[tuple[str, Category], ...]
-    policy: ParserPolicy
+    policy: Category | None
     aliases: tuple[str, ...] = ()
 
     @cached_property  # built once: a frozen dataclass without slots keeps it
@@ -139,7 +139,7 @@ def build_grammar(params: str) -> Grammar:
         ("REL", rel),
         ("CONJ", conj),
     )
-    policy = ParserPolicy(rel if base_order in ("SOV", "OSV", "VOS", "OVS") else None)
+    policy = rel if base_order in ("SOV", "OSV", "VOS", "OVS") else None
     return Grammar(params, base_order, lexicon, policy)
 
 
@@ -178,7 +178,7 @@ def grammar_to_text(g: Grammar) -> str:
     lines = [f"# params: {g.params}", f"# base_order: {g.base_order}"]
     if g.aliases:
         lines.append(f"# aliases: {' '.join(g.aliases)}")
-    mode = "rel-conditional" if g.policy.require_rel else "always"
+    mode = "always" if g.policy is None else "rel-conditional"
     lines.append(f"# permutation: {mode}")
     for cls, cat in g.lexicon:
         lines.append(f"{cls} => {format_category(cat)}")

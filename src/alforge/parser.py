@@ -1,9 +1,12 @@
 """CKY-style chart recognizer/parser over sequences of lexical categories.
 
 Permutation is a unary closure inside each chart cell, limited to verb
-functors (categories whose innermost result is S).  Coordination is a ternary
-rule over (left span, conjunction token, right span); conjunction tokens never
-enter ordinary cells, which keeps variable categories out of the chart.
+functors (categories whose innermost result is S).  The parser's ``policy``
+is the category an input must contain to permute (a grammar whose ``policy``
+is set passes its REL entry), or None when every input permutes.
+Coordination is a ternary rule over (left span, conjunction token, right
+span); conjunction tokens never enter ordinary cells, which keeps variable
+categories out of the chart.
 
 The chart runs on small integer codes.  A ``RuleTable`` interns each category
 to an int the first time it is seen and keeps its facts (the coordinable and
@@ -63,29 +66,6 @@ from .combinators import (
     coordinable,
     coordinate,
 )
-
-
-@dataclass(frozen=True)
-class ParserPolicy:
-    """Grammar-specific permutation policy.
-
-    Permutation only ever applies to categories whose innermost result is S
-    and whose outermost argument is not "@"-restricted.  A ``rel_category``
-    additionally disables it for inputs that do not contain that category
-    (base-order-conditional disabling for SOV/OSV/VOS/OVS grammars); None
-    means it is always on.
-    """
-
-    rel_category: Category | None
-
-    @property
-    def require_rel(self) -> bool:
-        return self.rel_category is not None
-
-    def permutes(self, has_rel: bool) -> bool:
-        """Whether permutation is on for an input that contains
-        ``rel_category`` (``has_rel``) or not."""
-        return has_rel or self.rel_category is None
 
 
 def rotations(c: Category) -> list[Category]:
@@ -258,15 +238,16 @@ class ChartParser:
     kept across calls, so keep one instance per grammar when parsing in
     bulk.  Derivations are read back from the recognizer's filled chart."""
 
-    def __init__(self, policy: ParserPolicy):
+    def __init__(self, policy: Category | None):
         self.policy = policy
         self.table = RuleTable()
 
     def _permuting(self, codes: list[int]) -> bool:
-        """``policy.permutes`` for the input, decided on its codes.
-        The REL category is looked up, not interned, so that a parse never
-        assigns a code its input does not need."""
-        return self.policy.permutes(self.table.find(self.policy.rel_category) in codes)
+        """Whether the input ``codes`` permute: always when ``policy`` is
+        None, else only when they contain the ``policy`` category.  That
+        category is looked up, not interned, so that a parse never assigns a
+        code its input does not need."""
+        return self.policy is None or self.table.find(self.policy) in codes
 
     def parse(
         self, seq: list[Category] | tuple[Category, ...], *, derivations: bool = False

@@ -17,9 +17,9 @@ and the walk records the productive pairs, the ordered pairs of codes with
 a binary result.  Each productive pair's results, closed under rotation,
 are the chart's own ``RuleTable.join`` of the two codes.  Each
 ``grammatical_sequences`` call builds the permuting universe once; the
-non-permuting language of a ``require_rel`` grammar reads the same table
-and pairs.  The build keeps a (length, category) entry only while it can
-still sit inside an S of length <= max_len, an outside estimate by span
+non-permuting language of a grammar whose ``policy`` is set reads the same
+table and pairs.  The build keeps a (length, category) entry only while it
+can still sit inside an S of length <= max_len, an outside estimate by span
 length as in A* parsing (``_length_bounds``); the pruning is exact.
 """
 
@@ -247,12 +247,12 @@ def enumerate_templates(grammar: Grammar, max_len: int) -> list[Template]:
 
 def grammatical_sequences(grammar: Grammar, max_len: int) -> dict[int, set[Template]]:
     """All parse-grammatical class sequences up to ``max_len``, without the
-    heuristic filter.  Under ``require_rel`` a sequence with REL is judged
-    with permutation and one without REL without it.  Both modes read one
-    closure, the permuting one."""
+    heuristic filter.  For a grammar whose ``policy`` is set, a sequence
+    with REL is judged with permutation and one without REL without it.
+    Both modes read one closure, the permuting one."""
     build = category_universe(grammar, True)
     lang = _language(grammar, build, True, max_len)
-    if not grammar.policy.require_rel:
+    if grammar.policy is None:
         return {n: lang[n] for n in range(1, max_len + 1)}
     plain = _language(grammar, build, False, max_len)
     return {
@@ -298,11 +298,11 @@ def sample_long_templates(
     candidate that passes the heuristics is then accepted without a parse:
     the chart cells over t1 and t2 hold S, and S, a ground primitive that is
     no case marker, is ``coordinable``, so the coordination rule puts S over
-    the whole input.  Under ``require_rel`` a candidate with REL in one half
-    only is parsed with permutation on, while the other half derived S with
-    it off; permuting cells are supersets of non-permuting ones (``closure``
-    only adds rotations and ``join`` is monotone), so that half still holds
-    S.  Every other candidate is parsed.  The random draws do not depend on
+    the whole input.  For a grammar whose ``policy`` is set, a candidate
+    with REL in one half only is parsed with permutation on, while the other
+    half derived S with it off; permuting cells are supersets of
+    non-permuting ones (``closure`` only adds rotations and ``join`` is
+    monotone), so that half still holds S.  Every other candidate is parsed.  The random draws do not depend on
     how a verdict is reached, so the output is the one a parse of every
     candidate gives.
 

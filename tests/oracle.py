@@ -233,8 +233,8 @@ def oracle_derivations(seq, permuting: bool) -> list[tuple]:
 def oracle_grammatical(grammar, classes) -> bool:
     """Parser-independent grammaticality verdict for a class sequence."""
     seq = grammar.categorize(classes)
-    if grammar.policy.require_rel:
-        permuting = grammar.policy.rel_category in seq
+    if grammar.policy is not None:
+        permuting = grammar.policy in seq
     else:
         permuting = True
     return S in oracle_derivable(seq, permuting)
@@ -318,11 +318,11 @@ def reference_language(grammar, permutation_active: bool, max_len: int) -> list[
 
 
 def reference_grammatical_sequences(grammar, max_len: int) -> dict[int, set]:
-    """``templates.grammatical_sequences`` over ``reference_language``: under
-    ``require_rel`` a sequence with REL is judged with permutation and one
-    without REL without it."""
+    """``templates.grammatical_sequences`` over ``reference_language``: for a
+    grammar whose ``policy`` is set, a sequence with REL is judged with
+    permutation and one without REL without it."""
     lang = reference_language(grammar, True, max_len)
-    if not grammar.policy.require_rel:
+    if grammar.policy is None:
         return {n: lang[n] for n in range(1, max_len + 1)}
     plain = reference_language(grammar, False, max_len)
     return {

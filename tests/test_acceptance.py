@@ -27,7 +27,7 @@ from alforge.evaluation import (
     ta_score,
 )
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
-from alforge.parser import ChartParser, ParserPolicy
+from alforge.parser import ChartParser
 from alforge.templates import grammatical_sequences, heuristic_filter
 
 from oracle import chart_derivable, derivation_rules, oracle_grammatical
@@ -92,7 +92,7 @@ def test_criterion_3_reference_fixtures():
 
     # Four rule-demonstration derivations over raw English categories.
     vt = parse_category("(S\\NP)/NP")
-    always = ChartParser(ParserPolicy(None))  # no REL category: always permutes
+    always = ChartParser(None)  # no REL category: always permutes
     ok &= always.parse([NP, vt, NP]).grammatical
     modifier = [NP, parse_category("(NP\\NP)/NP"), NP, parse_category("S\\NP")]
     ok &= always.parse(modifier).grammatical

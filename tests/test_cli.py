@@ -219,6 +219,15 @@ class TestSubcommands:
         assert err == ("error: ValueError: 0101101 ShortTest: length 3 has 2 distinct "
                        "sentences to draw from, 15 requested\n")
 
+    def test_test_lexicon_failure_names_grammar(self, capsys, tmp_path):
+        # ShortTrain at this scale uses no word of VCOMP or COMP, so the test
+        # lexicon, restricted to ShortTrain's vocabulary, has none either
+        code, _, err = run(capsys, "pipeline", "--params", "0000000", "--scale", "0.02",
+                           "--seed", "3", "--out-dir", str(tmp_path / "d"))
+        assert code == 1
+        assert err.startswith("error: ValueError: 0000000 ")
+        assert "['VCOMP', 'COMP']" in err
+
     def test_gen_dataset_bad_lexicon_fails_before_writing(self, capsys, tmp_path):
         lexicon = tmp_path / "lex.json"
         lexicon.write_text(json.dumps({**DEFAULT_WORDS, "SUBJ": "ga"}))

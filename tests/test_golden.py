@@ -38,8 +38,8 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys, extra):
 
 BENCH_REFS = Path(__file__).parent.parent / "perfbench" / "refs" / "pipeline96.json"
 # Four grammars per base order, whose factor bits (COMP, PP, ADJ, REL) are
-# 0000, 0101, 1010 and 1111; the SOV, OSV, OVS and VOS ones coordinate under
-# require_rel.
+# 0000, 0101, 1010 and 1111; the SOV, OSV, OVS and VOS ones are grammars whose
+# ``policy`` is set, so they coordinate with REL-conditional permutation.
 FULL_SCALE_IDS = tuple(
     g.params for g in enumerate_grammars() if g.params[3:] in ("0000", "0101", "1010", "1111"))
 

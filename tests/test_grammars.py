@@ -72,10 +72,17 @@ class TestFactory:
         assert format_category(vos.category("VT")) == "(S/NP_SUBJ)/NP_OBJ"
 
     def test_permutation_policy_by_order(self):
-        assert not build_grammar("0101101").policy.require_rel
-        assert not build_grammar("1100000").policy.require_rel
+        assert build_grammar("0101101").policy is None
+        assert build_grammar("1100000").policy is None
         for params in ("0000000", "0010000", "1110000", "1000000"):
-            assert build_grammar(params).policy.require_rel
+            assert build_grammar(params).policy is not None
+        # The parser gates permutation by the policy category and
+        # ``grammatical_sequences`` by the class label "REL": one decision,
+        # because the policy is the REL lexical entry itself.
+        gated = [g for g in enumerate_grammars() if g.base_order in ("SOV", "OSV", "VOS", "OVS")]
+        assert len(gated) == 64
+        for g in enumerate_grammars():
+            assert g.policy is (g.category("REL") if g in gated else None), g.params
 
     @given(bits)
     def test_markers_always_identical(self, params):
@@ -122,7 +129,7 @@ class TestTextFormat:
         for g in enumerate_grammars():
             lines = grammar_to_text(g).splitlines()
             header = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
-            mode = "rel-conditional" if g.policy.require_rel else "always"
+            mode = "rel-conditional" if g.policy is not None else "always"
             aliases = {"aliases": " ".join(g.aliases)} if g.aliases else {}
             assert header == {"params": g.params, "base_order": g.base_order,
                               "permutation": mode, **aliases}

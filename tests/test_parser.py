@@ -20,7 +20,6 @@ from alforge.parser import (
     MAX_DERIVATIONS,
     ChartParser,
     Derivation,
-    ParserPolicy,
     RuleTable,
     _rule_results,
     balance,
@@ -38,7 +37,7 @@ from oracle import (
 )
 
 EN = grammar_by_id("0101101")
-ALWAYS = ParserPolicy(None)  # no REL category: always permutes
+ALWAYS = None  # no REL category: always permutes
 
 SHOWCASE_CLASSES = ("ADJ", "NP", "SUBJ", "REL", "NP", "SUBJ", "VT", "VI", "CONJ", "VI")
 
@@ -187,13 +186,13 @@ class TestPolicy:
     def test_permutation_needed(self):
         seq = EN.categorize(("NP", "SUBJ", "REL", "NP", "SUBJ", "VT", "VI"))
         assert ChartParser(EN.policy).parse(seq).grammatical
-        frozen = ParserPolicy(S)  # S is never a token: never permutes
+        frozen = S  # S is never a token: never permutes
         assert not ChartParser(frozen).parse(seq).grammatical
 
     def test_disabling_never_adds(self):
         sov = grammar_by_id("0000000")
         on = ChartParser(ALWAYS)
-        off = ChartParser(ParserPolicy(S))  # S is never a token: never permutes
+        off = ChartParser(S)  # S is never a token: never permutes
         from itertools import product
 
         for classes in product(("NP", "SUBJ", "VT", "VI"), repeat=3):
@@ -206,8 +205,8 @@ class TestPolicy:
         with_rel = sov.categorize(("NP", "SUBJ", "REL"))
         without = sov.categorize(("NP", "SUBJ", "VI"))
         policy = sov.policy
-        assert policy.permutes(policy.rel_category in with_rel)
-        assert not policy.permutes(policy.rel_category in without)
+        assert policy is None or policy in with_rel
+        assert not (policy is None or policy in without)
 
     def test_parser_decides_permutation_on_codes(self):
         """The parser's decision equals the policy's, before and after its
@@ -218,7 +217,7 @@ class TestPolicy:
         for classes in [("NP", "SUBJ", "VI"), ("NP", "SUBJ", "REL", "NP"), ("VI", "NP")]:
             seq = sov.categorize(classes)
             codes = [parser.table.code(c) for c in seq]
-            assert parser._permuting(codes) == policy.permutes(policy.rel_category in seq)
+            assert parser._permuting(codes) == (policy is None or policy in seq)
 
     def test_rotation_eligibility(self):
         vt = parse_category("(S\\NP_SUBJ)/NP_OBJ")

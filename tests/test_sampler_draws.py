@@ -27,7 +27,7 @@ LEX = Lexicon.default()
 
 def test_grammars_cover_both_permutation_modes():
     assert len(GRAMMARS) == 12
-    assert {g.policy.require_rel for g in GRAMMARS} == {True, False}
+    assert {g.policy is not None for g in GRAMMARS} == {True, False}
 
 
 @lru_cache(maxsize=None)
