@@ -7,8 +7,9 @@ command chaining everything for a set of grammars.
 and each subcommand offers flags only for the fields its handler reads, plus
 `--config` and, where it reads a corpus count, `--scale`.  All randomness is
 derived from --seed; identical config and seed produce byte-identical
-artifacts.  `pipeline` runs its grammars one after another in one process;
-its --threads is accepted for old command lines and ignored.
+artifacts.  `pipeline` runs its grammars one after another in one process
+(its --threads is accepted and ignored) and writes a grammar's files only
+once all of its sets are drawn and scored, so a failing grammar leaves none.
 
 Each pipeline step is defined once (`build_dataset`, `long_templates`,
 `targeted_set`, `pair_set`, `report_row`, `summary_row`), and the
@@ -184,7 +185,8 @@ def pair_set(
 def build_dataset(
     g: Grammar, cfg: RunConfig, lex: Lexicon, parser: ChartParser
 ) -> dict[str, list[Sentence]]:
-    """Short/Medium/Long splits for one grammar, by split name."""
+    """Short/Medium/Long splits for one grammar, by split name.  Only
+    ShortTest shares lengths with ShortTrain, so only it avoids its sentences."""
     seed = cfg.master_seed
     templates = enumerate_templates(g, MEDIUM_BAND[1])
 
@@ -192,26 +194,24 @@ def build_dataset(
         g, templates, lex, cfg.train_per_length, SHORT_BAND,
         derive_seed(seed, g.params, "train"), "ShortTrain",
     )
-    train_vocab = {w for s in train for w in s.tokens}
     try:
-        test_lex = lex.restricted(train_vocab)
+        test_lex = lex.restricted({w for s in train for w in s.tokens})
     except ValueError as exc:
         raise ValueError(f"{g.params} test lexicon from ShortTrain's vocabulary: {exc}") from None
-    avoid = {tuple(s.tokens) for s in train}
-
     splits = {"ShortTrain": train}
     splits["ShortTest"] = sample_split(
         g, templates, test_lex, cfg.test_per_length, SHORT_BAND,
-        derive_seed(seed, g.params, "short-test"), "ShortTest", avoid=avoid,
+        derive_seed(seed, g.params, "short-test"), "ShortTest",
+        avoid={tuple(s.tokens) for s in train},
     )
     splits["MediumTest"] = sample_split(
         g, templates, test_lex, cfg.test_per_length, MEDIUM_BAND,
-        derive_seed(seed, g.params, "medium-test"), "MediumTest", avoid=avoid,
+        derive_seed(seed, g.params, "medium-test"), "MediumTest",
     )
     long_t = long_templates(g, cfg, templates, parser)
     splits["LongTest"] = sample_split(
         g, long_t, test_lex, cfg.long_per_length, LONG_BAND,
-        derive_seed(seed, g.params, "long-test"), "LongTest", avoid=avoid,
+        derive_seed(seed, g.params, "long-test"), "LongTest",
     )
     return splits
 
@@ -222,12 +222,17 @@ def artifact_path(out_dir, params: str, name: str) -> Path:
     return Path(out_dir) / f"{params}_{name}.jsonl"
 
 
-def _save_splits(params: str, splits: dict[str, list[Sentence]], out_dir: Path) -> dict[str, Path]:
+def _save_sets(out_dir: Path, params: str, sets: dict[str, list]) -> dict[str, Path]:
+    """Writes each of one grammar's sets to its `artifact_path`, making
+    ``out_dir`` if missing, and returns the paths by artifact name: pairs for
+    ``<kind>_pairs``, score records for ``<split>_scores``, else sentences."""
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for name, sentences in splits.items():
+    for name, items in sets.items():
         paths[name] = artifact_path(out_dir, params, name)
-        save_sentences(sentences, paths[name])
+        save = (save_pairs if name.endswith("_pairs")
+                else save_scores if name.endswith("_scores") else save_sentences)
+        save(items, paths[name])
     return paths
 
 
@@ -239,7 +244,7 @@ def _distinct_grammars(params) -> list[Grammar]:
 
 # --- report -----------------------------------------------------------------
 
-SCORED_SPLITS = ("ShortTest", "MediumTest", "LongTest")  # the test splits scored
+SCORED_SPLITS = ("ShortTest", "MediumTest", "LongTest", *TARGETED_KINDS)  # the sets scored
 
 
 def report_row(g: Grammar, split: str, ppl: float, table: TypologyTable) -> dict:
@@ -298,11 +303,10 @@ def cmd_augment_long(args) -> None:
 
 def cmd_gen_dataset(args) -> None:
     cfg = _build_config(args)
-    out_dir = Path(cfg.out_dir)
     lex = _lexicon(cfg)
     for g in _distinct_grammars(args.params):
         splits = build_dataset(g, cfg, lex, ChartParser(g.policy))
-        for name, path in sorted(_save_splits(g.params, splits, out_dir).items()):
+        for name, path in sorted(_save_sets(Path(cfg.out_dir), g.params, splits).items()):
             print(f"{g.params} {name} {path}")
 
 
@@ -366,39 +370,25 @@ def cmd_judge(args) -> None:
 
 
 def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path, lex: Lexicon) -> dict:
-    """Splits, targeted sets, minimal pairs and n-gram scores for one
-    grammar, written to ``out_dir``; returns its perplexities and pair
-    accuracies.  One lexicon and one parser serve every stage."""
+    """Splits, targeted sets, minimal pairs and n-gram scores for one grammar,
+    all drawn and scored before any is written to ``out_dir``; returns its
+    perplexities and pair accuracies.  One lexicon and one parser serve all."""
     g = grammar_by_id(params)
     parser = ChartParser(g.policy)
-    splits = build_dataset(g, cfg, lex, parser)
-    _save_splits(g.params, splits, out_dir)
-
-    targeted = {}
+    sets = build_dataset(g, cfg, lex, parser)
     for kind in TARGETED_KINDS:
-        targeted[kind] = targeted_set(g, cfg, kind, lex, parser)
-        save_sentences(targeted[kind], artifact_path(out_dir, g.params, kind))
-
-    pair_sets = {}
+        sets[kind] = targeted_set(g, cfg, kind, lex, parser)
     for kind in PAIR_KINDS:
-        pair_sets[kind] = pair_set(g, cfg, kind, splits["MediumTest"], lex, parser)
-        save_pairs(pair_sets[kind], artifact_path(out_dir, g.params, f"{kind}_pairs"))
+        sets[f"{kind}_pairs"] = pair_set(g, cfg, kind, sets["MediumTest"], lex, parser)
 
-    model = ngram_train(splits["ShortTrain"], cfg.ngram_order, cfg.ngram_k)
-    scored = {split: splits[split] for split in SCORED_SPLITS}
-    scored.update(targeted)
-    ppls = {}
-    for split, sents in scored.items():
-        records = ngram_score(model, sents)
-        save_scores(records, artifact_path(out_dir, g.params, f"{split}_scores"))
-        ppls[split] = perplexity(records)
+    model = ngram_train(sets["ShortTrain"], cfg.ngram_order, cfg.ngram_k)
+    for split in SCORED_SPLITS:
+        sets[f"{split}_scores"] = ngram_score(model, sets[split])
+    ppls = {split: perplexity(sets[f"{split}_scores"]) for split in SCORED_SPLITS}
+    accuracy = {kind: judge_pairs(ngram_score(model, pair) for pair in sets[f"{kind}_pairs"])
+                for kind in PAIR_KINDS}
 
-    accuracy = {}
-    for kind, pairs in pair_sets.items():
-        good = ngram_score(model, [a for a, _ in pairs])
-        bad = ngram_score(model, [b for _, b in pairs])
-        accuracy[kind] = judge_pairs(list(zip(good, bad)))
-
+    _save_sets(out_dir, g.params, sets)
     return {"grammar": g, "ppls": ppls, "accuracy": accuracy}
 
 
@@ -408,12 +398,11 @@ def cmd_pipeline(args) -> None:
     lex = _lexicon(cfg)
     table = _typology(cfg)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = [_pipeline_one(g.params, cfg, out_dir, lex) for g in grammars]
     results.sort(key=lambda r: r["grammar"].params)
 
     rows = [report_row(res["grammar"], split, res["ppls"][split], table)
-            for res in results for split in (*SCORED_SPLITS, *TARGETED_KINDS)]
+            for res in results for split in SCORED_SPLITS]
     summary = None
     if len(results) == 96:
         ppls = {res["grammar"].params: res["ppls"]["ShortTest"] for res in results}

@@ -89,8 +89,7 @@ class Lexicon:
 
     @classmethod
     def load(cls, path) -> "Lexicon":
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ValueError("lexicon file must hold one JSON object of word lists")
         for cls_name, forms in data.items():
@@ -156,6 +155,16 @@ def _field(data, name: str, kind: type, item=None):
     ):
         raise ValueError(f"record field {name!r} is malformed: {value!r}")
     return value
+
+
+def read_json(path):
+    """The one JSON document of the file ``path``; a file that is not JSON is
+    a ValueError that names the file, the line and the column."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}, line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
 
 
 def write_json(path, data) -> None:
@@ -361,13 +370,13 @@ def gen_targeted(
 
 # --- minimal pairs ----------------------------------------------------------
 
-PAIR_KINDS = ("CaseType", "VerbType")
+PAIR_KINDS = {"CaseType": ("SUBJ", "OBJ"), "VerbType": ("VT",)}  # the classes each perturbs
 
 
 def _case_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
     """Swap one case marker's class; the new word is the other class's word
     at the old word's index, modulo that class's size (no extra draw)."""
-    idxs = [i for i, c in enumerate(sentence.classes) if c in ("SUBJ", "OBJ")]
+    idxs = [i for i, c in enumerate(sentence.classes) if c in PAIR_KINDS["CaseType"]]
     if not idxs:
         return None
     i = rng.choice(idxs)
@@ -383,7 +392,7 @@ def _case_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
 
 
 def _verb_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
-    idxs = [i for i, c in enumerate(sentence.classes) if c == "VT"]
+    idxs = [i for i, c in enumerate(sentence.classes) if c in PAIR_KINDS["VerbType"]]
     if not idxs:
         return None
     i = rng.choice(idxs)
@@ -418,6 +427,9 @@ def gen_minimal_pairs(
     foreign = sorted({s.grammar_id for s in source} - {grammar.params, *grammar.aliases})
     if foreign:
         raise ValueError(f"{where}: source sentences of grammar {foreign[0]}")
+    if not any(c in PAIR_KINDS[kind] for s in source for c in s.classes):
+        raise ValueError(f"{where}: no source sentence has a {' or '.join(PAIR_KINDS[kind])} "
+                         "to perturb")
     twin_of = _case_twin if kind == "CaseType" else _verb_twin
     rng = random.Random(seed)
     taken: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import BOS, EOS, _field, read_jsonl, write_jsonl
+from .corpus import BOS, EOS, _field, read_json, read_jsonl, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
 _FACTOR_PARAMS = {"COMP": 3, "PP": 4, "ADJ": 5, "REL": 6}  # name -> digit of the params id
@@ -122,8 +122,7 @@ class TypologyTable:
 
     @classmethod
     def load(cls, path) -> "TypologyTable":
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ValueError("typology file must hold one JSON object")
         for key in ("base_order_freq", "param_freq"):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from alforge import cli
 from alforge.cli import RunConfig, build_arg_parser, load_config_file, main
 from alforge.corpus import DEFAULT_WORDS, load_sentences, write_jsonl
 from alforge.evaluation import (
@@ -279,6 +280,20 @@ class TestSubcommands:
         assert err.startswith(f"error: ValueError: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, text, column", [
+        ("gen-dataset", "--lexicon-path", '{"NP": [', 9),
+        ("pipeline", "--typology-path", "base_order_freq = 1\n", 1),
+    ], ids=["lexicon", "typology"])
+    def test_non_json_file_named(self, capsys, tmp_path, command, flag, text, column):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        out = tmp_path / "d"
+        code, _, err = run(capsys, command, "--params", "0101101", "--scale", "0.05",
+                           flag, str(path), "--out-dir", str(out))
+        assert code == 1
+        assert err == f"error: ValueError: {path}, line 1: Expecting value (column {column})\n"
+        assert not out.exists()
+
     def test_augment_long_rejects_non_sentence_template(self, capsys, tmp_path):
         # The Long step trusts its sources to derive S, so the command
         # checks a templates file before sampling from it.
@@ -388,6 +403,53 @@ class TestSubcommands:
         assert code == 1
         assert err.startswith(f"error: ValueError: {bad}, line 1: ") and message in err, err
         assert stdout == ""
+        assert not out.exists()
+
+
+class TestWritesAfterDrawing:
+    """`pipeline` writes a grammar's files only after all of its sets are
+    drawn and scored: a failing grammar leaves none of them, and a run that
+    fails on its first grammar leaves no out-dir."""
+
+    ARGS = ("--scale", "0.02", "--seed", "45")
+    NO_VT = "error: ValueError: 0001000 VerbType: no source sentence has a VT to perturb\n"
+
+    def test_pair_precheck_leaves_no_out_dir(self, capsys, tmp_path):
+        # 0001000's MediumTest holds only VI sentences at this config
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0001000", *self.ARGS,
+                           "--out-dir", str(out))
+        assert (code, err) == (1, self.NO_VT)
+        assert not out.exists()
+
+    def test_failing_grammar_leaves_none_of_its_files(self, capsys, tmp_path):
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "0001000", *self.ARGS,
+                           "--out-dir", str(tmp_path))
+        assert (code, err) == (1, self.NO_VT)
+        sets = ("ShortTrain", "ShortTest", "MediumTest", "LongTest", "Recursive", "Embedded")
+        names = {*sets, "CaseType_pairs", "VerbType_pairs",
+                 *(f"{s}_scores" for s in sets if s != "ShortTrain")}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"0101101_{name}.jsonl" for name in names)
+
+    def test_default_config_leaves_no_out_dir(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--seed", "1",
+                           "--out-dir", str(out))
+        assert code == 1
+        assert err == ("error: ValueError: 0101101 ShortTrain: length 3 has 152 distinct "
+                       "sentences to draw from, 1000 requested\n")
+        assert not out.exists()
+
+    def test_scoring_precedes_writing(self, capsys, tmp_path, monkeypatch):
+        def judge_pairs(pairs):
+            raise RuntimeError("judging failed")
+
+        monkeypatch.setattr(cli, "judge_pairs", judge_pairs)
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--scale", "0.05",
+                           "--seed", "3", "--out-dir", str(out))
+        assert (code, err) == (1, "error: RuntimeError: judging failed\n")
         assert not out.exists()
 
 

@@ -341,7 +341,11 @@ class TestFailuresNameGrammar:
             EN, "VerbType",
             sample_split(EN, [("NP", "SUBJ", "VI")], LEX, 2, (3, 3), seed=1, split="ShortTest"),
             LEX, 1, seed=1, parser=EN_PARSER),
-         ValueError, "0101101 VerbType: insufficient pairs (found 0 of 1)"),
+         ValueError, "0101101 VerbType: no source sentence has a VT to perturb"),
+        (lambda: gen_minimal_pairs(EN, "CaseType", [Sentence(("Kim", "ran"), ("NP", "VI"),
+                                                             "0101101", "x")],
+                                   LEX, 1, seed=1, parser=EN_PARSER),
+         ValueError, "0101101 CaseType: no source sentence has a SUBJ or OBJ to perturb"),
         (lambda: sample_long_templates([("NP", "SUBJ", "VI")], EN, per_length=5, min_len=19,
                                        max_len=20, seed=0, parser=EN_PARSER),
          ValueError, "0101101 Long templates: insufficient templates for length 19 "

@@ -4,8 +4,8 @@ the tests, every default of the package is left out by a call outside the
 tests, each ``derive_seed`` label of the package is written in one
 place, only the parser rotates categories or reads rotation chains, the
 parser classifies a category only when it interns it, only the shared draw
-loop reads the draw budget, and the command line loads neither scipy nor
-numpy.
+loop reads the draw budget, only the per-grammar writer makes directories,
+and the command line loads neither scipy nor numpy.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -279,11 +279,10 @@ def test_only_the_parser_reads_rotation_chains():
 CLASSIFIERS = {"is_conjunction", "coordinable"}
 
 
-def classifier_calls(source: str) -> set[str]:
-    """``function:name`` for each call in ``source`` of a name of
-    ``CLASSIFIERS``, as a name or as an attribute, where ``function`` is the
-    qualified name of the innermost enclosing function or class (empty at
-    module level)."""
+def calls_to(source: str, names: set[str]) -> set[str]:
+    """``function:name`` for each call in ``source`` of one of ``names``, as
+    a name or as an attribute, where ``function`` is the qualified name of
+    the innermost enclosing function or class (empty at module level)."""
     out = set()
 
     def visit(node: ast.AST, where: str) -> None:
@@ -294,7 +293,7 @@ def classifier_calls(source: str) -> set[str]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in CLASSIFIERS:
+                if name in names:
                     out.add(f"{where}:{name}")
             visit(child, where)
 
@@ -313,7 +312,7 @@ def test_classifier_checker():
         "ok = coordinable(S)\n"
         "f = is_conjunction\n"
     )
-    assert classifier_calls(source) == {
+    assert calls_to(source, CLASSIFIERS) == {
         "RuleTable.code:coordinable", "RuleTable.code:is_conjunction",
         "_fill:is_conjunction", ":coordinable",
     }
@@ -322,8 +321,35 @@ def test_classifier_checker():
 def test_parser_classifies_only_when_interning():
     # After ``_encode`` the chart reads the facts ``RuleTable.code`` records
     # (``coordinating``, ``conjunctions``), not the categories again.
-    calls = classifier_calls((SRC / "parser.py").read_text())
+    calls = calls_to((SRC / "parser.py").read_text(), CLASSIFIERS)
     assert calls == {"RuleTable.code:coordinable", "RuleTable.code:is_conjunction"}
+
+
+DIRECTORY_MAKERS = {"mkdir", "makedirs"}
+
+
+def test_directory_maker_checker():
+    source = (
+        "import os\n"
+        "def _save_sets(out_dir):\n"
+        "    out_dir.mkdir(parents=True, exist_ok=True)\n"
+        "def cmd_pipeline(args):\n"
+        "    os.makedirs(args.out_dir)\n"
+        "    Path(args.out_dir).mkdir()\n"
+        "mkdir = None  # not a call\n"
+    )
+    assert calls_to(source, DIRECTORY_MAKERS) == {
+        "_save_sets:mkdir", "cmd_pipeline:makedirs", "cmd_pipeline:mkdir",
+    }
+
+
+def test_only_the_grammar_writer_makes_directories():
+    # A grammar's files are written in one block after all of its sets are
+    # drawn and scored, and that block makes the out-dir: a run that fails
+    # on its first grammar leaves none.
+    calls = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := calls_to(path.read_text(), DIRECTORY_MAKERS))}
+    assert calls == {"cli.py": {"_save_sets:mkdir"}}
 
 
 BUDGET = "DRAWS_PER_RESULT"
