@@ -7,9 +7,13 @@ command chaining everything for a set of grammars.
 and each subcommand offers flags only for the fields its handler reads, plus
 `--config` and, where it reads a corpus count, `--scale`.  All randomness is
 derived from --seed; identical config and seed produce byte-identical
-artifacts.  `pipeline` runs its grammars one after another in one process
-(its --threads is accepted and ignored) and writes a grammar's files only
-once all of its sets are drawn and scored, so a failing grammar leaves none.
+artifacts.  `pipeline` writes a grammar's files only once all of its sets
+are drawn and scored.  It runs its grammars one after another in-process,
+or, with `--threads N` above 1, in a pool of min(N, grammars) forked worker
+processes; the artifacts and stdout do not depend on the worker count.  The
+run is staged in a directory beside its out-dir and moved into place only
+when every grammar has succeeded, so a failed run leaves the out-dir as it
+was.
 
 Each pipeline step is defined once (`build_dataset`, `long_templates`,
 `targeted_set`, `pair_set`, `report_row`, `summary_row`), and the
@@ -20,7 +24,10 @@ single-step subcommands run the same steps as `pipeline`.  `gen-dataset` and
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -369,10 +376,11 @@ def cmd_judge(args) -> None:
     print(f"accuracy={acc:.4f} pairs={len(good)}")
 
 
-def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path, lex: Lexicon) -> dict:
+def _grammar_record(params: str, cfg: RunConfig, out_dir: Path, lex: Lexicon) -> dict:
     """Splits, targeted sets, minimal pairs and n-gram scores for one grammar,
-    all drawn and scored before any is written to ``out_dir``; returns its
-    perplexities and pair accuracies.  One lexicon and one parser serve all."""
+    all drawn and scored before any is written to ``out_dir``; returns its id,
+    perplexities and pair accuracies as plain data.  One lexicon and one
+    parser serve all."""
     g = grammar_by_id(params)
     parser = ChartParser(g.policy)
     sets = build_dataset(g, cfg, lex, parser)
@@ -389,32 +397,95 @@ def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path, lex: Lexicon) -> d
                 for kind in PAIR_KINDS}
 
     _save_sets(out_dir, g.params, sets)
-    return {"grammar": g, "ppls": ppls, "accuracy": accuracy}
+    return {"grammar_id": g.params, "ppls": ppls, "accuracy": accuracy}
+
+
+def _pipeline_one(params: str, cfg: RunConfig, out_dir: Path, lex: Lexicon, procs=None) -> dict:
+    """One grammar's `_grammar_record`, made in this process, or in a worker
+    of the process pool ``procs``, waiting for it there."""
+    if procs is None:
+        return _grammar_record(params, cfg, out_dir, lex)
+    return procs.submit(_grammar_record, params, cfg, out_dir, lex).result()
+
+
+def _run_grammars(grammars, cfg: RunConfig, out_dir: Path, lex: Lexicon, workers: int) -> list:
+    """The grammars' records, in order, made one after another in-process
+    (one worker) or in a pool of ``workers`` forked processes.  A failure
+    raises the error of the first failing grammar in order, as the serial run
+    does; after the first failure, no further grammar starts."""
+    if workers == 1:
+        return [_pipeline_one(g.params, cfg, out_dir, lex) for g in grammars]
+    # Imported here: they would add about 30 ms to every command's start-up.
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, ThreadPoolExecutor, wait
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as procs:
+        procs.submit(int).result()  # forks the workers before this starts its threads
+        # Each thread hands one grammar to the pool and waits for it, so each
+        # `_pipeline_one` call spans one grammar in this process.  Threads
+        # take grammars in order, and a grammar handed to the pool runs to
+        # the end: when one fails, every grammar before it has run or is
+        # running, and cancelling the threads' queue stops the rest.
+        with ThreadPoolExecutor(workers) as threads:
+            futures = [threads.submit(_pipeline_one, g.params, cfg, out_dir, lex, procs)
+                       for g in grammars]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            threads.shutdown(cancel_futures=True)
+    return [f.result() for f in futures]
+
+
+def _stage(out_dir: Path) -> Path:
+    """An empty directory, made as ``out_dir`` would be, in a new hidden
+    directory beside ``out_dir`` (so on its file system), to write a run into
+    before `_publish` moves it."""
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"out-dir is not a directory: {out_dir}")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=out_dir.parent, prefix=f".{out_dir.name}.")) / out_dir.name
+    stage.mkdir()
+    return stage
+
+
+def _publish(stage: Path, out_dir: Path) -> None:
+    """Moves a finished run from ``stage`` to ``out_dir``: in one rename when
+    ``out_dir`` is absent or empty (keeping its mode), else file by file,
+    replacing files of the same name."""
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        for path in stage.iterdir():
+            os.replace(path, out_dir / path.name)
+        return
+    if out_dir.exists():
+        shutil.copymode(out_dir, stage)
+    os.replace(stage, out_dir)
 
 
 def cmd_pipeline(args) -> None:
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     cfg = _build_config(args)
     grammars = _distinct_grammars(args.params)
     lex = _lexicon(cfg)
     table = _typology(cfg)
-    out_dir = Path(cfg.out_dir)
-    results = [_pipeline_one(g.params, cfg, out_dir, lex) for g in grammars]
-    results.sort(key=lambda r: r["grammar"].params)
-
-    rows = [report_row(res["grammar"], split, res["ppls"][split], table)
-            for res in results for split in SCORED_SPLITS]
-    summary = None
-    if len(results) == 96:
-        ppls = {res["grammar"].params: res["ppls"]["ShortTest"] for res in results}
-        summary = summary_row("ShortTest", *ta_score(ppls, table), table)
-    write_report(out_dir / "report.csv", rows, summary)
-    judgments = {res["grammar"].params: res["accuracy"] for res in results}
-    write_json(out_dir / "judgments.json", judgments)
+    out_dir = Path(cfg.out_dir).resolve()
+    stage = _stage(out_dir)
+    try:
+        results = _run_grammars(grammars, cfg, stage, lex, min(args.threads, len(grammars)))
+        results.sort(key=lambda r: r["grammar_id"])
+        rows = [report_row(grammar_by_id(res["grammar_id"]), split, res["ppls"][split], table)
+                for res in results for split in SCORED_SPLITS]
+        summary = None
+        if len(results) == 96:
+            ppls = {res["grammar_id"]: res["ppls"]["ShortTest"] for res in results}
+            summary = summary_row("ShortTest", *ta_score(ppls, table), table)
+        write_report(stage / "report.csv", rows, summary)
+        write_json(stage / "judgments.json", {res["grammar_id"]: res["accuracy"] for res in results})
+        _publish(stage, out_dir)
+    finally:
+        shutil.rmtree(stage.parent, ignore_errors=True)
     for res in results:
-        g = res["grammar"]
         ppl_text = " ".join(f"{k}={v:.2f}" for k, v in sorted(res["ppls"].items()))
         acc_text = " ".join(f"{k}={v:.3f}" for k, v in sorted(res["accuracy"].items()))
-        print(f"{g.params} {ppl_text} {acc_text}")
+        print(f"{res['grammar_id']} {ppl_text} {acc_text}")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -498,8 +569,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="datasets + baseline + metrics")
     p.add_argument("--params", nargs="+", required=True)
     run_options(p, *_FIELD_TYPES)
-    p.add_argument("--threads", type=int,
-                   help="ignored; grammars run one after another in one process")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (forked; at most one per grammar); the "
+                        "outputs do not depend on it")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -3,8 +3,11 @@
 import argparse
 import csv
 import json
+import os
 import re
 import shlex
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -408,34 +411,39 @@ class TestSubcommands:
 
 class TestWritesAfterDrawing:
     """`pipeline` writes a grammar's files only after all of its sets are
-    drawn and scored: a failing grammar leaves none of them, and a run that
-    fails on its first grammar leaves no out-dir."""
+    drawn and scored, and moves the run into its out-dir only once every
+    grammar has succeeded: a failed run leaves the out-dir as it was, and
+    reports the first failing grammar in order, as the serial run does."""
 
+    THREADS = "1"
     ARGS = ("--scale", "0.02", "--seed", "45")
     NO_VT = "error: ValueError: 0001000 VerbType: no source sentence has a VT to perturb\n"
+
+    def pipeline(self, capsys, *argv):
+        return run(capsys, "pipeline", *argv, "--threads", self.THREADS)
 
     def test_pair_precheck_leaves_no_out_dir(self, capsys, tmp_path):
         # 0001000's MediumTest holds only VI sentences at this config
         out = tmp_path / "d"
-        code, _, err = run(capsys, "pipeline", "--params", "0001000", *self.ARGS,
-                           "--out-dir", str(out))
+        code, _, err = self.pipeline(capsys, "--params", "0001000", *self.ARGS,
+                                     "--out-dir", str(out))
         assert (code, err) == (1, self.NO_VT)
         assert not out.exists()
 
     def test_failing_grammar_leaves_none_of_its_files(self, capsys, tmp_path):
-        code, _, err = run(capsys, "pipeline", "--params", "0101101", "0001000", *self.ARGS,
-                           "--out-dir", str(tmp_path))
+        # 0101101 succeeds, but its files are never moved into the out-dir
+        out = tmp_path / "d"
+        out.mkdir()
+        code, _, err = self.pipeline(capsys, "--params", "0101101", "0001000", *self.ARGS,
+                                     "--out-dir", str(out))
         assert (code, err) == (1, self.NO_VT)
-        sets = ("ShortTrain", "ShortTest", "MediumTest", "LongTest", "Recursive", "Embedded")
-        names = {*sets, "CaseType_pairs", "VerbType_pairs",
-                 *(f"{s}_scores" for s in sets if s != "ShortTrain")}
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            f"0101101_{name}.jsonl" for name in names)
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert not any(out.iterdir())
 
     def test_default_config_leaves_no_out_dir(self, capsys, tmp_path):
         out = tmp_path / "d"
-        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--seed", "1",
-                           "--out-dir", str(out))
+        code, _, err = self.pipeline(capsys, "--params", "0101101", "--seed", "1",
+                                     "--out-dir", str(out))
         assert code == 1
         assert err == ("error: ValueError: 0101101 ShortTrain: length 3 has 152 distinct "
                        "sentences to draw from, 1000 requested\n")
@@ -447,10 +455,153 @@ class TestWritesAfterDrawing:
 
         monkeypatch.setattr(cli, "judge_pairs", judge_pairs)
         out = tmp_path / "d"
-        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--scale", "0.05",
-                           "--seed", "3", "--out-dir", str(out))
+        code, _, err = self.pipeline(capsys, "--params", "0101101", "--scale", "0.05",
+                                     "--seed", "3", "--out-dir", str(out))
         assert (code, err) == (1, "error: RuntimeError: judging failed\n")
         assert not out.exists()
+
+    def test_first_failing_grammar_in_order_is_reported(self, capsys, tmp_path, monkeypatch):
+        # 0000000 fails first in time, 0101101 first in order
+        def build_dataset(g, *args):
+            if g.params == "0101101":
+                time.sleep(0.3)
+            raise ValueError(f"{g.params} failed")
+
+        monkeypatch.setattr(cli, "build_dataset", build_dataset)
+        code, _, err = self.pipeline(capsys, "--params", "0101101", "0000000", *self.ARGS,
+                                     "--out-dir", str(tmp_path / "d"))
+        assert (code, err) == (1, "error: ValueError: 0101101 failed\n")
+
+    def test_failure_stops_the_run(self, capsys, tmp_path, monkeypatch):
+        # After the first failure no further grammar starts.  The pool's
+        # other worker finishes the grammar it holds.
+        params = ["0001000", "0101101", "0000000", "1111111", "0011010", "1001011"]
+        started = []
+        pipeline_one = cli._pipeline_one
+
+        def record(params, *args):
+            started.append(params)
+            if params == "0001000":
+                raise ValueError("0001000 failed")
+            return pipeline_one(params, *args)
+
+        monkeypatch.setattr(cli, "_pipeline_one", record)
+        code, _, err = self.pipeline(capsys, "--params", *params, *self.ARGS,
+                                     "--out-dir", str(tmp_path / "d"))
+        assert (code, err) == (1, "error: ValueError: 0001000 failed\n")
+        assert started[0] == "0001000"
+        assert len(started) < len(params) if self.THREADS != "1" else started == params[:1]
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+
+class TestWritesAfterDrawingInPool(TestWritesAfterDrawing):
+    """The same, with a pool of two worker processes; a one-grammar run
+    stays in-process."""
+
+    THREADS = "2"
+
+    def test_dead_worker_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def build_dataset(g, *args):
+            assert os.getpid() != parent
+            os._exit(3)
+
+        monkeypatch.setattr(cli, "build_dataset", build_dataset)
+        out = tmp_path / "d"
+        ran = []
+        runner = threading.Thread(daemon=True, target=lambda: ran.append(self.pipeline(
+            capsys, "--params", "0101101", "0000000", *self.ARGS, "--out-dir", str(out))))
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "the run hangs on a dead worker"
+        code, _, err = ran[0]
+        assert code == 1
+        assert err.startswith("error: BrokenProcessPool: ")
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+
+class TestWorkerCount:
+    """The outputs do not depend on the number of worker processes."""
+
+    PARAMS = ("0101101", "0000000", "1111111", "0100101")  # 0000000 and 1111111 set a policy
+
+    def test_out_dir_and_stdout_identical(self, capsys, tmp_path, monkeypatch):
+        argv = ("pipeline", "--params", *self.PARAMS, "--scale", "0.05", "--seed", "7")
+        code, serial, err = run(capsys, *argv, "--threads", "1", "--out-dir", str(tmp_path / "1"))
+        assert code == 0, err
+        # the pool's grammars are still handed out, one call each, here
+        calls = []
+        pipeline_one = cli._pipeline_one
+
+        def record(params, *args):
+            calls.append((params, os.getpid()))
+            return pipeline_one(params, *args)
+
+        monkeypatch.setattr(cli, "_pipeline_one", record)
+        code, pooled, err = run(capsys, *argv, "--threads", "2", "--out-dir", str(tmp_path / "2"))
+        assert code == 0, err
+        assert sorted(calls) == sorted((params, os.getpid()) for params in self.PARAMS)
+        assert pooled == serial
+        files = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
+        assert len(files) == 13 * len(self.PARAMS) + 2
+        for name in files:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_below_one_fails_before_writing(self, capsys, tmp_path, threads):
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "pipeline", "--params", "0101101", "--scale", "0.05",
+                           "--seed", "3", "--threads", threads, "--out-dir", str(out))
+        assert (code, err) == (1, f"error: ValueError: threads must be >= 1, got {threads}\n")
+        assert not out.exists()
+
+
+class TestOutDir:
+    """A finished run is renamed into an absent or empty out-dir, and moved
+    file by file into one that holds files."""
+
+    ARGV = ("pipeline", "--params", "0101101", "--scale", "0.05", "--seed", "3")
+
+    def test_empty_out_dir_keeps_its_mode(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir(mode=0o700)
+        code, _, err = run(capsys, *self.ARGV, "--out-dir", str(out))
+        assert code == 0, err
+        assert out.stat().st_mode & 0o777 == 0o700
+        assert len(list(out.iterdir())) == 15
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_files_replaced_and_others_kept(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        (out / "report.csv").write_text("old")
+        code, _, err = run(capsys, *self.ARGV, "--out-dir", str(out))
+        assert code == 0, err
+        assert (out / "notes.txt").read_text() == "mine"
+        assert (out / "report.csv").read_text().startswith("grammar_id,")
+        assert len(list(out.iterdir())) == 16
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_failed_run_leaves_files(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "report.csv").write_text("old")
+        # the default counts exceed what length 3 can hold
+        code, _, _ = run(capsys, "pipeline", "--params", "0101101", "--out-dir", str(out))
+        assert code == 1
+        assert [p.name for p in out.iterdir()] == ["report.csv"]
+        assert (out / "report.csv").read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_file_as_out_dir_fails_before_running(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.write_text("a file")
+        code, _, err = run(capsys, *self.ARGV, "--out-dir", str(out))
+        assert (code, err) == (1, f"error: NotADirectoryError: out-dir is not a directory: {out}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 @pytest.fixture(scope="module")

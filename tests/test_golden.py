@@ -22,8 +22,8 @@ from alforge.grammars import enumerate_grammars
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_pipeline.json"
 
 
-# The benchmark's command line passes --threads 2; the flag is accepted and
-# ignored, so it must leave every artifact unchanged.
+# The benchmark's command line passes --threads 2, which runs the grammars in
+# a pool of two worker processes; it must leave every artifact unchanged.
 @pytest.mark.parametrize("extra", [[], ["--threads", "2"]], ids=["default", "threads2"])
 def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys, extra):
     golden = json.loads(FIXTURE.read_text())
@@ -45,15 +45,16 @@ FULL_SCALE_IDS = tuple(
 
 
 def test_full_scale_artifacts_match_benchmark_refs(tmp_path, capsys):
-    """The benchmark's config, `--scale 0.1 --seed 11`, on 24 of the 96
-    grammars: each grammar's files equal those of the 96-grammar run in
-    perfbench/refs/pipeline96.json, since no per-grammar artifact depends on
-    the other grammars of the run."""
+    """The benchmark's config, `--scale 0.1 --seed 11 --threads 2`, on 24
+    of the 96 grammars: each grammar's files equal those of the 96-grammar
+    run in perfbench/refs/pipeline96.json, since no per-grammar artifact
+    depends on the other grammars of the run or on the worker running it."""
     refs = json.loads(BENCH_REFS.read_text())
     want = {name: digest for name, digest in refs.items() if name.split("_")[0] in FULL_SCALE_IDS}
     assert len(FULL_SCALE_IDS) == 24 and len(want) == 13 * 24
     out = tmp_path / "out"
-    argv = ["pipeline", "--params", *FULL_SCALE_IDS, "--scale", "0.1", "--seed", "11"]
+    argv = ["pipeline", "--params", *FULL_SCALE_IDS, "--scale", "0.1", "--seed", "11",
+            "--threads", "2"]
     assert main([*argv, "--out-dir", str(out)]) == 0
     capsys.readouterr()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.jsonl"))}

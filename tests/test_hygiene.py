@@ -4,8 +4,9 @@ the tests, every default of the package is left out by a call outside the
 tests, each ``derive_seed`` label of the package is written in one
 place, only the parser rotates categories or reads rotation chains, the
 parser classifies a category only when it interns it, only the shared draw
-loop reads the draw budget, only the per-grammar writer makes directories,
-and the command line loads neither scipy nor numpy.
+loop reads the draw budget, only the per-grammar writer and the run's stage
+make directories, and the command line loads neither scipy nor numpy nor the
+process pool's modules.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -345,11 +346,12 @@ def test_directory_maker_checker():
 
 def test_only_the_grammar_writer_makes_directories():
     # A grammar's files are written in one block after all of its sets are
-    # drawn and scored, and that block makes the out-dir: a run that fails
-    # on its first grammar leaves none.
+    # drawn and scored, and that block makes its directory.  `pipeline` also
+    # makes its stage beside the out-dir, and renames the finished run into
+    # place: a failed run leaves no out-dir.
     calls = {path.name: found for path in sorted(SRC.glob("*.py"))
              if (found := calls_to(path.read_text(), DIRECTORY_MAKERS))}
-    assert calls == {"cli.py": {"_save_sets:mkdir"}}
+    assert calls == {"cli.py": {"_save_sets:mkdir", "_stage:mkdir"}}
 
 
 BUDGET = "DRAWS_PER_RESULT"
@@ -415,3 +417,13 @@ def test_cli_import_leaves_out_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_pool():
+    # ``pipeline --threads N`` imports its process pool itself: the two
+    # modules would add about 30 ms to every command's start-up otherwise.
+    code = ("import sys, alforge.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
