@@ -11,9 +11,9 @@ artifacts.  `pipeline` writes a grammar's files only once all of its sets
 are drawn and scored.  It runs its grammars one after another in-process,
 or, with `--threads N` above 1, in a pool of min(N, grammars) forked worker
 processes; the artifacts and stdout do not depend on the worker count.  The
-run is staged in a directory beside its out-dir and moved into place only
-when every grammar has succeeded, so a failed run leaves the out-dir as it
-was.
+run is staged in a hidden directory, inside its out-dir or beside the first
+missing directory on the way to it, and moved into place only when every
+grammar has succeeded, so a failed run leaves the file system as it was.
 
 Each pipeline step is defined once (`build_dataset`, `long_templates`,
 `targeted_set`, `pair_set`, `report_row`, `summary_row`), and the
@@ -412,51 +412,61 @@ def _run_grammars(grammars, cfg: RunConfig, out_dir: Path, lex: Lexicon, workers
     """The grammars' records, in order, made one after another in-process
     (one worker) or in a pool of ``workers`` forked processes.  A failure
     raises the error of the first failing grammar in order, as the serial run
-    does; after the first failure, no further grammar starts."""
+    does; once a grammar has failed, no grammar after it in order starts."""
     if workers == 1:
         return [_pipeline_one(g.params, cfg, out_dir, lex) for g in grammars]
     # Imported here: they would add about 30 ms to every command's start-up.
     import multiprocessing
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, ThreadPoolExecutor, wait
 
+    failed = []  # the positions of the grammars that failed
+
+    def one(i: int, g: Grammar):
+        # A grammar after a failed one is skipped; one before it still runs,
+        # so the first failure in order is the serial run's.
+        if failed and min(failed) < i:
+            return None
+        try:
+            return _pipeline_one(g.params, cfg, out_dir, lex, procs)
+        except BaseException:
+            failed.append(i)
+            raise
+
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as procs:
         procs.submit(int).result()  # forks the workers before this starts its threads
         # Each thread hands one grammar to the pool and waits for it, so each
         # `_pipeline_one` call spans one grammar in this process.  Threads
-        # take grammars in order, and a grammar handed to the pool runs to
-        # the end: when one fails, every grammar before it has run or is
-        # running, and cancelling the threads' queue stops the rest.
+        # take grammars in order and a grammar handed to the pool runs to the
+        # end, so only the threads' queue is cancelled after a failure.
         with ThreadPoolExecutor(workers) as threads:
-            futures = [threads.submit(_pipeline_one, g.params, cfg, out_dir, lex, procs)
-                       for g in grammars]
+            futures = [threads.submit(one, i, g) for i, g in enumerate(grammars)]
             wait(futures, return_when=FIRST_EXCEPTION)
             threads.shutdown(cancel_futures=True)
     return [f.result() for f in futures]
 
 
 def _stage(out_dir: Path) -> Path:
-    """An empty directory, made as ``out_dir`` would be, in a new hidden
-    directory beside ``out_dir`` (so on its file system), to write a run into
-    before `_publish` moves it."""
+    """A new hidden directory to write a run into before `_publish` moves it:
+    inside ``out_dir`` when that exists, else beside the first missing
+    directory on the way to it, so on the file system it is moved to."""
     if out_dir.exists() and not out_dir.is_dir():
         raise NotADirectoryError(f"out-dir is not a directory: {out_dir}")
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(dir=out_dir.parent, prefix=f".{out_dir.name}.")) / out_dir.name
-    stage.mkdir()
-    return stage
+    base = out_dir
+    while not base.exists():
+        base = base.parent
+    return Path(tempfile.mkdtemp(dir=base, prefix=".stage."))
 
 
 def _publish(stage: Path, out_dir: Path) -> None:
-    """Moves a finished run from ``stage`` to ``out_dir``: in one rename when
-    ``out_dir`` is absent or empty (keeping its mode), else file by file,
-    replacing files of the same name."""
-    if out_dir.is_dir() and any(out_dir.iterdir()):
-        for path in stage.iterdir():
+    """Moves a finished run out of its `_stage`: file by file into ``out_dir``
+    when the stage is inside it, replacing files of the same name, else in
+    one rename of the first missing directory on the way to ``out_dir``."""
+    if stage.parent == out_dir:
+        for path in sorted(stage.iterdir()):
             os.replace(path, out_dir / path.name)
-        return
-    if out_dir.exists():
-        shutil.copymode(out_dir, stage)
-    os.replace(stage, out_dir)
+    else:
+        top = out_dir.relative_to(stage.parent).parts[0]
+        os.replace(stage / top, stage.parent / top)
 
 
 def cmd_pipeline(args) -> None:
@@ -468,8 +478,10 @@ def cmd_pipeline(args) -> None:
     table = _typology(cfg)
     out_dir = Path(cfg.out_dir).resolve()
     stage = _stage(out_dir)
+    # the stage itself, or its copy of the missing directories (`_save_sets` makes them)
+    run_dir = stage if stage.parent == out_dir else stage / out_dir.relative_to(stage.parent)
     try:
-        results = _run_grammars(grammars, cfg, stage, lex, min(args.threads, len(grammars)))
+        results = _run_grammars(grammars, cfg, run_dir, lex, min(args.threads, len(grammars)))
         results.sort(key=lambda r: r["grammar_id"])
         rows = [report_row(grammar_by_id(res["grammar_id"]), split, res["ppls"][split], table)
                 for res in results for split in SCORED_SPLITS]
@@ -477,11 +489,11 @@ def cmd_pipeline(args) -> None:
         if len(results) == 96:
             ppls = {res["grammar_id"]: res["ppls"]["ShortTest"] for res in results}
             summary = summary_row("ShortTest", *ta_score(ppls, table), table)
-        write_report(stage / "report.csv", rows, summary)
-        write_json(stage / "judgments.json", {res["grammar_id"]: res["accuracy"] for res in results})
+        write_report(run_dir / "report.csv", rows, summary)
+        write_json(run_dir / "judgments.json", {res["grammar_id"]: res["accuracy"] for res in results})
         _publish(stage, out_dir)
     finally:
-        shutil.rmtree(stage.parent, ignore_errors=True)
+        shutil.rmtree(stage, ignore_errors=True)
     for res in results:
         ppl_text = " ".join(f"{k}={v:.2f}" for k, v in sorted(res["ppls"].items()))
         acc_text = " ".join(f"{k}={v:.3f}" for k, v in sorted(res["accuracy"].items()))

@@ -8,6 +8,7 @@ import re
 import shlex
 import threading
 import time
+from concurrent import futures
 from dataclasses import fields
 from pathlib import Path
 
@@ -473,11 +474,20 @@ class TestWritesAfterDrawing:
         assert (code, err) == (1, "error: ValueError: 0101101 failed\n")
 
     def test_failure_stops_the_run(self, capsys, tmp_path, monkeypatch):
-        # After the first failure no further grammar starts.  The pool's
-        # other worker finishes the grammar it holds.
+        # After the first failure no further grammar starts, even before the
+        # run wakes to cancel the rest.  The pool's other worker finishes the
+        # grammar it holds.
         params = ["0001000", "0101101", "0000000", "1111111", "0011010", "1001011"]
         started = []
         pipeline_one = cli._pipeline_one
+        wait = futures.wait
+
+        def slow_wait(*args, **kwargs):
+            done = wait(*args, **kwargs)
+            time.sleep(0.5)
+            return done
+
+        monkeypatch.setattr(futures, "wait", slow_wait)
 
         def record(params, *args):
             started.append(params)
@@ -489,8 +499,17 @@ class TestWritesAfterDrawing:
         code, _, err = self.pipeline(capsys, "--params", *params, *self.ARGS,
                                      "--out-dir", str(tmp_path / "d"))
         assert (code, err) == (1, "error: ValueError: 0001000 failed\n")
-        assert started[0] == "0001000"
-        assert len(started) < len(params) if self.THREADS != "1" else started == params[:1]
+        if self.THREADS == "1":
+            assert started == params[:1]
+        else:  # only the grammar the other worker took alongside it may start
+            assert "0001000" in started and set(started) <= set(params[:2])
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_failed_run_leaves_no_parents(self, capsys, tmp_path):
+        out = tmp_path / "new" / "a" / "d"
+        code, _, err = self.pipeline(capsys, "--params", "0101101", "0001000", *self.ARGS,
+                                     "--out-dir", str(out))
+        assert (code, err) == (1, self.NO_VT)
         assert [p.name for p in tmp_path.iterdir()] == []
 
 
@@ -559,10 +578,50 @@ class TestWorkerCount:
 
 
 class TestOutDir:
-    """A finished run is renamed into an absent or empty out-dir, and moved
-    file by file into one that holds files."""
+    """A finished run is staged inside an existing out-dir and moved into it
+    file by file; a missing out-dir, with its missing parents, is staged
+    beside the first of them and renamed into place."""
 
     ARGV = ("pipeline", "--params", "0101101", "--scale", "0.05", "--seed", "3")
+
+    def test_missing_parents_made_on_success(self, capsys, tmp_path):
+        out = tmp_path / "new" / "a" / "d"
+        code, _, err = run(capsys, *self.ARGV, "--out-dir", str(out))
+        assert code == 0, err
+        assert len(list(out.iterdir())) == 15
+        assert [p.name for p in tmp_path.iterdir()] == ["new"]
+        (tmp_path / "ref").mkdir()
+        mode = (tmp_path / "ref").stat().st_mode
+        assert all(d.stat().st_mode == mode for d in (out, out.parent, out.parent.parent))
+
+    def test_existing_out_dir_holds_the_stage(self, capsys, tmp_path, monkeypatch):
+        dirs = []
+        pipeline_one = cli._pipeline_one
+
+        def record(params, cfg, out_dir, *args):
+            dirs.append(out_dir)
+            return pipeline_one(params, cfg, out_dir, *args)
+
+        monkeypatch.setattr(cli, "_pipeline_one", record)
+        out = tmp_path / "d"
+        out.mkdir()
+        code, _, err = run(capsys, *self.ARGV, "--out-dir", str(out))
+        assert code == 0, err
+        assert [d.parent for d in dirs] == [out.resolve()]
+        assert not dirs[0].exists()
+        assert len(list(out.iterdir())) == 15
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes to read-only directories")
+    def test_read_only_parent(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        tmp_path.chmod(0o555)
+        try:
+            code, _, err = run(capsys, *self.ARGV, "--out-dir", str(out))
+        finally:
+            tmp_path.chmod(0o755)
+        assert code == 0, err
+        assert len(list(out.iterdir())) == 15
 
     def test_empty_out_dir_keeps_its_mode(self, capsys, tmp_path):
         out = tmp_path / "d"

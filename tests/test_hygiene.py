@@ -4,9 +4,9 @@ the tests, every default of the package is left out by a call outside the
 tests, each ``derive_seed`` label of the package is written in one
 place, only the parser rotates categories or reads rotation chains, the
 parser classifies a category only when it interns it, only the shared draw
-loop reads the draw budget, only the per-grammar writer and the run's stage
-make directories, and the command line loads neither scipy nor numpy nor the
-process pool's modules.
+loop reads the draw budget, only the per-grammar writer makes directories,
+and the command line loads neither scipy nor numpy nor the process pool's
+modules.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -346,12 +346,11 @@ def test_directory_maker_checker():
 
 def test_only_the_grammar_writer_makes_directories():
     # A grammar's files are written in one block after all of its sets are
-    # drawn and scored, and that block makes its directory.  `pipeline` also
-    # makes its stage beside the out-dir, and renames the finished run into
-    # place: a failed run leaves no out-dir.
+    # drawn and scored, and that block makes the out-dir, in the run's stage
+    # when the out-dir is missing: a failed run leaves no directory.
     calls = {path.name: found for path in sorted(SRC.glob("*.py"))
              if (found := calls_to(path.read_text(), DIRECTORY_MAKERS))}
-    assert calls == {"cli.py": {"_save_sets:mkdir", "_stage:mkdir"}}
+    assert calls == {"cli.py": {"_save_sets:mkdir"}}
 
 
 BUDGET = "DRAWS_PER_RESULT"
