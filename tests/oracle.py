@@ -14,6 +14,10 @@ rather than every category.
 oracles: they read the parser's own chart and trees for tests that check
 those directly.
 
+``reference_fill`` keeps the chart parser's fill as it was before the
+agenda: every span in length order, every split and every conjunction of
+the input, for the cell-by-cell test of the agenda's chart.
+
 ``reference_language`` is the other reference kept here: the bottom-up
 template enumerator as it was before outside-length pruning, which builds
 every (length, category) entry.  It runs on the package's rule table, whose
@@ -245,6 +249,39 @@ def chart_derivable(parser, seq) -> set[Category]:
     ``seq``, filled without the balance test that ``parse`` runs first."""
     cell = parser._fill(parser._encode(seq))[0][0][-1]
     return {c for code, c in enumerate(parser.table.cats) if cell >> code & 1}
+
+
+def reference_fill(parser, codes):
+    """``ChartParser._fill`` as it was before the agenda: every span in
+    length order, every split of it, and every conjunction of the input.
+    Returns the same (chart, conjunction positions, permutation mode)."""
+    table = parser.table
+    n = len(codes)
+    permuting = parser._permuting(codes)
+    conjs: list[int] = []
+    chart = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, a in enumerate(codes):
+        if table.conjunctions >> a & 1:
+            conjs.append(i)
+        else:
+            chart[i][i + 1] = table.closure(a, permuting)
+    # ends[i]: ascending ends k of the non-empty spans codes[i:k] filled so far
+    ends = [[i + 1] if chart[i][i + 1] else [] for i in range(n)]
+    for length in range(2, n + 1):
+        for i in range(0, n - length + 1):
+            j = i + length
+            row = chart[i]
+            mask = 0
+            for k in ends[i]:
+                if chart[k][j]:
+                    mask |= table.join(row[k], chart[k][j], permuting)
+            for p in conjs:
+                if i < p < j - 1:
+                    mask |= row[p] & chart[p + 1][j] & table.coordinating
+            row[j] = mask
+            if mask:
+                ends[i].append(j)
+    return chart, conjs, permuting
 
 
 def derivation_rules(tree) -> set[RuleId]:

@@ -1,9 +1,11 @@
 """Chart parser: fixtures, derivation soundness, policy behavior, rule
 table."""
 
+import json
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from alforge.categories import (
     parse_category,
 )
 from alforge.combinators import RuleId, coordinable
-from alforge.grammars import enumerate_grammars, grammar_by_id
+from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import (
     MAX_DERIVATIONS,
     ChartParser,
@@ -23,10 +25,11 @@ from alforge.parser import (
     RuleTable,
     _rule_results,
     balance,
+    bits,
     derivation_check,
     rotations,
 )
-from alforge.templates import category_universe, enumerate_templates
+from alforge.templates import _extend, category_universe, enumerate_templates
 
 from oracle import (
     as_tuple,
@@ -34,6 +37,7 @@ from oracle import (
     derivation_leaves,
     derivation_rules,
     oracle_derivations,
+    reference_fill,
 )
 
 EN = grammar_by_id("0101101")
@@ -241,6 +245,99 @@ class TestRecognizer:
         assert p.parse(EN.categorize(("NP", "SUBJ", "VI"))).grammatical
         assert not p.parse(EN.categorize(("VI", "NP", "SUBJ"))).grammatical
         assert p.parse(EN.categorize(("NP", "SUBJ", "VT", "NP", "OBJ"))).grammatical
+
+
+POOL = Path(__file__).parent.parent / "perfbench" / "refs" / "parse_mix_pool.jsonl"
+
+
+class ReferenceParser(ChartParser):
+    """A parser whose chart fills span by span in length order."""
+
+    def _fill(self, codes):
+        return reference_fill(self, codes)
+
+
+def long_candidates(grammar, rng, count):
+    """Long-sampler-style candidates of lengths 11-20: two of the grammar's
+    templates concatenated, joined by CONJ, or one inserted into the other
+    after CONJ, whether or not they derive S."""
+    templates = enumerate_templates(grammar, 7)
+    out = []
+    while len(out) < count:
+        t1, t2 = rng.choice(templates), rng.choice(templates)
+        cand = _extend(rng.randrange(3), t1, t2, rng.randrange(1, len(t1)))
+        if 11 <= len(cand) <= 20:
+            out.append(cand)
+    return out
+
+
+def conjunction_sequences(rng, count):
+    """Random class sequences of lengths 5-20 with 2-5 CONJ tokens."""
+    classes = [c for c in LEXICAL_CLASSES if c != "CONJ"]
+    out = []
+    for _ in range(count):
+        n = rng.randint(5, 20)
+        seq = [rng.choice(classes) for _ in range(n)]
+        for p in rng.sample(range(n), rng.randint(2, min(5, n - 1))):
+            seq[p] = "CONJ"
+        out.append(tuple(seq))
+    return out
+
+
+def cell_categories(parser, chart):
+    cats = parser.table.cats
+    return [[{cats[c] for c in bits(cell)} for cell in row] for row in chart]
+
+
+class TestAgenda:
+    """``_fill`` visits only cells that can be non-empty; its chart must be
+    the one the length-order fill of ``tests/oracle.py`` gives, cell for
+    cell."""
+
+    # 0101101 always permutes; 0011010 and 1001110 permute only with REL
+    @pytest.mark.parametrize("gid", ["0101101", "0011010", "1001110"])
+    def test_chart_matches_reference_fill(self, gid):
+        grammar = grammar_by_id(gid)
+        rng = random.Random(gid)
+        inputs = long_candidates(grammar, rng, 150) + conjunction_sequences(rng, 150)
+        warm = ChartParser(grammar.policy)
+        modes = set()
+        for classes in inputs:
+            seq = grammar.categorize(classes)
+            # warm: one table for both fills, so the masks compare as ints
+            got = warm._fill(warm._encode(seq))
+            assert got == reference_fill(warm, warm._encode(seq)), classes
+            modes.add(got[2])
+            # cold: a fresh table each, so cells compare as categories
+            cold, ref = ChartParser(grammar.policy), ChartParser(grammar.policy)
+            chart, conjs, permuting = cold._fill(cold._encode(seq))
+            ref_chart, ref_conjs, ref_permuting = reference_fill(ref, ref._encode(seq))
+            assert (conjs, permuting) == (ref_conjs, ref_permuting), classes
+            assert cell_categories(cold, chart) == cell_categories(ref, ref_chart), classes
+        assert modes == ({True} if grammar.policy is None else {True, False})
+
+    def test_cold_derivations_match_reference_fill(self):
+        """Codes are numbered in the order a table meets them, and the
+        agenda meets them in another order than the length-order fill.  A
+        cell's derivations are listed in code order, yet a fresh parser of
+        each kind, run over the parse-mix pool grammar by grammar, returns
+        the same trees in the same order for every item."""
+        items: dict[str, list] = {}
+        for line in POOL.read_text().splitlines():
+            item = json.loads(line)
+            items.setdefault(item["grammar"], []).append(item["classes"].split())
+        trees = 0
+        for gid, sequences in items.items():
+            grammar = grammar_by_id(gid)
+            parser, ref = ChartParser(grammar.policy), ReferenceParser(grammar.policy)
+            for classes in sequences:
+                seq = grammar.categorize(classes)
+                got = parser.parse(seq, derivations=True)
+                want = ref.parse(seq, derivations=True)
+                assert got.grammatical == want.grammatical, (gid, classes)
+                assert got.derivations == want.derivations, (gid, classes)
+                trees += len(got.derivations)
+        assert len(items) == 96 and trees > 0
 
 
 class TestBalance:
