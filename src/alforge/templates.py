@@ -16,11 +16,14 @@ it interns are walked in turn: the universe is every code of the table,
 and the walk records the productive pairs, the ordered pairs of codes with
 a binary result.  Each productive pair's results, closed under rotation,
 are the chart's own ``RuleTable.join`` of the two codes.  Each
-``grammatical_sequences`` call builds the permuting universe once; the
-non-permuting language of a grammar whose ``policy`` is set reads the same
-table and pairs.  The build keeps a (length, category) entry only while it
-can still sit inside an S of length <= max_len, an outside estimate by span
-length as in A* parsing (``_length_bounds``); the pruning is exact.
+``grammatical_sequences`` call builds the permuting universe once.  For a
+grammar whose ``policy`` is set, the language is two disjoint halves, each
+made by its own build over the same table and pairs: the permuting build
+makes only the sequences with REL, and the non-permuting build only those
+without, from a lexicon without REL.  The build keeps a (length, category)
+entry only while it can still sit inside an S of length <= max_len, an
+outside estimate by span length as in A* parsing (``_length_bounds``); the
+pruning is exact.
 """
 
 from __future__ import annotations
@@ -161,6 +164,9 @@ def _language(
 ) -> list[set[Template]]:
     """out[n] = the class tuples of length n that derive S, for n <= max_len,
     with permutation on or off, read from ``category_universe(grammar, True)``.
+    For a grammar whose ``policy`` is set, each build makes only the half
+    that ``grammatical_sequences`` keeps: with permutation on, the tuples
+    with REL; with it off, the tuples without.
 
     Entries are closed under rotation the way chart cells are: a lexical
     class enters at every code of its category's ``RuleTable.closure``, and
@@ -187,14 +193,26 @@ def _language(
     minlen[b] <= need[c] + n2, so n1 + need[a] <= n + need[c]; a
     coordination's conjuncts likewise), so each kept entry holds the same
     tuples as with no pruning.  Binary steps loop over the closed triples
-    and drop pruned result codes before building a cross-product."""
+    and drop pruned result codes before building a cross-product.
+
+    Both halves are exact.  With permutation off, REL never enters the
+    lexical level: a tuple without REL derives only from classes other than
+    REL, and minlen and need over the smaller lexicon are still shortest
+    paths over every derivation it has, so the pruning stays exact.  With
+    permutation on, every level is built in full except the last (n ==
+    max_len), which joins only the pairs with REL in one half, in the binary
+    and the coordination steps alike: there a budget of 0 keeps only S
+    (every other code has need >= 1), and no longer entry reads the level.
+    The S tuples of the shorter levels lose those without REL on return."""
     _cats, table, pairs = build
     s = table.code(S)
     universe = range(len(table.cats))
+    halved = grammar.policy is not None  # each build makes only the half it keeps
+    skipped = ("CONJ", "REL") if halved and not permuting else ("CONJ",)
 
     lex_level: dict[int, set[Template]] = defaultdict(set)
     for cls, cat in grammar.lexicon:
-        if cls != "CONJ":
+        if cls not in skipped:
             for c in bits(table.closure(table.code(cat), permuting)):
                 lex_level[c].add((cls,))
 
@@ -208,6 +226,7 @@ def _language(
 
     for n in range(2, max_len + 1):
         budget = max_len - n
+        rel_only = halved and permuting and n == max_len  # S strings with REL only
         partners: dict[int, list[tuple[int, tuple[int, ...]]]] = defaultdict(list)
         for a, b, results in closed_triples:
             kept = tuple(c for c in results if need[c] <= budget)
@@ -221,7 +240,8 @@ def _language(
                     b_strs = right.get(b)
                     if not b_strs:
                         continue
-                    joined = {sa + sb for sa in a_strs for sb in b_strs}
+                    joined = {sa + sb for sa in a_strs for sb in b_strs
+                              if not rel_only or "REL" in sa or "REL" in sb}
                     for c in kept:
                         level[c].update(joined)
         live = [c for c in coordinating if need[c] <= budget]
@@ -230,9 +250,12 @@ def _language(
             for c in live:
                 a_strs, b_strs = left.get(c), right.get(c)
                 if a_strs and b_strs:
-                    level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs)
+                    level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs
+                                    if not rel_only or "REL" in sa or "REL" in sb)
         strings[n] = dict(level)
 
+    if halved and permuting:
+        return [{t for t in level.get(s, ()) if "REL" in t} for level in strings]
     return [level.get(s, set()) for level in strings]
 
 
@@ -248,17 +271,15 @@ def enumerate_templates(grammar: Grammar, max_len: int) -> list[Template]:
 def grammatical_sequences(grammar: Grammar, max_len: int) -> dict[int, set[Template]]:
     """All parse-grammatical class sequences up to ``max_len``, without the
     heuristic filter.  For a grammar whose ``policy`` is set, a sequence
-    with REL is judged with permutation and one without REL without it.
-    Both modes read one closure, the permuting one."""
+    with REL is judged with permutation and one without REL without it, so
+    the language is the union of two disjoint halves: the permuting
+    ``_language`` build makes only the first, and the non-permuting one only
+    the second.  Both modes read one closure, the permuting one."""
     build = category_universe(grammar, True)
     lang = _language(grammar, build, True, max_len)
-    if grammar.policy is None:
-        return {n: lang[n] for n in range(1, max_len + 1)}
-    plain = _language(grammar, build, False, max_len)
-    return {
-        n: {t for t in lang[n] if "REL" in t} | {t for t in plain[n] if "REL" not in t}
-        for n in range(1, max_len + 1)
-    }
+    if grammar.policy is not None:
+        lang = [rel | plain for rel, plain in zip(lang, _language(grammar, build, False, max_len))]
+    return {n: lang[n] for n in range(1, max_len + 1)}
 
 
 def _extend(op: int, t1: Template, t2: Template, i: int) -> Template:

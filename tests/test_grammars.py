@@ -83,6 +83,11 @@ class TestFactory:
         assert len(gated) == 64
         for g in enumerate_grammars():
             assert g.policy is (g.category("REL") if g in gated else None), g.params
+        # The plain ``_language`` build drops tokens by the class label REL,
+        # while the parser permutes by the policy category: the two agree
+        # only while no other class has that category.
+        for g in gated:
+            assert [cls for cls, cat in g.lexicon if cat == g.policy] == ["REL"], g.params
 
     @given(bits)
     def test_markers_always_identical(self, params):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -16,6 +17,7 @@ from alforge.combinators import coordinable, coordinate
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
 from alforge.templates import (
+    _language,
     _length_bounds,
     category_universe,
     enumerate_templates,
@@ -27,7 +29,11 @@ from alforge.templates import (
     save_templates,
 )
 
-from oracle import reference_grammatical_sequences, reference_heuristic_filter
+from oracle import (
+    reference_grammatical_sequences,
+    reference_heuristic_filter,
+    reference_language,
+)
 
 EN = grammar_by_id("0101101")
 CENSUS = Path(__file__).parent.parent / "perfbench" / "refs" / "census.json"
@@ -213,6 +219,52 @@ class TestPruning:
 
         monkeypatch.setattr(templates_module, "_length_bounds", need_plus_one)
         assert grammatical_sequences(EN, 6) != ref
+
+
+class TestHalves:
+    """For a grammar whose ``policy`` is set, the permuting ``_language``
+    build makes only the sequences with REL and the plain build only those
+    without.  The permuting build's last level joins only pairs with REL, and
+    which level is last moves with ``max_len``, so every bound is checked."""
+
+    @staticmethod
+    def check_halves(g, bounds, ref_len):
+        # the unpruned reference's length-n sets do not depend on its bound
+        ref_rel = [{t for t in lang if "REL" in t}
+                   for lang in reference_language(g, True, ref_len)]
+        ref_plain = [{t for t in lang if "REL" not in t}
+                     for lang in reference_language(g, False, ref_len)]
+        build = category_universe(g, True)
+        for m in bounds:
+            assert _language(g, build, True, m) == ref_rel[:m + 1], (g.params, m)
+            assert _language(g, build, False, m) == ref_plain[:m + 1], (g.params, m)
+
+    def test_every_policy_grammar_every_bound(self):
+        gated = [g for g in enumerate_grammars() if g.policy is not None]
+        assert len(gated) == 64
+        for g in gated:
+            self.check_halves(g, range(3, 9), 8)
+
+    def test_deep_bound(self):
+        self.check_halves(grammar_by_id("0011010"), [11], 11)
+
+    def test_policy_build_peaks_no_higher_than_plain_grammar(self):
+        """Memory guard: with each build making only its half, the two builds
+        of 0011010 (policy set) peak no higher than the one build of 0101101
+        (no policy); building both languages in full, they peaked about twice
+        as high."""
+
+        def traced_peak(gid: str) -> int:
+            g = grammar_by_id(gid)
+            grammatical_sequences(g, 12)  # fill the process-wide caches first
+            tracemalloc.start()
+            try:
+                grammatical_sequences(g, 12)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak("0011010") <= traced_peak("0101101")
 
 
 class TestAugmentation:
