@@ -434,8 +434,8 @@ def _run_grammars(grammars, cfg: RunConfig, out_dir: Path, lex: Lexicon, workers
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as procs:
         procs.submit(int).result()  # forks the workers before this starts its threads
-        # Each thread hands one grammar to the pool and waits for it, so each
-        # `_pipeline_one` call spans one grammar in this process.  Threads
+        # Each thread hands one grammar to the pool and waits (it never parses),
+        # so each `_pipeline_one` call spans one grammar in this process.  Threads
         # take grammars in order and a grammar handed to the pool runs to the
         # end, so only the threads' queue is cancelled after a failure.
         with ThreadPoolExecutor(workers) as threads:

@@ -59,7 +59,6 @@ so ``parse`` verdicts and trees are those of the chart alone.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, islice, product
@@ -156,10 +155,8 @@ class RuleTable:
     maps the shared ``_rule_results`` memo to codes on every call.  Two memos
     are the table's own: ``closure`` keeps the bitmask of a code and its
     rotation chain, and ``join`` the closed binary results per pair of chart
-    cells (enumeration asks it for single codes).  Interning takes a lock;
-    every memo entry is a pure function of codes interned under it, so two
-    threads that race to fill one entry write the same value, and one table
-    may be shared between threads.
+    cells (enumeration asks it for single codes).  A table belongs to one
+    thread; each ``pipeline`` pool worker builds its own.
     """
 
     def __init__(self) -> None:
@@ -168,22 +165,17 @@ class RuleTable:
         self.conjunctions = 0
         self.balances: list[int | None] = []  # indexed by code
         self._codes: dict[Category, int] = {}
-        self._lock = threading.Lock()
         self._closures: dict[int, int] = {}
         self._joins: tuple[dict, dict] = ({}, {})  # indexed by permutation mode
 
     def code(self, cat: Category) -> int:
         code = self._codes.get(cat)
         if code is None:
-            with self._lock:
-                code = self._codes.get(cat)
-                if code is None:
-                    code = len(self.cats)
-                    self.cats.append(cat)  # before publishing the code
-                    self.balances.append(balance(cat))
-                    self.coordinating |= coordinable(cat) << code
-                    self.conjunctions |= is_conjunction(cat) << code
-                    self._codes[cat] = code
+            code = self._codes[cat] = len(self.cats)
+            self.cats.append(cat)
+            self.balances.append(balance(cat))
+            self.coordinating |= coordinable(cat) << code
+            self.conjunctions |= is_conjunction(cat) << code
         return code
 
     def find(self, cat: Category) -> int | None:

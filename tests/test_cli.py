@@ -28,6 +28,7 @@ from alforge.evaluation import (
     ta_score,
 )
 from alforge.grammars import enumerate_grammars
+from alforge.parser import RuleTable
 from alforge.templates import load_templates
 
 
@@ -546,6 +547,17 @@ class TestWorkerCount:
     PARAMS = ("0101101", "0000000", "1111111", "0100101")  # 0000000 and 1111111 set a policy
 
     def test_out_dir_and_stdout_identical(self, capsys, tmp_path, monkeypatch):
+        # A rule table belongs to one thread: every intern goes through
+        # `RuleTable.code`, which must run on a process's main thread, in
+        # this process or in a forked worker, never on a waiting thread.
+        intern = RuleTable.code
+
+        def main_thread_code(table, cat):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError(f"interned off the main thread: {threading.current_thread().name}")
+            return intern(table, cat)
+
+        monkeypatch.setattr(RuleTable, "code", main_thread_code)
         argv = ("pipeline", "--params", *self.PARAMS, "--scale", "0.05", "--seed", "7")
         code, serial, err = run(capsys, *argv, "--threads", "1", "--out-dir", str(tmp_path / "1"))
         assert code == 0, err

@@ -7,11 +7,15 @@ CHANGES.md.  To re-record, run the command below into an empty directory and
 write the digests of its files, by file name, into the fixture.
 
 The benchmark's digests, perfbench/refs/pipeline96.json, pin the full-scale
-config too; a second test checks all 96 grammars' files against them.
+config too; a second test checks all 96 grammars' files against them.  A
+third runs the pool under two string-hash salts and compares the runs.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,24 @@ def test_full_scale_artifacts_match_benchmark_refs(tmp_path, capsys):
     assert sorted(got) == sorted(want)
     changed = sorted(name for name, digest in want.items() if got[name] != digest)
     assert not changed, f"artifacts differ from the benchmark refs: {changed}"
+
+
+def test_artifacts_do_not_depend_on_the_hash_salt(tmp_path):
+    """Two pool runs in processes with different string-hash salts
+    (PYTHONHASHSEED 1 and 2) write the same bytes and print the same lines,
+    so no output depends on the iteration order of a set or dict of
+    strings."""
+    argv = [sys.executable, "-m", "alforge.cli", "pipeline", "--params", "0101101", "0000000",
+            "--scale", "0.05", "--seed", "7", "--threads", "2"]
+    src = Path(__file__).parent.parent / "src"
+    runs = []
+    for salt in ("1", "2"):
+        out = tmp_path / salt
+        env = {**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": str(src)}
+        done = subprocess.run([*argv, "--out-dir", str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    (stdout, files), other = runs
+    assert len(files) == 13 * 2 + 2
+    assert (stdout, files) == other

@@ -5,8 +5,8 @@ tests, each ``derive_seed`` label of the package is written in one
 place, only the parser rotates categories or reads rotation chains, the
 parser classifies a category only when it interns it, only the shared draw
 loop reads the draw budget, only the per-grammar writer makes directories,
-and the command line loads neither scipy nor numpy nor the process pool's
-modules.
+only the pool runner imports threads or processes, and the command line
+loads neither scipy nor numpy nor the process pool's modules.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -280,10 +280,10 @@ def test_only_the_parser_reads_rotation_chains():
 CLASSIFIERS = {"is_conjunction", "coordinable"}
 
 
-def calls_to(source: str, names: set[str]) -> set[str]:
-    """``function:name`` for each call in ``source`` of one of ``names``, as
-    a name or as an attribute, where ``function`` is the qualified name of
-    the innermost enclosing function or class (empty at module level)."""
+def _scoped(source: str, find) -> set[str]:
+    """``function:name`` for each name that ``find(node)`` yields for a node
+    of ``source``, where ``function`` is the qualified name of the innermost
+    enclosing function or class (empty at module level)."""
     out = set()
 
     def visit(node: ast.AST, where: str) -> None:
@@ -291,15 +291,40 @@ def calls_to(source: str, names: set[str]) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in names:
-                    out.add(f"{where}:{name}")
+            out.update(f"{where}:{name}" for name in find(child))
             visit(child, where)
 
     visit(ast.parse(source), "")
     return out
+
+
+def calls_to(source: str, names: set[str]) -> set[str]:
+    """``function:name`` (see `_scoped`) for each call in ``source`` of one
+    of ``names``, as a name or as an attribute."""
+    def find(node: ast.AST):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                yield name
+
+    return _scoped(source, find)
+
+
+def imports_of(source: str, modules: set[str]) -> set[str]:
+    """``function:module`` (see `_scoped`) for each absolute import in
+    ``source`` of one of ``modules`` or of a module or name inside one."""
+    def find(node: ast.AST):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            return
+        yield from {m for m in modules for name in names
+                    if name == m or name.startswith(m + ".")}
+
+    return _scoped(source, find)
 
 
 def test_classifier_checker():
@@ -351,6 +376,36 @@ def test_only_the_grammar_writer_makes_directories():
     calls = {path.name: found for path in sorted(SRC.glob("*.py"))
              if (found := calls_to(path.read_text(), DIRECTORY_MAKERS))}
     assert calls == {"cli.py": {"_save_sets:mkdir"}}
+
+
+CONCURRENCY = {"threading", "concurrent.futures", "multiprocessing"}
+
+
+def test_concurrency_import_checker():
+    source = (
+        "import os, threading\n"
+        "from concurrent import futures\n"
+        "def _run_grammars():\n"
+        "    import multiprocessing.pool\n"
+        "    from concurrent.futures import wait\n"
+        "class RuleTable:\n"
+        "    def code(self):\n"
+        "        import threadingx, concurrent\n"
+        "        from .threading import lock\n"
+    )
+    assert imports_of(source, CONCURRENCY) == {
+        ":threading", ":concurrent.futures",
+        "_run_grammars:multiprocessing", "_run_grammars:concurrent.futures",
+    }
+
+
+def test_only_the_pool_runner_imports_concurrency():
+    # Each process owns its rule tables: ``pipeline --threads N`` forks its
+    # workers in ``cli._run_grammars``, whose threads only wait for them.
+    imports = {path.name: found for path in sorted(SRC.glob("*.py"))
+               if (found := imports_of(path.read_text(), CONCURRENCY))}
+    assert imports == {"cli.py": {"_run_grammars:multiprocessing",
+                                  "_run_grammars:concurrent.futures"}}
 
 
 BUDGET = "DRAWS_PER_RESULT"

@@ -3,8 +3,6 @@ table."""
 
 import json
 import random
-import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -12,7 +10,6 @@ import pytest
 from alforge.categories import (
     NP,
     S,
-    format_category,
     is_conjunction,
     parse_category,
 )
@@ -22,7 +19,6 @@ from alforge.parser import (
     MAX_DERIVATIONS,
     ChartParser,
     Derivation,
-    RuleTable,
     _rule_results,
     balance,
     bits,
@@ -422,40 +418,3 @@ class TestRuleTable:
             assert table.conjunctions == sum(
                 1 << c for c, cat in enumerate(table.cats) if is_conjunction(cat)) == 1 << conj
         assert rotated
-
-    def test_concurrent_interning(self):
-        texts = sorted(format_category(c) for c in category_universe(EN, True)[0])
-        n_threads, rounds = 8, 20
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for r in range(rounds):
-                table = RuleTable()
-                barrier = threading.Barrier(n_threads, timeout=60)
-                seen: list[dict] = []
-                # fresh, equal-but-distinct objects per thread, in its own order
-                orders = [random.Random(r * n_threads + i).sample(texts, len(texts))
-                          for i in range(n_threads)]
-                work = [[(t, parse_category(t)) for t in order] for order in orders]
-
-                def intern(items) -> None:
-                    barrier.wait()
-                    seen.append({t: table.code(c) for t, c in items})
-
-                threads = [threading.Thread(target=intern, args=(w,)) for w in work]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert len(seen) == n_threads
-                assert all(codes == seen[0] for codes in seen)
-                assert sorted(seen[0].values()) == list(range(len(texts)))
-                assert len(table.cats) == len(texts)
-                assert all(format_category(table.cats[code]) == t for t, code in seen[0].items())
-                assert all((table.coordinating >> code & 1) == coordinable(table.cats[code])
-                           for code in seen[0].values())
-                assert all(table.balances[code] == balance(table.cats[code])
-                           for code in seen[0].values())
-        finally:
-            sys.setswitchinterval(interval)
