@@ -16,7 +16,7 @@ it interns are walked in turn: the universe is every code of the table,
 and the walk records the productive pairs, the ordered pairs of codes with
 a binary result.  Each productive pair's results, closed under rotation,
 are the chart's own ``RuleTable.join`` of the two codes.  Each
-``grammatical_sequences`` call builds the permuting universe once.  For a
+``_build_keys`` call builds the permuting universe once.  For a
 grammar whose ``policy`` is set, the language is two disjoint halves, each
 made by its own build over the same table and pairs: the permuting build
 makes only the sequences with REL, and the non-permuting build only those
@@ -24,6 +24,13 @@ without, from a lexicon without REL.  The build keeps a (length, category)
 entry only while it can still sit inside an S of length <= max_len, an
 outside estimate by span length as in A* parsing (``_length_bounds``); the
 pruning is exact.
+
+Inside the build a class sequence is a str key with one character per class,
+assigned in label order, so a join is one concatenation and key order is
+tuple order.  ``enumerate_templates`` filters (``heuristic_filter``'s rules
+run on keys), sorts and decodes only the kept keys, and
+``grammatical_sequences`` decodes them all; each decoded element is the
+``LEXICAL_CLASSES`` label itself.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from collections import defaultdict
 
 from .categories import S, Category
 from .grammars import LEXICAL_CLASSES, Grammar
-from .parser import ChartParser, RuleTable, bits
+from .parser import ChartParser, RuleTable, _rule_results, bits
 
 Template = tuple[str, ...]
 
@@ -57,6 +64,25 @@ def unique_draws(draw, n: int, taken: set, failure: str) -> list:
     raise ValueError(f"{failure} (found {len(out)} of {n})")
 
 
+# One key character per class, in label order, so key order is tuple order.
+_CHAR = {cls: chr(ord("a") + i) for i, cls in enumerate(sorted(LEXICAL_CLASSES))}
+_CLASS = {char: cls for cls, char in _CHAR.items()}
+_OTHER = "?"  # the character of a label outside LEXICAL_CLASSES, which no heuristic names
+_CONJ, _REL, _NP, _SUBJ, _OBJ, _COMP, _VCOMP, _PREP = (
+    _CHAR[cls] for cls in ("CONJ", "REL", "NP", "SUBJ", "OBJ", "COMP", "VCOMP", "PREP"))
+_NO_FIRST, _CONJ_CONJ, _PREP_PREP = _CONJ + _SUBJ + _OBJ, _CONJ * 2, _PREP * 2
+
+
+def _key(classes) -> str:
+    return "".join([_CHAR.get(cls, _OTHER) for cls in classes])
+
+
+def _template(key: str) -> Template:
+    """The class tuple of a key; each element is the ``LEXICAL_CLASSES``
+    label itself, not a copy."""
+    return tuple(map(_CLASS.__getitem__, key))
+
+
 def heuristic_filter(classes) -> bool:
     """True iff the template survives the eight filtering heuristics: at
     least 3 classes; no CONJ first or last; no case marker first; no more
@@ -70,18 +96,18 @@ def heuristic_filter(classes) -> bool:
     heuristic-soundness acceptance criterion stops at length 5.  Every one
     of them is dropped for PREP PREP: the other rules reject no sequence
     that derives S."""
-    t = tuple(classes)
-    # the C-level tests first, the pair scan last
-    if len(t) < 3 or t[0] in ("CONJ", "SUBJ", "OBJ") or t[-1] == "CONJ":
+    return _passes(_key(classes))
+
+
+def _passes(key: str) -> bool:
+    """``heuristic_filter`` on a key: every test runs in C."""
+    if len(key) < 3 or key[0] in _NO_FIRST or key[-1] == _CONJ:
         return False
-    if t.count("SUBJ") + t.count("OBJ") > t.count("NP"):
+    if key.count(_SUBJ) + key.count(_OBJ) > key.count(_NP):
         return False
-    if "COMP" in t and "VCOMP" not in t:
+    if _COMP in key and _VCOMP not in key:
         return False
-    for a, b in zip(t, t[1:]):  # no CONJ CONJ, no PREP PREP
-        if a == b and (a == "CONJ" or a == "PREP"):
-            return False
-    return True
+    return _CONJ_CONJ not in key and _PREP_PREP not in key
 
 
 Triple = tuple[int, int, tuple[int, ...]]  # (left code, right code, closed result codes)
@@ -104,14 +130,14 @@ def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
         if cls != "CONJ":
             table.closure(table.code(cat), permutation_active)
     pairs = []
-    for a, _cat in enumerate(table.cats):  # the list grows as the walk interns
+    cats = table.cats  # the list grows as the walk interns
+    for a, _cat in enumerate(cats):
         if a == 2000:
             raise RuntimeError("category universe failed to close")
-        for pair in [(a, b) for b in range(a + 1)] + [(b, a) for b in range(a)]:
-            results = table.combine(*pair)
-            if results:
-                pairs.append(pair)
-                for _rule, out in results:
+        for x, y in [(a, b) for b in range(a + 1)] + [(b, a) for b in range(a)]:
+            if _rule_results(cats[x], cats[y]):  # most pairs have none: skip the mapping
+                pairs.append((x, y))
+                for _rule, out in table.combine(x, y):
                     table.closure(out, permutation_active)
     return set(table.cats), table, pairs
 
@@ -161,12 +187,12 @@ def _length_bounds(
 
 def _language(
     grammar: Grammar, build: Universe, permuting: bool, max_len: int
-) -> list[set[Template]]:
-    """out[n] = the class tuples of length n that derive S, for n <= max_len,
-    with permutation on or off, read from ``category_universe(grammar, True)``.
-    For a grammar whose ``policy`` is set, each build makes only the half
-    that ``grammatical_sequences`` keeps: with permutation on, the tuples
-    with REL; with it off, the tuples without.
+) -> list[set[str]]:
+    """out[n] = the keys (``_key``) of the class sequences of length n that
+    derive S, for n <= max_len, with permutation on or off, read from
+    ``category_universe(grammar, True)``.  For a grammar whose ``policy`` is
+    set, each build makes only the half that ``_build_keys`` keeps: with
+    permutation on, the sequences with REL; with it off, those without.
 
     Entries are closed under rotation the way chart cells are: a lexical
     class enters at every code of its category's ``RuleTable.closure``, and
@@ -183,8 +209,8 @@ def _language(
     string.
 
     Built bottom-up over category codes: strings[n] maps each code c to the
-    class tuples of length n deriving it, but only while n + need[c] <=
-    max_len (``_length_bounds``), i.e. while a c of length n can still sit
+    keys of the class sequences of length n deriving it, but only while n +
+    need[c] <= max_len (``_length_bounds``), i.e. while a c of length n can still sit
     inside an S of length <= max_len.  The pruning is exact: need[c] is a
     lower bound on the classes around any c constituent of an S, so a
     dropped entry is part of no S derivation within max_len; and every
@@ -192,36 +218,36 @@ def _language(
     results and children of lengths n1 and n2, need[a] <= need[c] +
     minlen[b] <= need[c] + n2, so n1 + need[a] <= n + need[c]; a
     coordination's conjuncts likewise), so each kept entry holds the same
-    tuples as with no pruning.  Binary steps loop over the closed triples
+    keys as with no pruning.  Binary steps loop over the closed triples
     and drop pruned result codes before building a cross-product.
 
     Both halves are exact.  With permutation off, REL never enters the
-    lexical level: a tuple without REL derives only from classes other than
-    REL, and minlen and need over the smaller lexicon are still shortest
+    lexical level: a sequence without REL derives only from classes other
+    than REL, and minlen and need over the smaller lexicon are still shortest
     paths over every derivation it has, so the pruning stays exact.  With
     permutation on, every level is built in full except the last (n ==
     max_len), which joins only the pairs with REL in one half, in the binary
     and the coordination steps alike: there a budget of 0 keeps only S
     (every other code has need >= 1), and no longer entry reads the level.
-    The S tuples of the shorter levels lose those without REL on return."""
+    The S keys of the shorter levels lose those without REL on return."""
     _cats, table, pairs = build
     s = table.code(S)
     universe = range(len(table.cats))
     halved = grammar.policy is not None  # each build makes only the half it keeps
     skipped = ("CONJ", "REL") if halved and not permuting else ("CONJ",)
 
-    lex_level: dict[int, set[Template]] = defaultdict(set)
+    lex_level: dict[int, set[str]] = defaultdict(set)
     for cls, cat in grammar.lexicon:
         if cls not in skipped:
             for c in bits(table.closure(table.code(cat), permuting)):
-                lex_level[c].add((cls,))
+                lex_level[c].add(_CHAR[cls])
 
     closed_triples = [(a, b, tuple(bits(table.join(1 << a, 1 << b, permuting))))
                       for a, b in pairs]
     need = _length_bounds(universe, lex_level, closed_triples, s, max_len + 1)[1]
     coordinating = list(bits(table.coordinating))
 
-    strings: list[dict[int, set[Template]]] = [dict() for _ in range(max_len + 1)]
+    strings: list[dict[int, set[str]]] = [dict() for _ in range(max_len + 1)]
     strings[1] = {a: strs for a, strs in lex_level.items() if need[a] <= max_len - 1}
 
     for n in range(2, max_len + 1):
@@ -232,7 +258,7 @@ def _language(
             kept = tuple(c for c in results if need[c] <= budget)
             if kept:
                 partners[a].append((b, kept))
-        level: dict[int, set[Template]] = defaultdict(set)
+        level: dict[int, set[str]] = defaultdict(set)
         for n1 in range(1, n):
             left, right = strings[n1], strings[n - n1]
             for a, a_strs in left.items():
@@ -241,7 +267,7 @@ def _language(
                     if not b_strs:
                         continue
                     joined = {sa + sb for sa in a_strs for sb in b_strs
-                              if not rel_only or "REL" in sa or "REL" in sb}
+                              if not rel_only or _REL in sa or _REL in sb}
                     for c in kept:
                         level[c].update(joined)
         live = [c for c in coordinating if need[c] <= budget]
@@ -250,36 +276,48 @@ def _language(
             for c in live:
                 a_strs, b_strs = left.get(c), right.get(c)
                 if a_strs and b_strs:
-                    level[c].update(sa + ("CONJ",) + sb for sa in a_strs for sb in b_strs
-                                    if not rel_only or "REL" in sa or "REL" in sb)
+                    level[c].update(sa + _CONJ + sb for sa in a_strs for sb in b_strs
+                                    if not rel_only or _REL in sa or _REL in sb)
         strings[n] = dict(level)
 
     if halved and permuting:
-        return [{t for t in level.get(s, ()) if "REL" in t} for level in strings]
+        return [{k for k in level.get(s, ()) if _REL in k} for level in strings]
     return [level.get(s, set()) for level in strings]
 
 
 def enumerate_templates(grammar: Grammar, max_len: int) -> list[Template]:
     """Every class sequence of length 3..max_len that passes the heuristics
-    and parses to root S, in lexicographic order."""
+    and parses to root S, in lexicographic order.  The filter and the sort
+    run on the keys of ``_build_keys``, and only the kept keys become
+    tuples."""
     if max_len < 3:
         return []
-    lang = grammatical_sequences(grammar, max_len)
-    return sorted(t for n in range(3, max_len + 1) for t in lang[n] if heuristic_filter(t))
+    keys = sorted(k for half in _build_keys(grammar, max_len)
+                  for level in half[3:] for k in level if _passes(k))
+    return list(map(_template, keys))
 
 
 def grammatical_sequences(grammar: Grammar, max_len: int) -> dict[int, set[Template]]:
     """All parse-grammatical class sequences up to ``max_len``, without the
-    heuristic filter.  For a grammar whose ``policy`` is set, a sequence
-    with REL is judged with permutation and one without REL without it, so
-    the language is the union of two disjoint halves: the permuting
-    ``_language`` build makes only the first, and the non-permuting one only
-    the second.  Both modes read one closure, the permuting one."""
+    heuristic filter, decoded from ``_build_keys``."""
+    halves = _build_keys(grammar, max_len)
+    return {n: {_template(k) for half in halves for k in half[n]}
+            for n in range(1, max_len + 1)}
+
+
+def _build_keys(grammar: Grammar, max_len: int) -> list[list[set[str]]]:
+    """The ``_language`` builds whose keys make the language up to
+    ``max_len``.  For a grammar whose ``policy`` is set, a sequence with REL
+    is judged with permutation and one without REL without it, so the
+    language is two disjoint halves: the permuting build makes only the
+    first, and the non-permuting one only the second.  Otherwise the
+    permuting build is the language.  Both modes read one closure, the
+    permuting one."""
     build = category_universe(grammar, True)
-    lang = _language(grammar, build, True, max_len)
+    halves = [_language(grammar, build, True, max_len)]
     if grammar.policy is not None:
-        lang = [rel | plain for rel, plain in zip(lang, _language(grammar, build, False, max_len))]
-    return {n: lang[n] for n in range(1, max_len + 1)}
+        halves.append(_language(grammar, build, False, max_len))
+    return halves
 
 
 def _extend(op: int, t1: Template, t2: Template, i: int) -> Template:

@@ -1,5 +1,6 @@
 """Template enumeration, heuristics, Long augmentation."""
 
+import gc
 import hashlib
 import json
 import random
@@ -17,8 +18,11 @@ from alforge.combinators import coordinable, coordinate
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
 from alforge.templates import (
+    _build_keys,
+    _key,
     _language,
     _length_bounds,
+    _template,
     category_universe,
     enumerate_templates,
     grammatical_sequences,
@@ -67,12 +71,15 @@ class TestHeuristics:
         assert heuristic_filter(("NP", "SUBJ", "VCOMP", "COMP", "NP", "SUBJ", "VI"))
 
     def test_matches_reference(self):
-        """The reordered filter agrees with the eight rules tested one at a
-        time on every class sequence of length <= 5 (177,156 of them), and
-        on 5,000 seeded random sequences of length 6-20."""
+        """The filter, which runs on keys, agrees with the eight rules tested
+        one at a time on every class sequence of length <= 5 (177,156 of
+        them), on 5,000 seeded random sequences of length 6-20, and on 5,000
+        that mix in labels outside ``LEXICAL_CLASSES``, which no rule names."""
         seqs = [seq for n in range(6) for seq in product(LEXICAL_CLASSES, repeat=n)]
         rng = random.Random(5)
         seqs += [tuple(rng.choices(LEXICAL_CLASSES, k=rng.randint(6, 20))) for _ in range(5000)]
+        labels = LEXICAL_CLASSES + ("VX", "np", "CONJ ", "")
+        seqs += [tuple(rng.choices(labels, k=rng.randint(0, 12))) for _ in range(5000)]
         differ = [seq for seq in seqs if heuristic_filter(seq) != reference_heuristic_filter(seq)]
         assert not differ, differ[:5]
         kept = sum(map(heuristic_filter, seqs))
@@ -85,6 +92,37 @@ class TestHeuristics:
                     if not heuristic_filter(t)]
         assert len(rejected) == 96
         assert all(("PREP", "PREP") in zip(t, t[1:]) for t in rejected), rejected
+
+
+class TestKeys:
+    """The language build's str keys, one character per class."""
+
+    @staticmethod
+    def sequences() -> list[tuple[str, ...]]:
+        """Every class sequence of length <= 4, and seeded random ones of
+        length 5-20, many of them sharing a prefix (or being one) with
+        another."""
+        seqs = [seq for n in range(5) for seq in product(LEXICAL_CLASSES, repeat=n)]
+        rng = random.Random(31)
+        for _ in range(3000):
+            seq = tuple(rng.choices(LEXICAL_CLASSES, k=rng.randint(5, 20)))
+            prefix = seq[:rng.randint(1, len(seq))]
+            tail = tuple(rng.choices(LEXICAL_CLASSES, k=rng.randint(1, 8)))
+            seqs += [seq, prefix, prefix + tail]
+        return seqs
+
+    def test_round_trip_to_canonical_labels(self):
+        canonical = {cls: cls for cls in LEXICAL_CLASSES}
+        for seq in self.sequences():
+            copied = tuple("".join(list(cls)) for cls in seq)  # equal labels, other objects
+            t = _template(_key(copied))
+            assert t == seq
+            assert all(cls is canonical[cls] for cls in t), seq
+
+    def test_key_order_is_tuple_order(self):
+        seqs = self.sequences()
+        keys = sorted(_key(seq) for seq in seqs)
+        assert list(map(_template, keys)) == sorted(seqs)
 
 
 class TestEnumeration:
@@ -235,9 +273,13 @@ class TestHalves:
         ref_plain = [{t for t in lang if "REL" not in t}
                      for lang in reference_language(g, False, ref_len)]
         build = category_universe(g, True)
+
+        def decoded(lang):
+            return [set(map(_template, keys)) for keys in lang]
+
         for m in bounds:
-            assert _language(g, build, True, m) == ref_rel[:m + 1], (g.params, m)
-            assert _language(g, build, False, m) == ref_plain[:m + 1], (g.params, m)
+            assert decoded(_language(g, build, True, m)) == ref_rel[:m + 1], (g.params, m)
+            assert decoded(_language(g, build, False, m)) == ref_plain[:m + 1], (g.params, m)
 
     def test_every_policy_grammar_every_bound(self):
         gated = [g for g in enumerate_grammars() if g.policy is not None]
@@ -249,20 +291,27 @@ class TestHalves:
         self.check_halves(grammar_by_id("0011010"), [11], 11)
 
     def test_policy_build_peaks_no_higher_than_plain_grammar(self):
-        """Memory guard: with each build making only its half, the two builds
-        of 0011010 (policy set) peak no higher than the one build of 0101101
-        (no policy); building both languages in full, they peaked about twice
-        as high."""
+        """Memory guard: with each build making only its half, the two key
+        builds of 0011010 (policy set) peak no higher than the one build of
+        0101101 (no policy); building both halves in full, 0011010 peaked
+        about 1.6 times as high as 0101101.  It traces ``_build_keys``, the
+        build that ``enumerate_templates`` runs: decoded to tuples, 0011010's
+        larger language alone outweighs 0101101's.  The cyclic GC is
+        collected and held off during the traced call, so that garbage left
+        by earlier tests does not move the peak."""
 
         def traced_peak(gid: str) -> int:
             g = grammar_by_id(gid)
-            grammatical_sequences(g, 12)  # fill the process-wide caches first
+            _build_keys(g, 12)  # fill the process-wide caches first
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
-                grammatical_sequences(g, 12)
+                _build_keys(g, 12)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                gc.enable()
 
         assert traced_peak("0011010") <= traced_peak("0101101")
 
