@@ -33,8 +33,9 @@ order (``reference_fill`` in ``tests/oracle.py``) visits them all, takes
 per-cell conjunction loop 7.48M times; the agenda visits 1.16M cells and
 takes those 1.05M splits and 0.36M coordinations.
 
-Derivation trees are read back from the filled chart: every tree of the
-input, or ``MAX_DERIVATIONS`` of them when there are more.
+Derivation trees are read back top-down from S, at the splits whose halves
+are both non-empty and whose ``join`` holds the wanted code, into per-call
+dicts: every tree of the input, or ``MAX_DERIVATIONS`` when there are more.
 
 Before it fills a chart, ``parse`` rejects inputs whose primitive counts
 cannot add up to S (van Benthem's count invariant).  A category's
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, islice, product
+from itertools import accumulate
 
 from .categories import (
     PRIMITIVE_NAMES,
@@ -274,23 +275,24 @@ class ChartParser:
         """The codes of the input's tokens."""
         if not seq:
             raise ValueError("cannot parse an empty sequence")
-        return [self.table.code(c) for c in seq]
+        known = self.table._codes
+        try:
+            return [known[c] for c in seq]
+        except KeyError:  # intern the new categories, in input order
+            return [self.table.code(c) for c in seq]
 
     def _balanced(self, codes: list[int]) -> bool:
         """False only when the count invariant of the module docstring
-        proves that the input ``codes`` derive no S: a conjunction-free input
-        costs one ``sum``, an input with one conjunction two linear scans."""
+        proves that the input ``codes`` derive no S: one look-up per token and
+        a ``sum``, and for an input with one conjunction two linear scans."""
         bal = self.table.balances
-        try:
-            return sum(map(bal.__getitem__, codes)) == _S_BALANCE
-        except TypeError:  # a token without a balance
-            pass
-        loose = [i for i, a in enumerate(codes) if bal[a] is None]
-        if len(loose) != 1 or not self.table.conjunctions >> codes[loose[0]] & 1:
+        sums = [bal[a] for a in codes]
+        if None not in sums:
+            return sum(sums) == _S_BALANCE
+        p = sums.index(None)
+        if sums.count(None) > 1 or not self.table.conjunctions >> codes[p] & 1:
             return True
-        p = loose[0]
-        left = [bal[a] for a in reversed(codes[:p])]
-        right = [bal[a] for a in codes[p + 1:]]
+        left, right = sums[:p][::-1], sums[p + 1:]
         t = sum(left) + sum(right) - _S_BALANCE
         return t in accumulate(left) and t in accumulate(right)
 
@@ -361,52 +363,65 @@ class ChartParser:
 
     def _extract(self, chart, codes, conjs, permuting: bool, root: int) -> list[Derivation]:
         """The derivations of code ``root`` over the whole input, read back
-        from ``_fill``'s chart.  A code of span (i, j) is built directly: as
-        the input token (j = i + 1), as a binary result at a split k, or by
-        coordination around a conjunction at p.  When the input permutes,
-        the m-th rotation of a code built directly in the span is there too,
-        by m PERMUTE steps; only a code in its source's ``closure`` rebuilds
-        the source's ``rotations`` to count them."""
+        top-down from ``_fill``'s chart.  A key (i, j, c) is built directly as
+        the input token, as a rule result of codes a, b at a split k whose
+        ``join`` holds c, or by coordination at p: in that order, by k, a, b,
+        rule, then p.  When the input permutes, the direct trees of each other
+        code of the cell that rotates to c follow, in order of first appearance."""
         table = self.table
-        cats = table.cats
+        cats, codes_of, closures = table.cats, table._codes, table._closures
+        joined = table.joins(permuting)
+        direct, done, leaves = {}, {}, {}  # key: (first way, direct trees); key: trees; code: leaf
+        for i, a in enumerate(codes):
+            done[i, i + 1, a] = leaves.get(a) or leaves.setdefault(a, [Derivation(cats[a])])
 
-        @cache
-        def ways(i: int, j: int) -> dict[int, list]:
-            """code -> [(rule, child keys)] for each code built directly,
-            found in one scan of the span."""
-            cell: dict[int, list] = {codes[i]: [(None, ())]} if j == i + 1 else {}
-            for k in range(i + 1, j):
-                for a in bits(chart[i][k]):
-                    for b in bits(chart[k][j]):
-                        for rule, c in table.combine(a, b):
-                            cell.setdefault(c, []).append((rule, ((i, k, a), (k, j, b))))
-            for p in conjs:
-                if i < p < j - 1:
-                    for a in bits(chart[i][p] & chart[p + 1][j] & table.coordinating):
-                        kids = ((i, p, a), (p, p + 1, codes[p]), (p + 1, j, a))
-                        cell.setdefault(a, []).append((RuleId.COORD, kids))
-            return cell
-
-        @cache
-        def built(key: _Key) -> list[Derivation]:
-            i, j, a = key
-            nodes = (Derivation(cats[a], rule, kids)
-                     for rule, keys in ways(i, j).get(a, ())
-                     for kids in product(*map(trees, keys)))
-            return list(islice(nodes, MAX_DERIVATIONS))
-
-        @cache
-        def trees(key: _Key) -> list[Derivation]:
+        def built(key: _Key) -> tuple:
             i, j, c = key
-            out = list(built(key))
-            for b in ways(i, j) if permuting else ():
-                if b != c and table.closure(b, True) >> c & 1:
+            if j == i + 1:
+                return ((), done[key]) if codes[i] == c else (None, [])
+            row, ways, out = chart[i], [], []  # (place, rule, left key, middle trees, right key)
+            for k in range(i + 1, j):
+                left = row[k]
+                if left and chart[k][j] and joined[left, chart[k][j]] >> c & 1:
+                    for a in bits(left):
+                        for b in bits(chart[k][j]):
+                            for n, (rule, r) in enumerate(_rule_results(cats[a], cats[b])):
+                                if codes_of[r] == c:
+                                    ways.append(((k, a, b, n), rule, (i, k, a), (), (k, j, b)))
+            for p in conjs if table.coordinating >> c & 1 else ():
+                if i < p < j - 1 and (row[p] & chart[p + 1][j]) >> c & 1:
+                    mid = done[p, p + 1, codes[p]]  # the conjunction's leaf
+                    ways.append(((j, p), RuleId.COORD, (i, p, c), mid, (p + 1, j, c)))
+            for _, rule, lkey, mid, rkey in ways:
+                if len(out) >= MAX_DERIVATIONS:
+                    break
+                rights = done.get(rkey) or trees(rkey)
+                for x in done.get(lkey) or trees(lkey):
+                    for y in rights if len(out) < MAX_DERIVATIONS else ():
+                        out.append(Derivation(cats[c], rule, (x, *mid, y)))
+            got = direct[key] = ways[0][0] if ways else None, out[:MAX_DERIVATIONS]
+            return got
+
+        def trees(key: _Key) -> list[Derivation]:
+            out = (direct.get(key) or built(key))[1]
+            if permuting:
+                i, j, c = key
+                sources = []
+                for b in bits(chart[i][j] & ~(1 << c)):
+                    if (closures.get(b) or table.closure(b, True)) >> c & 1:
+                        first, got = direct.get((i, j, b)) or built((i, j, b))
+                        if first is not None:
+                            sources.append((first, b, got))
+                rotated = []
+                for _, b, got in sorted(sources):
                     chain = rotations(cats[b])
-                    for t in built((i, j, b)):
+                    for t in got:
                         for r in chain[:chain.index(cats[c]) + 1]:
                             t = Derivation(r, RuleId.PERMUTE, (t,))
-                        out.append(t)
-            return out[:MAX_DERIVATIONS]
+                        rotated.append(t)
+                out = (out + rotated)[:MAX_DERIVATIONS] if rotated else out
+            done[key] = out
+            return out
 
         return trees((0, len(codes), root))
 

@@ -17,6 +17,9 @@ those directly.
 ``reference_fill`` keeps the chart parser's fill as it was before the
 agenda: every span in length order, every split and every conjunction of
 the input, for the cell-by-cell test of the agenda's chart.
+``reference_extract`` keeps its derivation extraction as it was before it
+walked only the wanted codes of each span, for the tree-by-tree test of the
+new one.
 
 ``reference_language`` is the other reference kept here: the bottom-up
 template enumerator as it was before outside-length pruning, which builds
@@ -40,7 +43,8 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import islice, product
 
 from alforge.categories import (
     BACKWARD,
@@ -56,6 +60,7 @@ from alforge.categories import (
 from alforge.combinators import RuleId
 from alforge.corpus import Sentence, _case_twin, _verb_twin
 from alforge.evaluation import BOS, EOS
+from alforge.parser import MAX_DERIVATIONS, Derivation, _Key, bits, rotations
 from alforge.templates import _extend, category_universe, heuristic_filter, is_grammatical
 
 
@@ -282,6 +287,56 @@ def reference_fill(parser, codes):
             if mask:
                 ends[i].append(j)
     return chart, conjs, permuting
+
+
+def reference_extract(parser, chart, codes, conjs, permuting: bool, root: int) -> list[Derivation]:
+    """``ChartParser._extract`` as it was before it read only the splits
+    whose halves are both non-empty: every split and every conjunction of
+    each span, three ``functools.cache`` memos built per call, and a walk
+    over every code of the span for each key.  Returns the same trees in
+    the same order."""
+    table = parser.table
+    cats = table.cats
+
+    @cache
+    def ways(i: int, j: int) -> dict[int, list]:
+        """code -> [(rule, child keys)] for each code built directly,
+        found in one scan of the span."""
+        cell: dict[int, list] = {codes[i]: [(None, ())]} if j == i + 1 else {}
+        for k in range(i + 1, j):
+            for a in bits(chart[i][k]):
+                for b in bits(chart[k][j]):
+                    for rule, c in table.combine(a, b):
+                        cell.setdefault(c, []).append((rule, ((i, k, a), (k, j, b))))
+        for p in conjs:
+            if i < p < j - 1:
+                for a in bits(chart[i][p] & chart[p + 1][j] & table.coordinating):
+                    kids = ((i, p, a), (p, p + 1, codes[p]), (p + 1, j, a))
+                    cell.setdefault(a, []).append((RuleId.COORD, kids))
+        return cell
+
+    @cache
+    def built(key: _Key) -> list[Derivation]:
+        i, j, a = key
+        nodes = (Derivation(cats[a], rule, kids)
+                 for rule, keys in ways(i, j).get(a, ())
+                 for kids in product(*map(trees, keys)))
+        return list(islice(nodes, MAX_DERIVATIONS))
+
+    @cache
+    def trees(key: _Key) -> list[Derivation]:
+        i, j, c = key
+        out = list(built(key))
+        for b in ways(i, j) if permuting else ():
+            if b != c and table.closure(b, True) >> c & 1:
+                chain = rotations(cats[b])
+                for t in built((i, j, b)):
+                    for r in chain[:chain.index(cats[c]) + 1]:
+                        t = Derivation(r, RuleId.PERMUTE, (t,))
+                    out.append(t)
+        return out[:MAX_DERIVATIONS]
+
+    return trees((0, len(codes), root))
 
 
 def derivation_rules(tree) -> set[RuleId]:

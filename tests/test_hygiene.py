@@ -5,8 +5,9 @@ tests, each ``derive_seed`` label of the package is written in one
 place, only the parser rotates categories or reads rotation chains, the
 parser classifies a category only when it interns it, only the shared draw
 loop reads the draw budget, only the per-grammar writer makes directories,
-only the pool runner imports threads or processes, and the command line
-loads neither scipy nor numpy nor the process pool's modules.
+only the pool runner imports threads or processes, no function caches a
+function it defines, and the command line loads neither scipy nor numpy nor
+the process pool's modules.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -406,6 +407,70 @@ def test_only_the_pool_runner_imports_concurrency():
                if (found := imports_of(path.read_text(), CONCURRENCY))}
     assert imports == {"cli.py": {"_run_grammars:multiprocessing",
                                   "_run_grammars:concurrent.futures"}}
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def nested_caches(source: str) -> list[str]:
+    """The qualified name of each function of ``source`` that is defined
+    inside another function and decorated with ``functools.cache`` or
+    ``lru_cache`` (bare, called, or as an attribute), in source order."""
+    out = []
+
+    def visit(node: ast.AST, where: str, nested: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{where}.{child.name}".lstrip(".")
+                is_function = not isinstance(child, ast.ClassDef)
+                if nested and is_function:
+                    for deco in child.decorator_list:
+                        target = deco.func if isinstance(deco, ast.Call) else deco
+                        if getattr(target, "id", getattr(target, "attr", None)) in CACHES:
+                            out.append(name)
+                visit(child, name, nested or is_function)
+            else:
+                visit(child, where, nested)
+
+    visit(ast.parse(source), "", False)
+    return out
+
+
+def test_nested_cache_checker():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def top(x): pass\n"
+        "class Table:\n"
+        "    @functools.lru_cache(maxsize=None)\n"
+        "    def method(self): pass\n"
+        "def extract(chart):\n"
+        "    @cache\n"
+        "    def ways(i, j): pass\n"
+        "    @functools.lru_cache(64)\n"
+        "    def built(key): pass\n"
+        "    def trees(key):\n"
+        "        @functools.cache\n"
+        "        def inner(): pass\n"
+        "        @staticmethod\n"
+        "        def plain(): pass\n"
+        "    class Local:\n"
+        "        @lru_cache\n"
+        "        def method(self): pass\n"
+    )
+    assert nested_caches(source) == [
+        "extract.ways", "extract.built", "extract.trees.inner", "extract.Local.method",
+    ]
+
+
+def test_no_cache_on_nested_functions():
+    # A cache decorator on a function defined inside another builds a new
+    # wrapper, and a new memo, on every call of the outer function; a memo
+    # that lives for one call is a plain dict.
+    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := nested_caches(path.read_text()))}
+    assert found == {}
 
 
 BUDGET = "DRAWS_PER_RESULT"

@@ -33,6 +33,7 @@ from oracle import (
     derivation_leaves,
     derivation_rules,
     oracle_derivations,
+    reference_extract,
     reference_fill,
 )
 
@@ -247,10 +248,14 @@ POOL = Path(__file__).parent.parent / "perfbench" / "refs" / "parse_mix_pool.jso
 
 
 class ReferenceParser(ChartParser):
-    """A parser whose chart fills span by span in length order."""
+    """A parser whose chart fills span by span in length order and whose
+    trees are read back by the extraction kept in ``tests/oracle.py``."""
 
     def _fill(self, codes):
         return reference_fill(self, codes)
+
+    def _extract(self, chart, codes, conjs, permuting, root):
+        return reference_extract(self, chart, codes, conjs, permuting, root)
 
 
 def long_candidates(grammar, rng, count):
@@ -334,6 +339,55 @@ class TestAgenda:
                 assert got.derivations == want.derivations, (gid, classes)
                 trees += len(got.derivations)
         assert len(items) == 96 and trees > 0
+
+    # The verb of ``TestDerivations.test_two_step_rotation``, which reaches S
+    # only by its second rotation, alone and coordinated.
+    TWO_STEP = ("NP_OBJ", "SCOMP", "NP_SUBJ", "((S\\NP_SUBJ)\\NP_OBJ)\\SCOMP")
+    TWO_STEP_COORDINATED = ("NP_OBJ", "SCOMP", "NP_SUBJ", "((S\\NP_SUBJ)\\NP_OBJ)\\SCOMP",
+                            "(var\\.,@var)/.,@var", "((S\\NP_SUBJ)\\NP_OBJ)\\SCOMP")
+
+    def test_derivations_match_reference_extraction(self):
+        """Beyond the pool: Long-style candidates and conjunction-heavy
+        sequences of three grammars, the capped coordination of
+        ``test_extraction_cap`` and the two-step rotation, each parsed with
+        derivations by warm parsers (one of each kind per input set) and by
+        cold ones (fresh for every input).  The trees and their order must equal
+        those of ``ReferenceParser``, whose fill and extraction are the old
+        ones kept in ``tests/oracle.py``, and extraction interns no code."""
+        inputs = []  # (warm parser's name, policy, categories)
+        for gid in ("0101101", "0011010", "1001110"):
+            grammar = grammar_by_id(gid)
+            rng = random.Random(gid)
+            classes = long_candidates(grammar, rng, 150) + conjunction_sequences(rng, 150)
+            inputs += [(gid, grammar.policy, grammar.categorize(c)) for c in classes]
+        inputs.append(("cap", EN.policy, EN.categorize(("NP", "SUBJ", "VI") + ("CONJ", "VI") * 6)))
+        inputs += [("two-step", ALWAYS, [*map(parse_category, seq)])
+                   for seq in (self.TWO_STEP, self.TWO_STEP_COORDINATED)]
+        warm: dict = {}
+        capped = double_permute = grammatical = 0
+        for name, policy, seq in inputs:
+            if name not in warm:
+                warm[name] = ChartParser(policy), ReferenceParser(policy)
+            cold = ChartParser(policy), ReferenceParser(policy)
+            for parser, ref in (warm[name], cold):
+                codes = len(parser.table.cats) if parser.parse(seq).grammatical else None
+                got = parser.parse(seq, derivations=True)
+                want = ref.parse(seq, derivations=True)
+                assert got.grammatical == want.grammatical, seq
+                assert got.derivations == want.derivations, seq
+                # the fill interned every code that extraction reads
+                assert codes in (None, len(parser.table.cats)), seq
+            grammatical += got.grammatical
+            capped += len(got.derivations) == MAX_DERIVATIONS
+            double_permute += any(map(permutes_twice, got.derivations))
+        assert grammatical > 100 and capped and double_permute
+
+
+def permutes_twice(tree) -> bool:
+    """Whether a PERMUTE node of ``tree`` has a PERMUTE child."""
+    if tree.rule is RuleId.PERMUTE and tree.children[0].rule is RuleId.PERMUTE:
+        return True
+    return any(map(permutes_twice, tree.children))
 
 
 class TestBalance:
