@@ -11,9 +11,10 @@ artifacts.  `pipeline` writes a grammar's files only once all of its sets
 are drawn and scored.  It runs its grammars one after another in-process,
 or, with `--threads N` above 1, in a pool of min(N, grammars) forked worker
 processes; the artifacts and stdout do not depend on the worker count.  The
-run is staged in a hidden directory, inside its out-dir or beside the first
-missing directory on the way to it, and moved into place only when every
-grammar has succeeded, so a failed run leaves the file system as it was.
+run is staged in a temporary directory inside the out-dir, or inside its
+first existing ancestor, and each entry of the stage (the files, or the first
+missing directory) is renamed into place only when every grammar has
+succeeded, so a failed run leaves the file system as it was.
 
 Each pipeline step is defined once (`build_dataset`, `long_templates`,
 `targeted_set`, `pair_set`, `report_row`, `summary_row`), and the
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -417,7 +417,7 @@ def _run_grammars(grammars, cfg: RunConfig, out_dir: Path, lex: Lexicon, workers
         return [_pipeline_one(g.params, cfg, out_dir, lex) for g in grammars]
     # Imported here: they would add about 30 ms to every command's start-up.
     import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, ThreadPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
     failed = []  # the positions of the grammars that failed
 
@@ -435,38 +435,11 @@ def _run_grammars(grammars, cfg: RunConfig, out_dir: Path, lex: Lexicon, workers
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as procs:
         procs.submit(int).result()  # forks the workers before this starts its threads
         # Each thread hands one grammar to the pool and waits (it never parses),
-        # so each `_pipeline_one` call spans one grammar in this process.  Threads
-        # take grammars in order and a grammar handed to the pool runs to the
-        # end, so only the threads' queue is cancelled after a failure.
+        # so each `_pipeline_one` call spans one grammar in this process.  `map`
+        # yields the records in order and, at the first failure in order,
+        # cancels the grammars no thread has taken yet.
         with ThreadPoolExecutor(workers) as threads:
-            futures = [threads.submit(one, i, g) for i, g in enumerate(grammars)]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            threads.shutdown(cancel_futures=True)
-    return [f.result() for f in futures]
-
-
-def _stage(out_dir: Path) -> Path:
-    """A new hidden directory to write a run into before `_publish` moves it:
-    inside ``out_dir`` when that exists, else beside the first missing
-    directory on the way to it, so on the file system it is moved to."""
-    if out_dir.exists() and not out_dir.is_dir():
-        raise NotADirectoryError(f"out-dir is not a directory: {out_dir}")
-    base = out_dir
-    while not base.exists():
-        base = base.parent
-    return Path(tempfile.mkdtemp(dir=base, prefix=".stage."))
-
-
-def _publish(stage: Path, out_dir: Path) -> None:
-    """Moves a finished run out of its `_stage`: file by file into ``out_dir``
-    when the stage is inside it, replacing files of the same name, else in
-    one rename of the first missing directory on the way to ``out_dir``."""
-    if stage.parent == out_dir:
-        for path in sorted(stage.iterdir()):
-            os.replace(path, out_dir / path.name)
-    else:
-        top = out_dir.relative_to(stage.parent).parts[0]
-        os.replace(stage / top, stage.parent / top)
+            return list(threads.map(one, range(len(grammars)), grammars))
 
 
 def cmd_pipeline(args) -> None:
@@ -477,10 +450,14 @@ def cmd_pipeline(args) -> None:
     lex = _lexicon(cfg)
     table = _typology(cfg)
     out_dir = Path(cfg.out_dir).resolve()
-    stage = _stage(out_dir)
-    # the stage itself, or its copy of the missing directories (`_save_sets` makes them)
-    run_dir = stage if stage.parent == out_dir else stage / out_dir.relative_to(stage.parent)
-    try:
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"out-dir is not a directory: {out_dir}")
+    base = out_dir  # the out-dir, or the first existing directory on the way to it
+    while not base.exists():
+        base = base.parent
+    # Forked workers leave through os._exit, so only this process removes the stage.
+    with tempfile.TemporaryDirectory(dir=base, prefix=".stage.", ignore_cleanup_errors=True) as stage:
+        run_dir = Path(stage, out_dir.relative_to(base))  # `_save_sets` makes missing parents
         results = _run_grammars(grammars, cfg, run_dir, lex, min(args.threads, len(grammars)))
         results.sort(key=lambda r: r["grammar_id"])
         rows = [report_row(grammar_by_id(res["grammar_id"]), split, res["ppls"][split], table)
@@ -491,9 +468,9 @@ def cmd_pipeline(args) -> None:
             summary = summary_row("ShortTest", *ta_score(ppls, table), table)
         write_report(run_dir / "report.csv", rows, summary)
         write_json(run_dir / "judgments.json", {res["grammar_id"]: res["accuracy"] for res in results})
-        _publish(stage, out_dir)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        # Publish: the files of an existing out-dir, else its first missing directory.
+        for name in sorted(os.listdir(stage)):
+            os.replace(Path(stage, name), base / name)
     for res in results:
         ppl_text = " ".join(f"{k}={v:.2f}" for k, v in sorted(res["ppls"].items()))
         acc_text = " ".join(f"{k}={v:.3f}" for k, v in sorted(res["accuracy"].items()))

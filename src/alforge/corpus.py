@@ -68,7 +68,8 @@ class Lexicon:
                 if w in (BOS, EOS):
                     raise ValueError(f"word {w!r} of {cls} is an n-gram boundary symbol")
                 if w in seen:
-                    raise ValueError(f"word {w!r} in both {seen[w]} and {cls}")
+                    where = f"twice in {cls}" if seen[w] == cls else f"in both {seen[w]} and {cls}"
+                    raise ValueError(f"word {w!r} {where}")
                 seen[w] = cls
 
     @classmethod

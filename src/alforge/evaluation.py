@@ -257,8 +257,8 @@ def ngram_train(train, order: int, k: float) -> NgramModel:
         raise ValueError("empty training set")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if k <= 0:
-        raise ValueError("smoothing constant must be > 0")
+    if not 0 < k < float("inf"):
+        raise ValueError(f"smoothing constant k must be > 0 and finite, got {k}")
     words = {w for s in train for w in s.tokens}
     _reject_boundary_tokens(words)
     vocab = sorted(words | {EOS})

@@ -121,10 +121,11 @@ def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
     pair of codes (a, b) with a binary result, once.
 
     One walk over ``table.cats`` in code order, from the closed lexical
-    codes: code a meets every code b <= a in both orders, and each result is
-    closed.  A code interned on the way is larger than a, so the walk reaches
-    it later.  Conjunction is excluded (it feeds the ternary coordination
-    rule only, which creates no new categories)."""
+    codes: code a meets every code b <= a in both orders, and each productive
+    pair's ``join`` interns its closed results, memoised for ``_language``.
+    A code interned on the way is larger than a, so the walk reaches it
+    later.  Conjunction is excluded (it feeds the ternary coordination rule
+    only, which creates no new categories)."""
     table = RuleTable()
     for cls, cat in grammar.lexicon:
         if cls != "CONJ":
@@ -135,10 +136,9 @@ def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
         if a == 2000:
             raise RuntimeError("category universe failed to close")
         for x, y in [(a, b) for b in range(a + 1)] + [(b, a) for b in range(a)]:
-            if _rule_results(cats[x], cats[y]):  # most pairs have none: skip the mapping
+            if _rule_results(cats[x], cats[y]):  # most pairs have none: no memo entry
                 pairs.append((x, y))
-                for _rule, out in table.combine(x, y):
-                    table.closure(out, permutation_active)
+                table.join(1 << x, 1 << y, permutation_active)
     return set(table.cats), table, pairs
 
 

@@ -675,6 +675,22 @@ class TestOutDir:
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
+class TestOutDirInPool(TestOutDir):
+    """The same, with the grammar handed to a pool of two forked worker
+    processes.  The run caps the pool at one worker a grammar, so the size is
+    set here.  The workers are forked while the stage is open and exit before
+    the report is written into it: a worker that removed the stage would fail
+    the run, and the listings above show that no ``.stage.*`` entry is left
+    after a run that succeeds or fails."""
+
+    ARGV = (*TestOutDir.ARGV, "--threads", "2")
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        run_grammars = cli._run_grammars
+        monkeypatch.setattr(cli, "_run_grammars", lambda *args: run_grammars(*args[:-1], 2))
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipe")

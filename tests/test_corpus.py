@@ -49,6 +49,13 @@ class TestLexicon:
         with pytest.raises(ValueError):
             Lexicon(words)
 
+    @pytest.mark.parametrize("cls, message", [
+        ("NP", "word 'Kim' twice in NP"), ("ADJ", "word 'Kim' in both NP and ADJ"),
+    ])
+    def test_duplicate_word_named(self, cls, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Lexicon({**DEFAULT_WORDS, cls: DEFAULT_WORDS[cls] + ("Kim",)})
+
     def test_empty_class_rejected(self):
         words = dict(DEFAULT_WORDS)
         words["VI"] = ()

@@ -287,6 +287,13 @@ class TestNgram:
         with pytest.raises(ValueError):
             ngram_train([sent(["a"])], 2, k=0.0)
 
+    @pytest.mark.parametrize("k", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_k_must_be_positive_and_finite(self, k):
+        # else scoring fails later, on logprobs that are nan or above 0
+        with pytest.raises(ValueError, match=f"^smoothing constant k must be > 0 and finite, "
+                                             f"got {re.escape(str(k))}$"):
+            ngram_train([sent(["a"])], 2, k=k)
+
     @pytest.mark.parametrize("symbol", [BOS, EOS])
     def test_train_rejects_boundary_token(self, symbol):
         with pytest.raises(ValueError, match=re.escape(repr(symbol))):
