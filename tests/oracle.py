@@ -27,6 +27,11 @@ every (length, category) entry.  It runs on the package's rule table, whose
 rules ``tests/test_combinators.py`` checks against this module's, and closes
 each level under this module's ``_rotation_closure``.
 
+``reference_universe`` keeps ``templates.category_universe`` as it was
+before its walk read partners from an argument/result index: each code
+meets every code up to it in both orders, for the test that the indexed
+walk interns the same codes and lists the same pairs, in the same order.
+
 ``reference_heuristic_filter`` and ``reference_ngram_counts`` keep the
 plain bodies of ``templates.heuristic_filter`` and ``evaluation.ngram_train``
 (one test per rule; one increment per context suffix of every position) for
@@ -60,7 +65,7 @@ from alforge.categories import (
 from alforge.combinators import RuleId
 from alforge.corpus import Sentence, _case_twin, _verb_twin
 from alforge.evaluation import BOS, EOS
-from alforge.parser import MAX_DERIVATIONS, Derivation, _Key, bits, rotations
+from alforge.parser import MAX_DERIVATIONS, Derivation, RuleTable, _Key, _rule_results, bits, rotations
 from alforge.templates import _extend, category_universe, heuristic_filter, is_grammatical
 
 
@@ -407,6 +412,25 @@ def reference_language(grammar, permutation_active: bool, max_len: int) -> list[
 
     s = table.code(S)
     return [level.get(s, set()) for level in strings]
+
+
+def reference_universe(grammar, permutation_active: bool):
+    """``templates.category_universe`` with the walk over every ordered pair
+    of codes: code a meets every code b <= a in both orders."""
+    table = RuleTable()
+    for cls, cat in grammar.lexicon:
+        if cls != "CONJ":
+            table.closure(table.code(cat), permutation_active)
+    pairs = []
+    cats = table.cats  # the list grows as the walk interns
+    for a, _cat in enumerate(cats):
+        if a == 2000:
+            raise RuntimeError("category universe failed to close")
+        for x, y in [(a, b) for b in range(a + 1)] + [(b, a) for b in range(a)]:
+            if _rule_results(cats[x], cats[y]):  # most pairs have none: no memo entry
+                pairs.append((x, y))
+                table.join(1 << x, 1 << y, permutation_active)
+    return set(table.cats), table, pairs
 
 
 def reference_grammatical_sequences(grammar, max_len: int) -> dict[int, set]:

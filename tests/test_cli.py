@@ -8,7 +8,6 @@ import re
 import shlex
 import threading
 import time
-from concurrent import futures
 from dataclasses import fields
 from pathlib import Path
 
@@ -475,20 +474,13 @@ class TestWritesAfterDrawing:
         assert (code, err) == (1, "error: ValueError: 0101101 failed\n")
 
     def test_failure_stops_the_run(self, capsys, tmp_path, monkeypatch):
-        # After the first failure no further grammar starts, even before the
-        # run wakes to cancel the rest.  The pool's other worker finishes the
-        # grammar it holds.
+        # After the first grammar fails no further grammar starts: the serial
+        # run stops there, and in the pool ``one``'s guard skips every grammar
+        # after a failed one.  The pool's other worker finishes the grammar it
+        # holds.
         params = ["0001000", "0101101", "0000000", "1111111", "0011010", "1001011"]
         started = []
         pipeline_one = cli._pipeline_one
-        wait = futures.wait
-
-        def slow_wait(*args, **kwargs):
-            done = wait(*args, **kwargs)
-            time.sleep(0.5)
-            return done
-
-        monkeypatch.setattr(futures, "wait", slow_wait)
 
         def record(params, *args):
             started.append(params)

@@ -37,6 +37,7 @@ from oracle import (
     reference_grammatical_sequences,
     reference_heuristic_filter,
     reference_language,
+    reference_universe,
 )
 
 EN = grammar_by_id("0101101")
@@ -213,6 +214,33 @@ class TestSharedClosure:
             assert len(table.cats) == n, g.params
             assert len(pairs) == len(set(pairs)), g.params
             assert set(pairs) == productive, g.params
+
+    @pytest.mark.parametrize("permutation_active", [True, False])
+    def test_indexed_walk_matches_reference(self, permutation_active):
+        """The walk over indexed partners interns the same codes and lists
+        the same pairs, in the same order, as the walk over every pair."""
+        for g in enumerate_grammars():
+            _cats, table, pairs = category_universe(g, permutation_active)
+            _ref_cats, ref_table, ref_pairs = reference_universe(g, permutation_active)
+            assert table.cats == ref_table.cats, g.params
+            assert pairs == ref_pairs, g.params
+
+    def test_rule_lookups_scale_with_pairs(self, monkeypatch):
+        """Work-count guard: over the 96 permuting universes the walk asks
+        ``_rule_results`` about 19,104 pairs, where a walk over every ordered
+        pair of codes asks about 121,056."""
+        calls = 0
+        real = templates_module._rule_results
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return real(x, y)
+
+        monkeypatch.setattr(templates_module, "_rule_results", counted)
+        for g in enumerate_grammars():
+            category_universe(g, True)
+        assert 0 < calls < 30_000
 
 
 class TestPruning:
