@@ -1,9 +1,14 @@
 """Sentence sampling: length-stratified splits, targeted relative-clause test
-sets, and minimal pairs, each drawn through ``templates.unique_draws``.
+sets, and minimal pairs, each drawn through ``templates.unique_draws`` with
+``templates.picker``; and the record files every artifact is written to.
 
 All randomness flows from a master seed; per-grammar streams are derived with
 a stable hash so per-grammar outputs do not depend on iteration order.  Each
 failure to sample names the grammar and the split or kind in front.
+
+A JSONL line is built from its record's fields (``_sentence_line``, and
+``evaluation._score_line``) as ``json.dumps(record, sort_keys=True)``
+writes it; each file escapes each distinct string once.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .grammars import LEXICAL_CLASSES, Grammar
 from .parser import ChartParser
-from .templates import Template, unique_draws
+from .templates import Template, picker, unique_draws
 
 SHORT_BAND = (3, 8)
 MEDIUM_BAND = (9, 10)
@@ -115,15 +121,6 @@ class Sentence:
     def length(self) -> int:
         return len(self.tokens)
 
-    def to_json(self) -> dict:
-        return {
-            "grammar_id": self.grammar_id,
-            "split": self.split,
-            "length": self.length,
-            "tokens": list(self.tokens),
-            "classes": list(self.classes),
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "Sentence":
         tokens = _field(data, "tokens", list, str)
@@ -175,16 +172,12 @@ def write_json(path, data) -> None:
         fh.write("\n")
 
 
-# ``json.dumps(record, sort_keys=True)`` builds a new encoder on every call
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-
-def write_jsonl(path, records) -> None:
-    """One JSON object a line, keys sorted: each line is
-    ``json.dumps(record, sort_keys=True)``."""
+def write_jsonl(path, lines) -> None:
+    """``lines``, one a line: each a JSON object, keys sorted, as
+    ``json.dumps(record, sort_keys=True)`` writes it."""
     with open(path, "w") as fh:
-        for record in records:
-            fh.write(_encode(record) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def read_jsonl(path, build) -> list:
@@ -204,13 +197,39 @@ def read_jsonl(path, build) -> list:
     return out
 
 
+class _Literals(dict):
+    """The JSON text of each key, made by ``encode`` on its first lookup
+    only: one memo per file written.  It is keyed by value, so it may only
+    hold keys that encode alike whenever they compare equal, which 0.0 and
+    -0.0, or -1 and -1.0, do not."""
+
+    def __init__(self, encode) -> None:
+        self.encode = encode
+
+    def __missing__(self, key):
+        text = self[key] = self.encode(key)
+        return text
+
+
+def _sentence_line(s: Sentence, text: _Literals) -> str:
+    """The JSON object of ``s``, its strings from the memo ``text``."""
+    return ('{"classes": [' + ", ".join(map(text.__getitem__, s.classes))
+            + '], "grammar_id": ' + text[s.grammar_id]
+            + ', "length": ' + str(s.length)
+            + ', "split": ' + text[s.split]
+            + ', "tokens": [' + ", ".join(map(text.__getitem__, s.tokens)) + "]}")
+
+
 def save_sentences(sentences, path) -> None:
-    write_jsonl(path, (s.to_json() for s in sentences))
+    text = _Literals(encode_basestring_ascii)
+    write_jsonl(path, (_sentence_line(s, text) for s in sentences))
 
 
 def save_pairs(pairs, path) -> None:
     """(grammatical, ungrammatical) sentence pairs, one JSON object a line."""
-    write_jsonl(path, ({"grammatical": good.to_json(), "ungrammatical": bad.to_json()}
+    text = _Literals(encode_basestring_ascii)
+    write_jsonl(path, ('{"grammatical": ' + _sentence_line(good, text)
+                       + ', "ungrammatical": ' + _sentence_line(bad, text) + "}"
                        for good, bad in pairs))
 
 
@@ -223,10 +242,10 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def _fill(template: Template, words: dict[str, tuple[str, ...]], choice):
-    """``(template, tokens)``: left to right, one ``choice`` among the words
+def _fill(template: Template, words: dict[str, tuple[str, ...]], pick):
+    """``(template, tokens)``: left to right, one ``pick`` among the words
     of each slot's class, from a lexicon's ``words``."""
-    return template, tuple([choice(words[cls]) for cls in template])
+    return template, tuple([pick(words[cls]) for cls in template])
 
 
 def sample_split(
@@ -280,12 +299,12 @@ def sample_split(
                 raise ValueError(
                     f"{where}: length {n} has {capacity} distinct sentences to draw "
                     f"from, {per_length_count} requested")
-    choice = random.Random(seed).choice
+    pick = picker(random.Random(seed))
     words = lexicon.words
     out: list[Sentence] = []
     for n in range(lo, hi + 1):
         pool = by_length[n]
-        drawn = unique_draws(lambda: _fill(choice(pool), words, choice), per_length_count,
+        drawn = unique_draws(lambda: _fill(pick(pool), words, pick), per_length_count,
                              taken, f"{where}: insufficient unique sentences for length {n}")
         out.extend(Sentence(tokens, t, grammar.params, split) for t, tokens in drawn)
     return out
@@ -363,8 +382,8 @@ def gen_targeted(
         raise ValueError(
             f"{where}: the skeleton has {capacity} distinct sentences to draw from, "
             f"{n} requested")
-    choice = random.Random(seed).choice
-    drawn = unique_draws(lambda: _fill(skeleton, lexicon.words, choice),
+    pick = picker(random.Random(seed))
+    drawn = unique_draws(lambda: _fill(skeleton, lexicon.words, pick),
                          n, set(), f"{where}: insufficient unique sentences")
     return [Sentence(tokens, skeleton, grammar.params, kind) for _, tokens in drawn]
 
@@ -374,13 +393,14 @@ def gen_targeted(
 PAIR_KINDS = {"CaseType": ("SUBJ", "OBJ"), "VerbType": ("VT",)}  # the classes each perturbs
 
 
-def _case_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
-    """Swap one case marker's class; the new word is the other class's word
-    at the old word's index, modulo that class's size (no extra draw)."""
+def _case_twin(sentence: Sentence, lexicon: Lexicon, pick):
+    """Swap one case marker's class, ``pick`` drawing which; the new word is
+    the other class's word at the old word's index, modulo that class's
+    size (no extra draw)."""
     idxs = [i for i, c in enumerate(sentence.classes) if c in PAIR_KINDS["CaseType"]]
     if not idxs:
         return None
-    i = rng.choice(idxs)
+    i = pick(idxs)
     classes = list(sentence.classes)
     tokens = list(sentence.tokens)
     old = lexicon.words[classes[i]]
@@ -392,15 +412,15 @@ def _case_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
     return tuple(tokens), tuple(classes)
 
 
-def _verb_twin(sentence: Sentence, lexicon: Lexicon, rng: random.Random):
+def _verb_twin(sentence: Sentence, lexicon: Lexicon, pick):
     idxs = [i for i, c in enumerate(sentence.classes) if c in PAIR_KINDS["VerbType"]]
     if not idxs:
         return None
-    i = rng.choice(idxs)
+    i = pick(idxs)
     classes = list(sentence.classes)
     tokens = list(sentence.tokens)
     classes[i] = "VI"
-    tokens[i] = rng.choice(lexicon.words["VI"])
+    tokens[i] = pick(lexicon.words["VI"])
     return tuple(tokens), tuple(classes)
 
 
@@ -432,13 +452,13 @@ def gen_minimal_pairs(
         raise ValueError(f"{where}: no source sentence has a {' or '.join(PAIR_KINDS[kind])} "
                          "to perturb")
     twin_of = _case_twin if kind == "CaseType" else _verb_twin
-    rng = random.Random(seed)
+    pick = picker(random.Random(seed))
     taken: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
 
     def draw():
-        src = rng.choice(source)
+        src = pick(source)
         try:
-            twin = twin_of(src, lexicon, rng)
+            twin = twin_of(src, lexicon, pick)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         if twin is None:

@@ -14,8 +14,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
-from .corpus import BOS, EOS, _field, read_json, read_jsonl, write_jsonl
+from .corpus import BOS, EOS, _field, _Literals, read_json, read_jsonl, write_jsonl
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
 
 _FACTOR_PARAMS = {"COMP": 3, "PP": 4, "ADJ": 5, "REL": 6}  # name -> digit of the params id
@@ -48,13 +49,6 @@ class ScoreRecord:
     def total(self) -> float:
         return sum(self.logprobs)
 
-    def to_json(self) -> dict:
-        return {
-            "grammar_id": self.grammar_id,
-            "tokens": list(self.tokens),
-            "logprobs": list(self.logprobs),
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "ScoreRecord":
         return cls(
@@ -64,8 +58,34 @@ class ScoreRecord:
         )
 
 
+def _number(x) -> str:
+    """The JSON text of a number (or bool), as ``json.dumps`` writes it."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _score_line(r: ScoreRecord, text: _Literals, negatives: _Literals) -> str:
+    """The JSON object of ``r``, its strings from the memo ``text`` and each
+    float in (-inf, 0) from the memo ``negatives``; -0.0, 0.0, ints and the
+    rest are written by `_number` each time, so no memo key merges them."""
+    return ('{"grammar_id": ' + text[r.grammar_id] + ', "logprobs": ['
+            + ", ".join([negatives[x] if type(x) is float and -math.inf < x < 0.0 else _number(x)
+                         for x in r.logprobs])
+            + '], "tokens": [' + ", ".join(map(text.__getitem__, r.tokens)) + "]}")
+
+
 def save_scores(records, path) -> None:
-    write_jsonl(path, (r.to_json() for r in records))
+    text, negatives = _Literals(encode_basestring_ascii), _Literals(float.__repr__)
+    write_jsonl(path, (_score_line(r, text, negatives) for r in records))
 
 
 def load_scores(path) -> list[ScoreRecord]:

@@ -1,5 +1,6 @@
-"""Template enumeration, heuristic filtering, Long-set augmentation, and
-``unique_draws``, the one rejection-sampling loop of every sampler.
+"""Template enumeration, heuristic filtering, Long-set augmentation,
+``unique_draws``, the one rejection-sampling loop of every sampler, and
+``picker``, the one random draw of every sampler.
 
 Templates are sequences of lexical-class labels.  Enumeration works bottom-up
 over the grammar's finite category universe (the lexical categories closed
@@ -63,6 +64,28 @@ def unique_draws(draw, n: int, taken: set, failure: str) -> list:
             if len(out) == n:
                 return out
     raise ValueError(f"{failure} (found {len(out)} of {n})")
+
+
+def picker(rng: random.Random):
+    """``pick(seq)``, the one random draw of every sampler: an element of
+    ``seq`` drawn by ``rng`` as ``rng.choice(seq)`` draws it, from the same
+    ``getrandbits`` words (CPython's ``Random._randbelow``: with k the bit
+    length of n = len(seq), k bits until they are below n; size 1 still
+    takes a word).  So ``pick(range(n))`` is ``rng.randrange(n)``, and an
+    empty ``seq`` is an IndexError, as for ``choice``."""
+    getrandbits = rng.getrandbits
+
+    def pick(seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("cannot pick from an empty sequence")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
+
+    return pick
 
 
 # One key character per class, in label order, so key order is tuple order.
@@ -406,18 +429,18 @@ def sample_long_templates(
         need: [(a, need - a) for a in by_len if need - a in by_len]
         for need in range(min_len - 1, max_len + 1)
     }
-    rng = random.Random(seed)
+    pick = picker(random.Random(seed))
 
     def draw(target: int, taken: set[Template]):
-        op = rng.randrange(3)
+        op = pick(range(3))
         # concatenation preserves total length; the conjunction ops add 1
         splits = splits_of[target if op == 0 else target - 1]
         if not splits:
             return None
-        a, b = splits[rng.randrange(len(splits))]
-        t1 = rng.choice(by_len[a])
-        t2 = rng.choice(by_len[b])
-        i = rng.randrange(1, len(t1)) if op == 2 else 0
+        a, b = pick(splits)
+        t1 = pick(by_len[a])
+        t2 = pick(by_len[b])
+        i = pick(range(1, len(t1))) if op == 2 else 0
         cand = _extend(op, t1, t2, i)
         if cand in taken or not heuristic_filter(cand) or (
                 op != 1 and not is_grammatical(cand, grammar, parser)):

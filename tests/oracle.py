@@ -40,8 +40,14 @@ the differential tests of the faster ones.
 ``reference_long_templates`` and ``reference_minimal_pairs`` keep the
 samplers' own draw loops as they were before both moved onto
 ``templates.unique_draws``, with their old budgets (2,000 draws per Long
-template, 100 per pair), so a test can check that the shared loop makes the
-same random draws in the same order.
+template, 100 per pair), and draw with ``random.Random``'s own ``choice``
+and ``randrange``, so a test can check that the shared loop and
+``templates.picker`` make the same random draws in the same order.
+
+``reference_sentence_record``, ``reference_pair_record`` and
+``reference_score_record`` keep the records as dicts, as the JSONL files
+were written before each line was built from its fields: a line must be
+``json.dumps`` of its dict, keys sorted.
 """
 
 from __future__ import annotations
@@ -534,7 +540,7 @@ def reference_minimal_pairs(grammar, kind, source, lexicon, n, seed, parser):
     for _ in range(n):
         for _retry in range(100):
             src = rng.choice(source)
-            twin = twin_of(src, lexicon, rng)
+            twin = twin_of(src, lexicon, rng.choice)
             if twin is None:
                 continue
             bad_tokens, bad_classes = twin
@@ -552,3 +558,29 @@ def reference_minimal_pairs(grammar, kind, source, lexicon, n, seed, parser):
         else:
             raise RuntimeError("could not build a pair after 100 retries")
     return out
+
+
+def reference_sentence_record(s) -> dict:
+    """A ``corpus.Sentence`` as the dict its JSONL line holds."""
+    return {
+        "grammar_id": s.grammar_id,
+        "split": s.split,
+        "length": s.length,
+        "tokens": list(s.tokens),
+        "classes": list(s.classes),
+    }
+
+
+def reference_pair_record(good, bad) -> dict:
+    """A (grammatical, ungrammatical) pair as the dict its JSONL line holds."""
+    return {"grammatical": reference_sentence_record(good),
+            "ungrammatical": reference_sentence_record(bad)}
+
+
+def reference_score_record(r) -> dict:
+    """An ``evaluation.ScoreRecord`` as the dict its JSONL line holds."""
+    return {
+        "grammar_id": r.grammar_id,
+        "tokens": list(r.tokens),
+        "logprobs": list(r.logprobs),
+    }

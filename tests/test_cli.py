@@ -377,8 +377,8 @@ class TestSubcommands:
         # the record check, not count as a loss on either side.
         for side in ("good", "bad"):
             logprobs = [float("nan") if side == nan_side else -3.0, -1.0]
-            write_jsonl(tmp_path / f"{side}.jsonl",
-                        [{"grammar_id": "0101101", "tokens": ["Kim"], "logprobs": logprobs}])
+            write_jsonl(tmp_path / f"{side}.jsonl", [json.dumps(
+                {"grammar_id": "0101101", "tokens": ["Kim"], "logprobs": logprobs}, sort_keys=True)])
         code, stdout, err = run(capsys, "judge", "--good", str(tmp_path / "good.jsonl"),
                                 "--bad", str(tmp_path / "bad.jsonl"))
         assert code == 1
@@ -402,7 +402,7 @@ class TestSubcommands:
     ], ids=["score", "gen-pairs", "judge-empty", "judge-logprobs"])
     def test_malformed_record_fails_before_writing(self, capsys, tmp_path, argv, record, message):
         bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
-        write_jsonl(bad, [record])
+        write_jsonl(bad, [json.dumps(record, sort_keys=True)])
         code, stdout, err = run(capsys, *(a.format(bad=bad, out=out) for a in argv))
         assert code == 1
         assert err.startswith(f"error: ValueError: {bad}, line 1: ") and message in err, err

@@ -23,14 +23,18 @@ from alforge.corpus import (
     load_sentences,
     read_jsonl,
     sample_split,
+    save_pairs,
     save_sentences,
     targeted_skeleton,
     write_json,
     write_jsonl,
 )
+from alforge.evaluation import ScoreRecord, save_scores
 from alforge.grammars import enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
 from alforge.templates import enumerate_templates, sample_long_templates
+
+from oracle import reference_pair_record, reference_score_record, reference_sentence_record
 
 EN = grammar_by_id("0101101")
 EN_TEMPLATES = enumerate_templates(EN, 10)
@@ -125,7 +129,7 @@ class TestRecordFiles:
             {},
         ]
         path = tmp_path / "r.jsonl"
-        write_jsonl(path, iter(records))
+        write_jsonl(path, (json.dumps(r, sort_keys=True) for r in records))
         expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         assert path.read_bytes() == expected.encode()
         assert read_jsonl(path, dict) == records
@@ -139,10 +143,64 @@ class TestRecordFiles:
 
     def test_rejected_record_named(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        good = Sentence(("Kim", "ran"), ("NP", "VI"), "0101101", "ShortTrain").to_json()
-        write_jsonl(path, [good, {k: v for k, v in good.items() if k != "tokens"}])
+        good = reference_sentence_record(Sentence(("Kim", "ran"), ("NP", "VI"), "0101101", "ShortTrain"))
+        write_jsonl(path, [json.dumps(r, sort_keys=True)
+                           for r in (good, {k: v for k, v in good.items() if k != "tokens"})])
         with pytest.raises(ValueError, match=r"t\.jsonl, line 2: record has no field 'tokens'$"):
             load_sentences(path)
+
+
+class TestRecordLines:
+    """`save_sentences`, `save_pairs` and `save_scores` build each line from
+    the record's fields; every line must be ``json.dumps`` of the record's
+    dict (``tests/oracle.py``), keys sorted, whatever its strings and
+    numbers."""
+
+    ODD = ("Zoë", "日本", "🦉", 'say "hi"', "back\\slash", "\n\t\x00\x1f\x7f", "\u2028", "", "Kim")
+    GID, SPLIT = 'g"\\\u00e9\n0101101', "Short\tTrain\U0001F989"
+    # a float memo keyed on value alone merges some neighbours here, in one
+    # order or the other: -0.0 and 0.0, -1 and -1.0, 0 and False
+    LOGPROBS = (-0.0, 0.0, 0, -1, -1.0, False, float("-inf"), -5e-324, -1e308,
+                -1.7976931348623157e308, -2.2250738585072014e-308, -(0.1 + 0.2),
+                -1.2345678901234567, -1.0000000000000002, -1.0, -0.0, -1, -123456789012345678901)
+
+    def sentences(self):
+        odd = self.ODD
+        return [
+            Sentence(odd, odd[::-1], self.GID, self.SPLIT),
+            Sentence(("Kim", "ran"), ("NP", "VI"), "0101101", "ShortTrain"),
+            Sentence((), (), self.GID, ""),
+            Sentence(odd[3:], odd[:-3], "0101101", self.SPLIT),
+        ]
+
+    def scores(self):
+        lps = self.LOGPROBS
+        out = []
+        for logprobs in (lps, lps[::-1], lps[1::2], lps[::2], (-0.0,), (0,), (-1.0, -1)):
+            tokens = (self.ODD * 3)[:len(logprobs) - 1]
+            out.append(ScoreRecord(self.GID, tokens, logprobs))
+        return out
+
+    @staticmethod
+    def assert_lines(path, dicts):
+        text = path.read_bytes().decode("ascii")
+        assert text == "".join(json.dumps(d, sort_keys=True) + "\n" for d in dicts)
+
+    def test_sentence_lines(self, tmp_path):
+        sents = self.sentences()
+        save_sentences(sents, tmp_path / "s.jsonl")
+        self.assert_lines(tmp_path / "s.jsonl", map(reference_sentence_record, sents))
+
+    def test_pair_lines(self, tmp_path):
+        sents = self.sentences()
+        pairs = list(zip(sents, sents[1:] + sents[:1]))
+        save_pairs(pairs, tmp_path / "p.jsonl")
+        self.assert_lines(tmp_path / "p.jsonl", (reference_pair_record(*p) for p in pairs))
+
+    def test_score_lines(self, tmp_path):
+        records = self.scores()
+        save_scores(records, tmp_path / "r.jsonl")
+        self.assert_lines(tmp_path / "r.jsonl", map(reference_score_record, records))
 
 
 class TestSeeds:

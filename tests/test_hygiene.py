@@ -4,10 +4,11 @@ the tests, every default of the package is left out by a call outside the
 tests, each ``derive_seed`` label of the package is written in one
 place, only the parser rotates categories or reads rotation chains, the
 parser classifies a category only when it interns it, only the shared draw
-loop reads the draw budget, only the per-grammar writer makes directories,
-only the pool runner imports threads or processes, no function caches a
-function it defines, and the command line loads neither scipy nor numpy nor
-the process pool's modules.
+loop reads the draw budget, every random draw goes through the one draw
+primitive, only the two JSON document writers use the json encoder, only
+the per-grammar writer makes directories, only the pool runner imports
+threads or processes, no function caches a function it defines, and the
+command line loads neither scipy nor numpy nor the process pool's modules.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -350,6 +351,72 @@ def test_parser_classifies_only_when_interning():
     # (``coordinating``, ``conjunctions``), not the categories again.
     calls = calls_to((SRC / "parser.py").read_text(), CLASSIFIERS)
     assert calls == {"RuleTable.code:coordinable", "RuleTable.code:is_conjunction"}
+
+
+def references_to(source: str, names: set[str]) -> set[str]:
+    """``function:name`` (see `_scoped`) for each place ``source`` reads one
+    of ``names``, as a name, an attribute or an imported name."""
+    def find(node: ast.AST):
+        if isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in names:
+            yield name
+
+    return _scoped(source, find)
+
+
+RANDOM_DRAWS = {"choice", "choices", "randrange", "randint", "sample", "shuffle"}
+RANDOM_BITS = {"getrandbits"}
+JSON_ENCODERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def test_reference_checker():
+    source = (
+        "import random\n"
+        "from json import dumps as d, JSONEncoder\n"
+        "def picker(rng):\n"
+        "    getrandbits = rng.getrandbits\n"
+        "    def pick(seq):\n"
+        "        return seq[getrandbits(8)]\n"
+        "    return pick\n"
+        "class Sampler:\n"
+        "    def draw(self, rng):\n"
+        "        return rng.choice(self.pool), random.shuffle, json.dumps({})\n"
+        "x = random.Random(1).randrange(3)\n"
+        "doc = 'choice getrandbits dumps'\n"
+        "def getrandbits_free(choice_of):\n"
+        "    return choice_of\n"
+    )
+    names = RANDOM_DRAWS | RANDOM_BITS | JSON_ENCODERS
+    assert references_to(source, names) == {
+        ":dumps", ":JSONEncoder", "picker:getrandbits", "picker.pick:getrandbits",
+        "Sampler.draw:choice", "Sampler.draw:shuffle", "Sampler.draw:dumps", ":randrange",
+    }
+    # a call of a draw method, as a name or an attribute
+    assert calls_to(source, RANDOM_DRAWS) == {"Sampler.draw:choice", ":randrange"}
+
+
+def test_every_random_draw_is_the_picker():
+    # Every sampler draws with ``templates.picker``, which reproduces
+    # ``Random.choice`` from ``getrandbits`` words (tests/test_sampler_draws.py);
+    # a draw method of ``random.Random`` beside it would be a second draw.
+    calls = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := calls_to(path.read_text(), RANDOM_DRAWS))}
+    assert calls == {}
+    reads = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := references_to(path.read_text(), RANDOM_BITS))}
+    assert reads == {"templates.py": {"picker:getrandbits", "picker.pick:getrandbits"}}
+
+
+def test_only_the_document_writers_use_the_json_encoder():
+    # Each JSONL line is built from its record's fields (``corpus`` and
+    # ``evaluation``), so the json encoder writes only whole documents.
+    uses = {path.name: found for path in sorted(SRC.glob("*.py"))
+            if (found := references_to(path.read_text(), JSON_ENCODERS))}
+    assert uses == {"corpus.py": {"write_json:dump"},
+                    "evaluation.py": {"TypologyTable.provenance_hash:dumps"}}
 
 
 DIRECTORY_MAKERS = {"mkdir", "makedirs"}

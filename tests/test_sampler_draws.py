@@ -1,5 +1,9 @@
 """Differential check of the samplers' random draws.
 
+Every sampler draws with ``templates.picker``, which reproduces CPython's
+``Random.choice`` and ``randrange`` from ``getrandbits`` words; it must draw
+the same values and leave the generator in the same state as they do.
+
 The Long sampler and the pair generator draw through the shared
 ``templates.unique_draws`` loop.  On runs that succeed they must return what
 their own loops returned before (``tests/oracle.py``): the same random draws
@@ -7,6 +11,8 @@ in the same order, so the same templates and pairs.  The grammars cover both
 permutation modes.
 """
 
+import random
+import sys
 from functools import lru_cache
 
 import pytest
@@ -14,7 +20,7 @@ import pytest
 from alforge.corpus import Lexicon, gen_minimal_pairs, sample_split
 from alforge.grammars import enumerate_grammars
 from alforge.parser import ChartParser
-from alforge.templates import enumerate_templates, sample_long_templates
+from alforge.templates import enumerate_templates, picker, sample_long_templates
 
 from oracle import reference_long_templates, reference_minimal_pairs
 
@@ -23,6 +29,45 @@ from oracle import reference_long_templates, reference_minimal_pairs
 GRAMMARS = [enumerate_grammars()[8 * i + i % 8] for i in range(12)]
 SEEDS = (1, 7, 23)
 LEX = Lexicon.default()
+
+
+PICK_SEEDS = range(50)
+PICK_SIZES = range(1, 131)  # size 1 and every power of two up to 128
+
+
+def test_pick_draws_as_random_choice_and_randrange():
+    # ``picker`` depends on a private algorithm of the running Python,
+    # ``Random._randbelow``; a Python that changes it fails here.
+    for seed in PICK_SEEDS:
+        rng, ref = random.Random(seed), random.Random(seed)
+        pick = picker(rng)
+        got, want = [], []
+        for n in [*PICK_SIZES, *reversed(PICK_SIZES)]:
+            seq = [f"w{i}" for i in range(n)]
+            got += [pick(seq), pick(range(n)), pick(tuple(seq))]
+            want += [ref.choice(seq), ref.randrange(n), ref.choice(tuple(seq))]
+            if n > 1:
+                got.append(pick(range(1, n)))
+                want.append(ref.randrange(1, n))
+        assert got == want, (seed, sys.version)
+        assert rng.getstate() == ref.getstate(), (seed, sys.version)
+
+
+def test_pick_of_one_takes_a_word():
+    rng, ref = random.Random(5), random.Random(5)
+    before = rng.getstate()
+    assert picker(rng)(["only"]) == ref.choice(["only"]) == "only"
+    assert rng.getstate() == ref.getstate() != before
+
+
+def test_pick_of_nothing_fails_as_choice_does():
+    rng = random.Random(5)
+    before = rng.getstate()
+    with pytest.raises(IndexError):
+        picker(rng)([])
+    with pytest.raises(IndexError):
+        random.Random(5).choice([])
+    assert rng.getstate() == before
 
 
 def test_grammars_cover_both_permutation_modes():
