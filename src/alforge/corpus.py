@@ -114,6 +114,19 @@ class Sentence:
     split: str
 
     def __post_init__(self) -> None:
+        """The one check of a sentence, drawn or read from a file: what it
+        accepts, `save_sentences` writes and `load_sentences` reads back."""
+        if not isinstance(self.grammar_id, str):
+            raise _malformed("grammar_id", self.grammar_id)
+        if not isinstance(self.split, str):
+            raise _malformed("split", self.split)
+        if not _strings(self.tokens):
+            raise _malformed("tokens", self.tokens)
+        if not _strings(self.classes):
+            raise _malformed("classes", self.classes)
+        if not _CLASSES.issuperset(self.classes):
+            unknown = sorted(set(self.classes) - _CLASSES)
+            raise ValueError(f"record field 'classes' has unknown classes: {unknown}")
         if len(self.tokens) != len(self.classes):
             raise ValueError("token/class length mismatch")
 
@@ -123,14 +136,9 @@ class Sentence:
 
     @classmethod
     def from_json(cls, data: dict) -> "Sentence":
-        tokens = _field(data, "tokens", list, str)
-        classes = _field(data, "classes", list, str)
-        unknown = set(classes) - set(LEXICAL_CLASSES)
-        if unknown:
-            raise ValueError(f"record field 'classes' has unknown classes: {sorted(unknown)}")
         return cls(
-            tuple(tokens),
-            tuple(classes),
+            tuple(_field(data, "tokens", list)),
+            tuple(_field(data, "classes", list)),
             _field(data, "grammar_id", str),
             _field(data, "split", str),
         )
@@ -139,19 +147,36 @@ class Sentence:
 # --- record files: the one JSON and JSONL format of every artifact ----------
 
 
-def _field(data, name: str, kind: type, item=None):
-    """Field ``name`` of a record read from a file, checked to be a ``kind``
-    and, when ``item`` is given, a list of ``item`` values (never bool).
-    Anything else is a ValueError that names the field."""
+_CLASSES = frozenset(LEXICAL_CLASSES)
+
+
+def _malformed(name: str, value) -> ValueError:
+    return ValueError(f"record field {name!r} is malformed: {value!r}")
+
+
+def _strings(value) -> bool:
+    """Whether ``value`` is a tuple of strings, as a record's word fields
+    are.  ``str.join`` takes strings only, and checks them in C."""
+    if type(value) is not tuple:
+        return False
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _field(data, name: str, kind: type):
+    """Field ``name`` of a record read from a file, checked to be a ``kind``,
+    the JSON type its record field is made from; the record's constructor
+    checks the rest.  Anything else is a ValueError that names the field."""
     if not isinstance(data, dict):
         raise ValueError(f"a record must be a JSON object, got {data!r}")
     if name not in data:
         raise ValueError(f"record has no field {name!r}")
     value = data[name]
-    if not isinstance(value, kind) or item is not None and not all(
-        isinstance(v, item) and not isinstance(v, bool) for v in value
-    ):
-        raise ValueError(f"record field {name!r} is malformed: {value!r}")
+    if not isinstance(value, kind):
+        raise _malformed(name, value)
     return value
 
 

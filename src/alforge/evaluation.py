@@ -14,10 +14,23 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from json.encoder import encode_basestring_ascii
+from operator import add
 
-from .corpus import BOS, EOS, _field, _Literals, read_json, read_jsonl, write_jsonl
+from .corpus import (
+    BOS, EOS, _field, _Literals, _malformed, _strings, read_json, read_jsonl, write_jsonl,
+)
 from .grammars import BASE_ORDERS, Grammar, enumerate_grammars
+
+
+def _fold(values) -> float:
+    """The sum of ``values`` added left to right from int 0, as the builtin
+    ``sum`` adds floats up to Python 3.11.  Python 3.12 compensates the
+    builtin's float rounding (gh-100425), so the artifacts and the default
+    typology's validation would depend on the interpreter."""
+    return reduce(add, values, 0)
+
 
 _FACTOR_PARAMS = {"COMP": 3, "PP": 4, "ADJ": 5, "REL": 6}  # name -> digit of the params id
 
@@ -31,6 +44,9 @@ DEFAULT_BASE_ORDER_FREQ = {
 }
 
 
+_NUMBERS = frozenset({int, float})  # the types of a logprob, bool left out
+
+
 @dataclass(frozen=True)
 class ScoreRecord:
     """Per-sentence log-probabilities (natural log), EOS scored last."""
@@ -40,6 +56,14 @@ class ScoreRecord:
     logprobs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        """The one check of a score record, scored or read from a file: what
+        it accepts, `save_scores` writes and `load_scores` reads back."""
+        if not isinstance(self.grammar_id, str):
+            raise _malformed("grammar_id", self.grammar_id)
+        if not _strings(self.tokens):
+            raise _malformed("tokens", self.tokens)
+        if type(self.logprobs) is not tuple or not _NUMBERS.issuperset(map(type, self.logprobs)):
+            raise _malformed("logprobs", self.logprobs)  # bool too
         if len(self.logprobs) != len(self.tokens) + 1:
             raise ValueError("need one logprob per token plus EOS")
         if any(not lp <= 0.0 for lp in self.logprobs):  # NaN too
@@ -47,30 +71,23 @@ class ScoreRecord:
 
     @property
     def total(self) -> float:
-        return sum(self.logprobs)
+        return _fold(self.logprobs)
 
     @classmethod
     def from_json(cls, data: dict) -> "ScoreRecord":
         return cls(
             _field(data, "grammar_id", str),
-            tuple(_field(data, "tokens", list, str)),
-            tuple(_field(data, "logprobs", list, (int, float))),
+            tuple(_field(data, "tokens", list)),
+            tuple(_field(data, "logprobs", list)),
         )
 
 
 def _number(x) -> str:
-    """The JSON text of a number (or bool), as ``json.dumps`` writes it."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
+    """The JSON text of a logprob, an int or a float <= 0, as ``json.dumps``
+    writes it."""
+    if type(x) is int:
         return int.__repr__(x)
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    return "-Infinity" if x == -math.inf else float.__repr__(x)
 
 
 def _score_line(r: ScoreRecord, text: _Literals, negatives: _Literals) -> str:
@@ -119,12 +136,12 @@ class TypologyTable:
             if not (_is_number(freq) and 0.0 <= freq <= 1.0):  # NaN fails the test
                 raise ValueError(f"{name} must be a number in [0, 1], got {freq!r}")
         # Source tables are rounded to two decimals, so validate loosely.
-        total = sum(self.base_order_freq[o] for o in BASE_ORDERS)
+        total = _fold(self.base_order_freq[o] for o in BASE_ORDERS)
         if abs(total - 1.0) > 1e-2:
             raise ValueError(f"base order distribution sums to {total}")
         for p in _FACTOR_PARAMS:
             pair = self.param_freq[p]
-            if len(pair) != 2 or abs(sum(pair) - 1.0) > 1e-2:
+            if len(pair) != 2 or abs(_fold(pair) - 1.0) > 1e-2:
                 raise ValueError(f"param_freq[{p}] is not a distribution: {pair}")
 
     @classmethod
@@ -165,7 +182,7 @@ def perplexity(records) -> float:
     records = list(records)
     if not records:
         raise ValueError("empty score set")
-    total = sum(r.total for r in records)
+    total = _fold(r.total for r in records)
     tokens = sum(len(r.logprobs) for r in records)
     return math.exp(-total / tokens)
 
@@ -189,15 +206,15 @@ def pearson(x, y) -> tuple[float, float]:
         raise ValueError("need two equal-length vectors of size >= 3")
     if not all(map(math.isfinite, x + y)):
         raise ValueError("pearson input must be finite")
-    mx = sum(x) / n
-    my = sum(y) / n
+    mx = _fold(x) / n
+    my = _fold(y) / n
     dx = [v - mx for v in x]
     dy = [v - my for v in y]
-    sxx = sum(v * v for v in dx)
-    syy = sum(v * v for v in dy)
+    sxx = _fold(v * v for v in dx)
+    syy = _fold(v * v for v in dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("degenerate input")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
+    r = _fold(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0

@@ -413,8 +413,9 @@ def sample_long_templates(
     accepted for 0 of 18,553 candidates that pass the heuristics, all 18,095
     coordinations are decided by construction, and insertion (CONJ t2 inside
     t1) is accepted for 1,105 of 16,828.  The parser's balance test rejects
-    9,394 of those concatenations and 3,758 of those insertions before it
-    fills a chart (see ``alforge.parser``).  Each failure names the grammar."""
+    14,538 of those concatenations and 9,655 of those insertions before it
+    fills a chart, and fills one for the other 4,015 and 7,173 (see
+    ``alforge.parser``).  Each failure names the grammar."""
     where = f"{grammar.params} Long templates"
     if per_length < 1:
         raise ValueError(f"{where}: per_length must be >= 1")

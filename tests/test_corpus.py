@@ -2,10 +2,13 @@
 
 import json
 import re
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alforge import corpus as corpus_module
 from alforge import templates as templates_module
@@ -29,8 +32,8 @@ from alforge.corpus import (
     write_json,
     write_jsonl,
 )
-from alforge.evaluation import ScoreRecord, save_scores
-from alforge.grammars import enumerate_grammars, grammar_by_id
+from alforge.evaluation import ScoreRecord, load_scores, save_scores
+from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
 from alforge.templates import enumerate_templates, sample_long_templates
 
@@ -154,23 +157,24 @@ class TestRecordLines:
     """`save_sentences`, `save_pairs` and `save_scores` build each line from
     the record's fields; every line must be ``json.dumps`` of the record's
     dict (``tests/oracle.py``), keys sorted, whatever its strings and
-    numbers."""
+    numbers.  Classes are lexical classes, which a sentence checks."""
 
     ODD = ("Zoë", "日本", "🦉", 'say "hi"', "back\\slash", "\n\t\x00\x1f\x7f", "\u2028", "", "Kim")
     GID, SPLIT = 'g"\\\u00e9\n0101101', "Short\tTrain\U0001F989"
+    CLASSES = LEXICAL_CLASSES[::-1]
     # a float memo keyed on value alone merges some neighbours here, in one
-    # order or the other: -0.0 and 0.0, -1 and -1.0, 0 and False
-    LOGPROBS = (-0.0, 0.0, 0, -1, -1.0, False, float("-inf"), -5e-324, -1e308,
+    # order or the other: -0.0 and 0.0, -1 and -1.0
+    LOGPROBS = (-0.0, 0.0, 0, -1, -1.0, float("-inf"), -5e-324, -1e308,
                 -1.7976931348623157e308, -2.2250738585072014e-308, -(0.1 + 0.2),
                 -1.2345678901234567, -1.0000000000000002, -1.0, -0.0, -1, -123456789012345678901)
 
     def sentences(self):
         odd = self.ODD
         return [
-            Sentence(odd, odd[::-1], self.GID, self.SPLIT),
+            Sentence(odd, self.CLASSES[:len(odd)], self.GID, self.SPLIT),
             Sentence(("Kim", "ran"), ("NP", "VI"), "0101101", "ShortTrain"),
             Sentence((), (), self.GID, ""),
-            Sentence(odd[3:], odd[:-3], "0101101", self.SPLIT),
+            Sentence(odd[3:], self.CLASSES[3:len(odd)], "0101101", self.SPLIT),
         ]
 
     def scores(self):
@@ -201,6 +205,72 @@ class TestRecordLines:
         records = self.scores()
         save_scores(records, tmp_path / "r.jsonl")
         self.assert_lines(tmp_path / "r.jsonl", map(reference_score_record, records))
+
+
+# adversarial record fields: mostly the right type, sometimes another
+words = st.text(max_size=4) | st.integers() | st.none()
+word_tuples = st.tuples() | st.lists(words, max_size=4).map(tuple) | st.lists(st.text(max_size=4))
+class_tuples = st.lists(st.sampled_from(LEXICAL_CLASSES) | words, max_size=4).map(tuple)
+numbers = (st.floats() | st.integers(max_value=0) | st.booleans() | st.text(max_size=2)
+           | st.floats(max_value=0.0))
+
+
+@st.composite
+def sentence_fields(draw):
+    tokens = draw(word_tuples)
+    classes = draw(st.just(("NP",) * len(tokens)) | class_tuples
+                   if isinstance(tokens, tuple) else class_tuples)
+    return tokens, classes, draw(words), draw(words)
+
+
+@st.composite
+def score_fields(draw):
+    tokens = draw(word_tuples)
+    size = len(tokens) + 1 if draw(st.booleans()) else draw(st.integers(0, 5))
+    return draw(words), tokens, tuple(draw(st.lists(numbers, min_size=size, max_size=size)))
+
+
+class TestRecordChecks:
+    """Each record type has one check, its constructor: a record it accepts
+    is written by the record's writer and read back, equal, by its loader."""
+
+    def test_bool_logprob_rejected(self):
+        # `save_scores` wrote it as `false`, which `load_scores` rejected
+        with pytest.raises(ValueError, match="record field 'logprobs' is malformed"):
+            ScoreRecord("0101101", ("a",), (False, -1.0))
+
+    def test_unknown_class_rejected(self):
+        # `save_sentences` wrote it, and `load_sentences` rejected it
+        with pytest.raises(ValueError, match=r"record field 'classes' has unknown classes: \['FOO'\]"):
+            Sentence(("a",), ("FOO",), "0101101", "ShortTrain")
+
+    @staticmethod
+    def assert_round_trip(record, save, load):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.jsonl"), Path(tmp, "second.jsonl")
+            save([record], first)
+            loaded = load(first)
+            save(loaded, second)
+            assert loaded == [record]
+            assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=sentence_fields())
+    def test_sentence_round_trip(self, fields):
+        try:
+            record = Sentence(*fields)
+        except ValueError:
+            return
+        self.assert_round_trip(record, save_sentences, load_sentences)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=score_fields())
+    def test_score_round_trip(self, fields):
+        try:
+            record = ScoreRecord(*fields)
+        except ValueError:
+            return
+        self.assert_round_trip(record, save_scores, load_scores)
 
 
 class TestSeeds:

@@ -14,13 +14,14 @@ from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from alforge import parser as parser_module
 from alforge.categories import S, contains_variable
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
-from alforge.templates import enumerate_templates, grammatical_sequences
+from alforge.templates import _extend, enumerate_templates, grammatical_sequences
 
 from oracle import (
     as_tuple,
@@ -200,6 +201,118 @@ def test_balance_mutant_is_caught(monkeypatch):
         return t in accumulate(left) and t in accumulate(right)
 
     monkeypatch.setattr(ChartParser, "_balanced", balanced_by_prefixes)
+    assert not ChartParser(g.policy).parse(seq).grammatical
+
+
+def two_conjunction_condition(sums, p, q, cases="abc") -> bool:
+    """The two-conjunction count condition of the ``alforge.parser``
+    docstring, spelled out over explicit sets of prefix and suffix sums for
+    balances ``sums`` with conjunctions at p < q.  ``cases`` names the
+    nestings kept, so a mutant drops one of (a), (b) and (c)."""
+    def prefixes(xs):
+        return {sum(xs[:i]) for i in range(1, len(xs) + 1)}
+
+    def suffixes(xs):
+        return {sum(xs[i:]) for i in range(len(xs))}
+
+    left, mid, right = sums[:p], sums[p + 1:q], sums[q + 1:]
+    t = sum(left) + sum(mid) + sum(right) - parser_module._S_BALANCE
+    rest = t - sum(mid)
+    for x1 in suffixes(left):
+        x2 = t - x1
+        if x2 not in prefixes(right):
+            continue
+        if ("a" in cases and x1 in prefixes(mid) and x2 in suffixes(mid)
+                or "b" in cases and x2 in suffixes(mid) and rest in prefixes(right)
+                or "c" in cases and x1 in prefixes(mid) and rest in suffixes(left)):
+            return True
+    return False
+
+
+def at_two_conjunctions(parser, codes):
+    """The balances of the input ``codes`` and the positions of its two
+    tokens without one, its conjunctions."""
+    sums = [parser.table.balances[a] for a in codes]
+    p, q = [i for i, b in enumerate(sums) if b is None]
+    return sums, p, q
+
+
+@st.composite
+def two_conjunction_inputs(draw):
+    """A grammar and a class sequence with exactly two CONJ: half of them
+    random, half built from the grammar's short templates by the Long
+    operators (``_extend``), some with one other class replaced."""
+    g = draw(st.sampled_from(GRAMMARS))
+    if draw(st.booleans()):
+        classes = draw(st.lists(st.sampled_from([c for c in LEXICAL_CLASSES if c != "CONJ"]),
+                                min_size=2, max_size=12))
+        for _ in range(2):
+            classes.insert(draw(st.integers(0, len(classes))), "CONJ")
+        return g, classes
+    pool = short_templates(g.params)
+    t = draw(st.sampled_from(pool))
+    for _ in range(2):
+        t = _extend(draw(st.sampled_from([1, 2, 0])), t, draw(st.sampled_from(pool)),
+                    draw(st.integers(1, len(t) - 1)))
+    assume(t.count("CONJ") == 2)
+    classes = list(t)
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([i for i, c in enumerate(classes) if c != "CONJ"]))
+        classes[i] = draw(st.sampled_from([c for c in LEXICAL_CLASSES if c != "CONJ"]))
+    return g, classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=two_conjunction_inputs())
+def test_two_conjunction_balance_is_sound(case):
+    """On inputs with two conjunctions, ``_balanced`` is the condition above,
+    and it rejects only inputs whose raw chart holds no S."""
+    g, classes = case
+    seq = g.categorize(classes)
+    parser = warm_parser(g.params)
+    codes = parser._encode(seq)
+    balanced = parser._balanced(codes)
+    assert balanced == two_conjunction_condition(*at_two_conjunctions(parser, codes))
+    if not balanced:
+        assert S not in chart_derivable(parser, seq)
+
+
+def test_two_conjunction_language_is_balanced():
+    """Every grammatical sequence of length <= 9 with exactly two
+    conjunctions, over the 96 grammars, passes the balance test."""
+    swept = 0
+    for g in GRAMMARS:
+        parser = warm_parser(g.params)
+        for seqs in grammatical_sequences(g, 9).values():
+            for classes in sorted(seqs):
+                if classes.count("CONJ") == 2:
+                    assert parser._balanced(parser._encode(g.categorize(classes))), (g.params, classes)
+                    swept += 1
+    assert swept == 7344
+
+
+@pytest.mark.parametrize("dropped, classes", [
+    ("a", "NP CONJ NP SUBJ VI CONJ VI"),  # side by side
+    ("b", "NP CONJ ADJ CONJ ADJ NP SUBJ VI"),  # ADJ CONJ ADJ inside the right conjunct
+    ("c", "NP SUBJ VI CONJ VI CONJ NP SUBJ VI"),  # VI CONJ VI inside the left conjunct
+])
+def test_two_conjunction_mutants_are_caught(monkeypatch, dropped, classes):
+    """Mutant checks of the two-conjunction balance test: without any one of
+    its three cases it rejects a sentence that the oracle and the chart
+    accept, so the sweeps above would fail on it."""
+    g = grammar_by_id("0000000")
+    seq = g.categorize(classes.split())
+    assert oracle_grammatical(g, classes.split())
+    parser = ChartParser(g.policy)
+    assert parser.parse(seq).grammatical and S in chart_derivable(parser, seq)
+    kept = "abc".replace(dropped, "")
+    split = at_two_conjunctions(parser, parser._encode(seq))
+    assert two_conjunction_condition(*split) and not two_conjunction_condition(*split, kept)
+
+    def mutant(self, codes):
+        return two_conjunction_condition(*at_two_conjunctions(self, codes), kept)
+
+    monkeypatch.setattr(ChartParser, "_balanced", mutant)
     assert not ChartParser(g.policy).parse(seq).grammatical
 
 

@@ -13,6 +13,7 @@ third runs the pool under two string-hash salts and compares the runs.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from alforge import evaluation
 from alforge.cli import main
+from alforge.evaluation import TypologyTable
 from alforge.grammars import enumerate_grammars
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_pipeline.json"
@@ -38,6 +41,55 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys, extra):
     assert sorted(got) == sorted(golden["sha256"])
     changed = sorted(name for name, digest in golden["sha256"].items() if got[name] != digest)
     assert not changed, f"artifacts differ from the golden digests: {changed}"
+
+
+def compensated_sum(values):
+    """``sum`` over ints and floats as Python 3.12 adds them (gh-100425):
+    exactly while the total is an int, then each float with Neumaier's
+    compensation, which is added back at the end when it is finite."""
+    values = iter(values)
+    total = 0
+    for x in values:
+        total = total + x
+        if isinstance(total, float):
+            break
+    else:
+        return total
+    compensation = 0.0
+    for x in values:
+        if type(x) is not float:
+            total += float(x)
+            continue
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compensated_sum_emulation():
+    # Neumaier's sum is exact where the plain left fold rounds.
+    assert sum([0.54, 0.04, 0.23, 0.01, 0.12, 0.05]) == 0.9900000000000001
+    assert compensated_sum([0.54, 0.04, 0.23, 0.01, 0.12, 0.05]) == 0.99
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0 != sum([1.0, 1e100, 1.0, -1e100])
+    assert compensated_sum([1, 2, 3]) == 6 and compensated_sum([]) == 0
+    assert compensated_sum([-0.0]) == 0.0 and compensated_sum([math.inf, 1.0]) == math.inf
+
+
+def test_artifacts_do_not_depend_on_float_summation(tmp_path, capsys, monkeypatch):
+    """With ``alforge.evaluation``'s ``sum`` swapped for the compensated sum
+    of Python 3.12, the default typology still validates and the golden
+    artifacts keep their digests: no float the artifacts carry is summed by
+    the builtin."""
+    monkeypatch.setattr(evaluation, "sum", compensated_sum, raising=False)
+    TypologyTable.default()
+    golden = json.loads(FIXTURE.read_text())
+    out = tmp_path / "out"
+    assert main([*golden["argv"], "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert got == golden["sha256"]
 
 
 BENCH_REFS = Path(__file__).parent.parent / "perfbench" / "refs" / "pipeline96.json"

@@ -613,3 +613,55 @@ def test_cli_import_leaves_out_the_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "[]"
+
+
+def sum_calls(source: str) -> list[str]:
+    """``function: call`` for each call of the builtin ``sum`` in
+    ``source``, in source order, with the call's own source text, where
+    ``function`` is as in `budget_references`."""
+    out = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "sum"):
+                out.append(f"{where}: {ast.get_source_segment(source, child)}")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_sum_checker():
+    source = (
+        "total = sum(xs)\n"
+        "class Record:\n"
+        "    def total(self):\n"
+        "        return math.fsum(self.xs) + sum(len(x) for x in self.xs) + sum(\n"
+        "            self.ys)\n"
+        "doc = 'sum(xs)'\n"
+    )
+    assert sum_calls(source) == [
+        ": sum(xs)", "Record.total: sum(len(x) for x in self.xs)",
+        "Record.total: sum(\n            self.ys)",
+    ]
+
+
+def test_builtin_sum_adds_only_ints():
+    # Python 3.12 changed the builtin ``sum`` of floats to a compensated sum
+    # (gh-100425), so a float summed by it could differ between
+    # interpreters; floats are added by ``evaluation._fold``, and the
+    # builtin keeps only these sums of ints.
+    calls = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := sum_calls(path.read_text()))}
+    assert calls == {
+        "corpus.py": ["sample_split: sum(avoided[t] for t in pool)"],
+        "evaluation.py": ["perplexity: sum(len(r.logprobs) for r in records)",
+                          "ngram_train: sum(row.values())"],
+        "parser.py": ["ChartParser._balanced: sum(sums)", "ChartParser._balanced: sum(left)",
+                      "ChartParser._balanced: sum(mid)", "ChartParser._balanced: sum(right)",
+                      "ChartParser._balanced: sum(mid)", "ChartParser._fill: sum(1 << p for p in conjs)"],
+    }

@@ -414,12 +414,14 @@ class TestBalance:
         assert checked > 0
 
     def test_unbalanced_input_skips_chart(self):
-        """A case-swap twin and a failing one-conjunction insertion are
-        rejected before any join is memoised; a balanced ungrammatical
+        """A case-swap twin and failing one- and two-conjunction insertions
+        are rejected before any join is memoised; a balanced ungrammatical
         input still fills a chart.  The raw chart agrees with each verdict."""
         rejected = [
             ("NP", "OBJ", "VI"),  # twin of NP SUBJ VI
             ("NP", "SUBJ", "CONJ", "NP", "VI"),  # CONJ NP inserted into NP SUBJ VI
+            # CONJ NP CONJ NP SUBJ VI inserted into NP SUBJ VI
+            ("NP", "SUBJ", "CONJ", "NP", "CONJ", "NP", "SUBJ", "VI", "VI"),
         ]
         for classes in rejected:
             parser = ChartParser(EN.policy)
