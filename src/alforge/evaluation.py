@@ -198,7 +198,8 @@ def plausibility(grammar: Grammar, table: TypologyTable) -> float:
 
 
 def pearson(x, y) -> tuple[float, float]:
-    """Pearson r and the two-sided p-value from the t distribution."""
+    """Pearson r and the two-sided p-value from the t distribution: the float
+    nearest the exact tail of the float t statistic (see `_t_tail`)."""
     x = [float(v) for v in x]
     y = [float(v) for v in y]
     n = len(x)
@@ -218,11 +219,56 @@ def pearson(x, y) -> tuple[float, float]:
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0
-    from scipy.special import stdtr  # only the p-value loads scipy (and numpy)
-
     t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))  # the t survival function
-    return r, p
+    return r, _t_tail(t_stat, n - 2)
+
+
+def _t_tail(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` >= 1 degrees of freedom: 1 -
+    A(t|df) by the finite sums of Abramowitz & Stegun 26.7.3 (odd ``df``) and
+    26.7.4 (even), with cos^2(theta) = df / (df + t^2), in ``decimal`` from
+    the exact value of ``t``.  The precision doubles until 25 digits survive
+    the cancellation in 1 - A, so the one rounding, by ``float``, is correct
+    unless the exact tail lies within about 1e-20 (relative) of a midpoint
+    between floats.  A tail that fails at 640 digits is below 1e-600: 0.0."""
+    from decimal import Decimal, localcontext  # only the p-value loads decimal
+
+    prec = 40
+    with localcontext() as ctx:
+        while True:
+            ctx.prec = prec
+            t2 = Decimal(t) ** 2
+            x = df / (df + t2)
+            odd = df % 2
+            term = x.sqrt() if odd else Decimal(1)
+            total = term if df > 1 else 0
+            for k in range(1, df // 2):
+                term = term * x * (2 * k - 1 + odd) / (2 * k + odd)
+                total += term
+            a = (t2 / (df + t2)).sqrt() * total  # sin(theta) times the sum
+            if odd:
+                theta = _atan(abs(Decimal(t)) / Decimal(df).sqrt())
+                pi = 16 * _atan(Decimal(1) / 5) - 4 * _atan(Decimal(1) / 239)
+                a = 2 * (theta + a) / pi
+            p = 1 - a
+            if p > 0 and p.adjusted() > 25 - prec:
+                return float(p)
+            if prec == 640:
+                return 0.0
+            prec *= 2
+
+
+def _atan(z):
+    """arctan of the ``Decimal`` ``z`` >= 0 at the context's precision: the
+    angle halved until ``z`` <= 0.1, then the Taylor series."""
+    halvings = 0
+    while 10 * z > 1:
+        z, halvings = z / (1 + (1 + z * z).sqrt()), halvings + 1
+    total, power, i = 0, z, 1
+    while total + power / i != total:
+        total += power / i
+        power, i = -power * z * z, i + 2
+    return total * 2**halvings
 
 
 def ta_score(ppl_by_grammar: dict[str, float], table: TypologyTable) -> tuple[float, float]:

@@ -5,10 +5,12 @@ import json
 import math
 import random
 import re
+import sys
 
+import mpmath
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from alforge.corpus import Sentence, write_json
 from alforge.evaluation import (
@@ -16,6 +18,7 @@ from alforge.evaluation import (
     EOS,
     ScoreRecord,
     TypologyTable,
+    _t_tail,
     judge_pairs,
     load_scores,
     ngram_score,
@@ -122,6 +125,54 @@ class TestPearson:
             pearson([1, 2, bad], [1, 2, 3])
         with pytest.raises(ValueError, match="^pearson input must be finite$"):
             pearson([1, 2, 3], [1, bad, 3])
+
+
+def exact_tail(t: float, df: int, digits: int = 80) -> float:
+    """P(|T| >= |t|) = I_x(df/2, 1/2), x = df / (df + t^2), by mpmath at
+    ``digits`` digits from the exact float ``t``, rounded once through a
+    40-digit string: mpmath's own ``float`` rounds a subnormal twice."""
+    with mpmath.workdps(digits):
+        t = mpmath.mpf(t)
+        v = mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, df / (df + t * t),
+                           regularized=True)
+        return float(mpmath.nstr(v, 40))
+
+
+def t_statistic(r: float, df: int) -> float:
+    return r * math.sqrt(df / (1.0 - r * r))  # as `pearson` forms it
+
+
+class TestTTail:
+    """`_t_tail` returns the float nearest to the exact two-sided tail."""
+
+    def test_recorded_input(self):
+        # the ALL row of the 96-grammar pipeline at --scale 0.1 --seed 11
+        t = t_statistic(-0.4176920494944245, 94)
+        assert t == -4.457104574738747
+        assert _t_tail(t, 94) == 2.2940501530250185e-05
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.floats(-(1 - 1e-15), 1 - 1e-15))
+    def test_correctly_rounded(self, df, r):
+        t = t_statistic(r, df)
+        assert _t_tail(t, df) == exact_tail(t, df)
+
+    @pytest.mark.parametrize("t, df, kind", [
+        (3.0, 1, "normal"),
+        (-3.0, 2, "normal"),
+        (1e-9, 1, "normal"),  # p -> 1
+        (1e-9, 2, "normal"),
+        (1e-300, 1, "one"),
+        (1e-300, 2, "one"),
+        (500.0, 200, "subnormal"),
+        (2e6, 57, "subnormal"),
+        (t_statistic(1 - 1e-15, 400), 400, "zero"),  # the exact tail is near 5e-2942
+    ])
+    def test_fixed_cases(self, t, df, kind):
+        p = _t_tail(t, df)
+        assert p == exact_tail(t, df, digits=400)
+        assert kind == ("one" if p == 1.0 else "zero" if p == 0.0
+                        else "subnormal" if p < sys.float_info.min else "normal")
 
 
 class TestPlausibility:

@@ -7,14 +7,16 @@ CHANGES.md.  To re-record, run the command below into an empty directory and
 write the digests of its files, by file name, into the fixture.
 
 The benchmark's digests, perfbench/refs/pipeline96.json, pin the full-scale
-config too; a second test checks all 96 grammars' files against them.  A
-third runs the pool under two string-hash salts and compares the runs.
+config too; two more tests check all 96 grammars' files against them, with
+--params in canonical and in shuffled order.  Another runs the pool under
+two string-hash salts and compares the runs.
 """
 
 import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,7 @@ from alforge import evaluation
 from alforge.cli import main
 from alforge.evaluation import TypologyTable
 from alforge.grammars import enumerate_grammars
+from alforge.parser import _rule_results
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_pipeline.json"
 
@@ -95,21 +98,36 @@ def test_artifacts_do_not_depend_on_float_summation(tmp_path, capsys, monkeypatc
 BENCH_REFS = Path(__file__).parent.parent / "perfbench" / "refs" / "pipeline96.json"
 
 
-def test_full_scale_artifacts_match_benchmark_refs(tmp_path, capsys):
-    """The benchmark's command, `pipeline --scale 0.1 --seed 11 --threads 2`
-    over all 96 grammars: every file of the out-dir, `report.csv` and
-    `judgments.json` included, has its digest in
-    perfbench/refs/pipeline96.json."""
+def benchmark_ref_mismatches(ids: list[str], out: Path, capsys) -> list[str]:
+    """The files of `pipeline --params <ids> --scale 0.1 --seed 11 --threads
+    2` whose digests differ from perfbench/refs/pipeline96.json."""
     want = json.loads(BENCH_REFS.read_text())
-    ids = [g.params for g in enumerate_grammars()]
     assert len(ids) == 96 and len(want) == 13 * 96 + 2
-    out = tmp_path / "out"
     argv = ["pipeline", "--params", *ids, "--scale", "0.1", "--seed", "11", "--threads", "2"]
     assert main([*argv, "--out-dir", str(out)]) == 0
     capsys.readouterr()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert sorted(got) == sorted(want)
-    changed = sorted(name for name, digest in want.items() if got[name] != digest)
+    return sorted(name for name, digest in want.items() if got[name] != digest)
+
+
+def test_full_scale_artifacts_match_benchmark_refs(tmp_path, capsys):
+    """The benchmark's command, `pipeline --scale 0.1 --seed 11 --threads 2`
+    over all 96 grammars: every file of the out-dir, `report.csv` and
+    `judgments.json` included, has its digest in
+    perfbench/refs/pipeline96.json."""
+    changed = benchmark_ref_mismatches([g.params for g in enumerate_grammars()],
+                                       tmp_path / "out", capsys)
+    assert not changed, f"artifacts differ from the benchmark refs: {changed}"
+
+
+def test_benchmark_refs_hold_in_shuffled_order(tmp_path, capsys):
+    """The benchmark passes --params in an order shuffled by its seed, to
+    workers that start with an empty rule memo: the digests still hold."""
+    ids = [g.params for g in enumerate_grammars()]
+    random.Random(42).shuffle(ids)
+    _rule_results.cache_clear()  # the pool's forked workers start cold
+    changed = benchmark_ref_mismatches(ids, tmp_path / "out", capsys)
     assert not changed, f"artifacts differ from the benchmark refs: {changed}"
 
 

@@ -7,8 +7,9 @@ parser classifies a category only when it interns it, only the shared draw
 loop reads the draw budget, every random draw goes through the one draw
 primitive, only the two JSON document writers use the json encoder, only
 the per-grammar writer makes directories, only the pool runner imports
-threads or processes, no function caches a function it defines, and the
-command line loads neither scipy nor numpy nor the process pool's modules.
+threads or processes, no function caches a function it defines, no module
+imports scipy or numpy, a TA correlation loads neither, and the command line
+loads none of the process pool's modules.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -594,15 +595,27 @@ def test_one_draw_budget():
     assert refs == {"templates.py": [":DRAWS_PER_RESULT", "unique_draws:DRAWS_PER_RESULT"]}
 
 
-def test_cli_import_leaves_out_scipy():
-    # Only ``pearson``'s p-value needs scipy (``scipy.special.stdtr``), and
-    # it imports it itself: scipy and numpy are most of a command's start-up
-    # time and memory otherwise.
-    code = ("import sys, alforge.cli; "
-            "print(any(m.split('.')[0] in ('scipy', 'numpy') for m in sys.modules))")
+NUMERIC = {"scipy", "numpy"}
+
+
+def test_no_module_imports_scipy_or_numpy():
+    # The runtime is the stdlib: the TA p-value, the one number that needed
+    # scipy, is `evaluation._t_tail`'s sum in ``decimal``.
+    imports = {path.name: found for path in sorted(SRC.glob("*.py"))
+               if (found := imports_of(path.read_text(), NUMERIC))}
+    assert imports == {}
+
+
+def test_ta_score_loads_neither_scipy_nor_numpy():
+    code = ("import sys, alforge.cli\n"
+            "from alforge.evaluation import TypologyTable, ta_score\n"
+            "from alforge.grammars import enumerate_grammars\n"
+            "ppl = {g.params: 10.0 + i % 7 for i, g in enumerate(enumerate_grammars())}\n"
+            "r, p = ta_score(ppl, TypologyTable.default())\n"
+            "print(len(ppl), 0 < p < 1, sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "96 True []"
 
 
 def test_cli_import_leaves_out_the_pool():

@@ -5,9 +5,11 @@ One serial pass makes the parse calls of the 96-grammar ``pipeline --scale
 sets and its minimal pairs (the n-gram steps and the writers parse
 nothing).  Wrapped functions count the work, and each quoted sentence must
 state what the pass counted, so a change that moves the work updates the
-prose in the same diff.
+prose in the same diff.  The size of the process-wide rule memo is read
+after the pass and the full census, from an empty memo.
 """
 
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -15,10 +17,13 @@ from alforge import parser as parser_module
 from alforge import templates as templates_module
 from alforge.cli import RunConfig, build_dataset, pair_set, targeted_set
 from alforge.corpus import PAIR_KINDS, TARGETED_KINDS, Lexicon
-from alforge.grammars import enumerate_grammars
-from alforge.parser import ChartParser
+from alforge.grammars import enumerate_grammars, grammar_by_id
+from alforge.parser import ChartParser, _rule_results
+from alforge.templates import enumerate_templates
 
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
+CENSUS = ROOT / "perfbench" / "refs" / "census.json"
 
 CONCATENATION, COORDINATION, INSERTION = 0, 1, 2  # the ops of ``templates._extend``
 
@@ -75,6 +80,7 @@ def counted_run(monkeypatch) -> Counter:
     monkeypatch.setattr(ChartParser, "parse", counted_parse)
     monkeypatch.setattr(ChartParser, "_balanced", counted_balanced)
     monkeypatch.setattr(ChartParser, "_fill", counted_fill)
+    _rule_results.cache_clear()
     cfg = RunConfig(master_seed=11).scaled(0.1)
     lex = Lexicon.default()
     for g in enumerate_grammars():
@@ -94,6 +100,9 @@ def prose(text: str) -> str:
 def test_quoted_counts_are_counted(monkeypatch):
     c = counted_run(monkeypatch)
     monkeypatch.undo()  # the docstrings below are the unwrapped functions'
+    for rec in json.loads(CENSUS.read_text()):
+        enumerate_templates(grammar_by_id(rec["grammar"]), rec["max_len"])
+    memo = f"{_rule_results.cache_info().currsize:,} entries"
     cand = {op: c["candidates", op] for op in (CONCATENATION, COORDINATION, INSERTION)}
     acc = {op: c["accepted", op] for op in cand}
     rej = {op: c["rejected", op] for op in cand}
@@ -113,9 +122,11 @@ def test_quoted_counts_are_counted(monkeypatch):
             f"insertions without filling a chart",
             f"Over the {long_fills:,} chart fills of the Long sampler",
             f"it {settled}",
+            f"({memo} after a 96-grammar `pipeline` and the full census in one process",
         ]),
         "alforge.parser": (parser_module.__doc__, [f"Over the {long_fills:,} fills of the Long sampler"]),
         "ChartParser._balanced": (ChartParser._balanced.__doc__, [f"it {settled}"]),
+        "_rule_results": (_rule_results.__doc__, [f"plus the full census leaves {memo} in it"]),
         "sample_long_templates": (templates_module.sample_long_templates.__doc__, [
             f"accepted for {acc[CONCATENATION]:,} of {cand[CONCATENATION]:,} candidates that pass "
             f"the heuristics, all {cand[COORDINATION]:,} coordinations are decided by "

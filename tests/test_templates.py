@@ -16,7 +16,7 @@ from alforge import templates as templates_module
 from alforge.categories import S
 from alforge.combinators import coordinable, coordinate
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
-from alforge.parser import ChartParser
+from alforge.parser import ChartParser, _rule_results
 from alforge.templates import (
     _build_keys,
     _key,
@@ -158,11 +158,11 @@ class TestEnumeration:
     def test_trivial_bound(self):
         assert enumerate_templates(EN, 2) == []
 
-    def test_census_references(self):
-        """Every recorded census: per-length counts and the sha256 of the
-        template list, one space-joined template per line."""
-        records = json.loads(CENSUS.read_text())
-        assert len(records) == 98  # 96 grammars at length 10, two at 14
+    @staticmethod
+    def census_mismatches(records: list[dict]) -> list[tuple[str, int]]:
+        """(grammar, max_len) of each census record whose per-length counts
+        or sha256 of the template list, one space-joined template per line,
+        differ from an enumeration in the records' order."""
         wrong = []
         for rec in records:
             templates = enumerate_templates(grammar_by_id(rec["grammar"]), rec["max_len"])
@@ -173,6 +173,23 @@ class TestEnumeration:
                 digest.update(" ".join(t).encode() + b"\n")
             if counts != rec["counts"] or digest.hexdigest() != rec["digest"]:
                 wrong.append((rec["grammar"], rec["max_len"]))
+        return wrong
+
+    def test_census_references(self):
+        """Every recorded census."""
+        records = json.loads(CENSUS.read_text())
+        assert len(records) == 98  # 96 grammars at length 10, two at 14
+        wrong = self.census_mismatches(records)
+        assert not wrong, wrong
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_census_references_in_shuffled_order(self, seed):
+        """The benchmark enumerates the census in an order shuffled by its
+        seed, in a process whose rule memo starts empty."""
+        records = json.loads(CENSUS.read_text())
+        random.Random(seed).shuffle(records)
+        _rule_results.cache_clear()
+        wrong = self.census_mismatches(records)
         assert not wrong, wrong
 
 
