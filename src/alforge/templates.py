@@ -27,12 +27,12 @@ entry only while it can still sit inside an S of length <= max_len, an
 outside estimate by span length as in A* parsing (``_length_bounds``); the
 pruning is exact.
 
-Inside the build a class sequence is a str key with one character per class,
-assigned in label order, so a join is one concatenation and key order is
-tuple order.  ``enumerate_templates`` filters (``heuristic_filter``'s rules
-run on keys), sorts and decodes only the kept keys, and
-``grammatical_sequences`` decodes them all; each decoded element is the
-``LEXICAL_CLASSES`` label itself.
+Inside this module a class sequence is a str key with one character per
+class, assigned in label order, so a join is one concatenation and key order
+is tuple order.  The build, the heuristics and the Long sampler run on keys;
+``enumerate_templates`` and ``sample_long_templates`` decode only the keys
+they return, and ``grammatical_sequences`` decodes them all; each decoded
+element is the ``LEXICAL_CLASSES`` label itself.
 """
 
 from __future__ import annotations
@@ -91,14 +91,13 @@ def picker(rng: random.Random):
 # One key character per class, in label order, so key order is tuple order.
 _CHAR = {cls: chr(ord("a") + i) for i, cls in enumerate(sorted(LEXICAL_CLASSES))}
 _CLASS = {char: cls for cls, char in _CHAR.items()}
-_OTHER = "?"  # the character of a label outside LEXICAL_CLASSES, which no heuristic names
 _CONJ, _REL, _NP, _SUBJ, _OBJ, _COMP, _VCOMP, _PREP = (
     _CHAR[cls] for cls in ("CONJ", "REL", "NP", "SUBJ", "OBJ", "COMP", "VCOMP", "PREP"))
 _NO_FIRST, _CONJ_CONJ, _PREP_PREP = _CONJ + _SUBJ + _OBJ, _CONJ * 2, _PREP * 2
 
 
 def _key(classes) -> str:
-    return "".join([_CHAR.get(cls, _OTHER) for cls in classes])
+    return "".join([_CHAR[cls] for cls in classes])
 
 
 def _template(key: str) -> Template:
@@ -107,11 +106,11 @@ def _template(key: str) -> Template:
     return tuple(map(_CLASS.__getitem__, key))
 
 
-def heuristic_filter(classes) -> bool:
-    """True iff the template survives the eight filtering heuristics: at
-    least 3 classes; no CONJ first or last; no case marker first; no more
-    case markers than NPs; no COMP without a VCOMP; no CONJ CONJ and no
-    PREP PREP.
+def heuristic_filter(key: str) -> bool:
+    """True iff the class sequence of ``key`` (``_key``) survives the eight
+    filtering heuristics: at least 3 classes; no CONJ first or last; no case
+    marker first; no more case markers than NPs; no COMP without a VCOMP; no
+    CONJ CONJ and no PREP PREP.  Every test is a str method, run in C.
 
     The filter runs after the parse check and prunes grammatical sequences
     by design: over the 96 grammars it drops 7,744 of the 118,424
@@ -120,11 +119,6 @@ def heuristic_filter(classes) -> bool:
     heuristic-soundness acceptance criterion stops at length 5.  Every one
     of them is dropped for PREP PREP: the other rules reject no sequence
     that derives S."""
-    return _passes(_key(classes))
-
-
-def _passes(key: str) -> bool:
-    """``heuristic_filter`` on a key: every test runs in C."""
     if len(key) < 3 or key[0] in _NO_FIRST or key[-1] == _CONJ:
         return False
     if key.count(_SUBJ) + key.count(_OBJ) > key.count(_NP):
@@ -336,7 +330,7 @@ def enumerate_templates(grammar: Grammar, max_len: int) -> list[Template]:
     if max_len < 3:
         return []
     keys = sorted(k for half in _build_keys(grammar, max_len)
-                  for level in half[3:] for k in level if _passes(k))
+                  for level in half[3:] for k in level if heuristic_filter(k))
     return list(map(_template, keys))
 
 
@@ -363,14 +357,14 @@ def _build_keys(grammar: Grammar, max_len: int) -> list[list[set[str]]]:
     return halves
 
 
-def _extend(op: int, t1: Template, t2: Template, i: int) -> Template:
-    """The Long extension operators: op 0 concatenates t1 t2, op 1 joins
-    t1 CONJ t2, and op 2 inserts CONJ t2 into t1 before position i."""
+def _extend(op: int, k1: str, k2: str, i: int) -> str:
+    """The Long extension operators on keys: op 0 concatenates k1 k2, op 1
+    joins k1 CONJ k2, and op 2 inserts CONJ k2 into k1 before position i."""
     if op == 0:
-        return t1 + t2
+        return k1 + k2
     if op == 1:
-        return t1 + ("CONJ",) + t2
-    return t1[:i] + ("CONJ",) + t2 + t1[i:]
+        return k1 + _CONJ + k2
+    return k1[:i] + _CONJ + k2 + k1[i:]
 
 
 def is_grammatical(template, grammar: Grammar, parser: ChartParser) -> bool:
@@ -393,7 +387,10 @@ def sample_long_templates(
     that pass the heuristics and derive S under ``grammar``.  A candidate
     already kept is rejected before the heuristics or a parse, and a draw
     whose operator leaves no pair of lengths draws nothing more.  The first
-    length that runs out of draws fails, named.
+    length that runs out of draws fails, named.  All of this runs on keys:
+    each source is keyed once (a class outside ``LEXICAL_CLASSES`` fails
+    before any draw), a parse reads each key character's category from one
+    table, and only the returned templates are decoded.
 
     Every source template must derive S under ``grammar``, as
     ``enumerate_templates`` output does by construction.  A ``t1 CONJ t2``
@@ -404,9 +401,9 @@ def sample_long_templates(
     with REL in one half only is parsed with permutation on, while the other
     half derived S with it off; permuting cells are supersets of
     non-permuting ones (``closure`` only adds rotations and ``join`` is
-    monotone), so that half still holds S.  Every other candidate is parsed.  The random draws do not depend on
-    how a verdict is reached, so the output is the one a parse of every
-    candidate gives.
+    monotone), so that half still holds S.  Every other candidate is parsed.
+    The random draws do not depend on how a verdict is reached, so the
+    output is the one a parse of every candidate gives.
 
     As implemented, the operators differ sharply.  In the 96-grammar
     pipeline at ``--scale 0.1 --seed 11``, concatenation (``t1 t2``) is
@@ -419,41 +416,44 @@ def sample_long_templates(
     where = f"{grammar.params} Long templates"
     if per_length < 1:
         raise ValueError(f"{where}: per_length must be >= 1")
-    templates = [tuple(t) for t in templates]
-    if not templates:
+    try:
+        keys = sorted({_key(t) for t in templates})
+    except KeyError as exc:
+        raise ValueError(f"{where}: unknown lexical class {exc.args[0]!r}") from None
+    if not keys:
         raise ValueError(f"{where}: no source templates to extend")
-    by_len: dict[int, list[Template]] = {}
-    for t in dict.fromkeys(sorted(templates)):  # sorted and distinct
-        by_len.setdefault(len(t), []).append(t)
+    by_len: dict[int, list[str]] = {}
+    for k in keys:
+        by_len.setdefault(len(k), []).append(k)
     # the (len t1, len t2) pairs that add up to each total, in by_len order
     splits_of = {
         need: [(a, need - a) for a in by_len if need - a in by_len]
         for need in range(min_len - 1, max_len + 1)
     }
+    category = {_CHAR[cls]: cat for cls, cat in grammar.lexicon}
     pick = picker(random.Random(seed))
 
-    def draw(target: int, taken: set[Template]):
+    def draw(target: int, taken: set[str]):
         op = pick(range(3))
         # concatenation preserves total length; the conjunction ops add 1
         splits = splits_of[target if op == 0 else target - 1]
         if not splits:
             return None
         a, b = pick(splits)
-        t1 = pick(by_len[a])
-        t2 = pick(by_len[b])
-        i = pick(range(1, len(t1))) if op == 2 else 0
-        cand = _extend(op, t1, t2, i)
+        k1, k2 = pick(by_len[a]), pick(by_len[b])
+        i = pick(range(1, len(k1))) if op == 2 else 0
+        cand = _extend(op, k1, k2, i)
         if cand in taken or not heuristic_filter(cand) or (
-                op != 1 and not is_grammatical(cand, grammar, parser)):
+                op != 1 and not parser.parse([category[c] for c in cand]).grammatical):
             return None
         return cand, cand
 
     drawn = []
     for target in range(min_len, max_len + 1):
-        taken: set[Template] = set()
+        taken: set[str] = set()
         drawn += unique_draws(lambda: draw(target, taken), per_length, taken,
                               f"{where}: insufficient templates for length {target}")
-    return sorted(cand for cand, _ in drawn)
+    return list(map(_template, sorted(cand for cand, _ in drawn)))
 
 
 def save_templates(templates, path) -> None:

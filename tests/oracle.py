@@ -42,7 +42,12 @@ samplers' own draw loops as they were before both moved onto
 ``templates.unique_draws``, with their old budgets (2,000 draws per Long
 template, 100 per pair), and draw with ``random.Random``'s own ``choice``
 and ``randrange``, so a test can check that the shared loop and
-``templates.picker`` make the same random draws in the same order.
+``templates.picker`` make the same random draws in the same order.  They
+import nothing they check: ``reference_extend`` keeps the extension
+operators on class tuples, the Long loop filters with
+``reference_heuristic_filter`` and parses through ``grammar.categorize``,
+and ``reference_case_twin`` and ``reference_verb_twin`` keep the twins.
+``tests/test_golden.py`` runs the golden command with these in place.
 
 ``reference_sentence_record``, ``reference_pair_record`` and
 ``reference_score_record`` keep the records as dicts, as the JSONL files
@@ -69,10 +74,10 @@ from alforge.categories import (
     Variable,
 )
 from alforge.combinators import RuleId
-from alforge.corpus import Sentence, _case_twin, _verb_twin
+from alforge.corpus import Sentence
 from alforge.evaluation import BOS, EOS
 from alforge.parser import MAX_DERIVATIONS, Derivation, RuleTable, _Key, _rule_results, bits, rotations
-from alforge.templates import _extend, category_universe, heuristic_filter, is_grammatical
+from alforge.templates import category_universe
 
 
 def _ground(c: Category) -> bool:
@@ -492,11 +497,23 @@ def reference_ngram_counts(train, order: int) -> tuple[dict, dict]:
     return {ctx: dict(row) for ctx, row in counts.items()}, dict(totals)
 
 
+def reference_extend(op: int, t1: tuple, t2: tuple, i: int) -> tuple:
+    """The Long extension operators on class tuples: op 0 concatenates t1
+    t2, op 1 joins t1 CONJ t2, and op 2 inserts CONJ t2 into t1 before
+    position i."""
+    if op == 0:
+        return t1 + t2
+    if op == 1:
+        return t1 + ("CONJ",) + t2
+    return t1[:i] + ("CONJ",) + t2 + t1[i:]
+
+
 def reference_long_templates(templates, grammar, per_length, min_len, max_len, seed, parser):
     """``templates.sample_long_templates`` with its own loop: per length, up
     to 2,000 draws per wanted template, each drawing the operator, then (if
     the operator leaves a pair of lengths) the pair, t1, t2 and the
-    insertion point."""
+    insertion point.  Candidates are class tuples, filtered by
+    ``reference_heuristic_filter`` and parsed through ``grammar.categorize``."""
     by_len: dict[int, list] = {}
     for t in dict.fromkeys(sorted(tuple(t) for t in templates)):
         by_len.setdefault(len(t), []).append(t)
@@ -519,10 +536,11 @@ def reference_long_templates(templates, grammar, per_length, min_len, max_len, s
             t1 = rng.choice(by_len[a])
             t2 = rng.choice(by_len[b])
             i = rng.randrange(1, len(t1)) if op == 2 else 0
-            cand = _extend(op, t1, t2, i)
+            cand = reference_extend(op, t1, t2, i)
             if cand in bucket:
                 continue
-            if heuristic_filter(cand) and (op == 1 or is_grammatical(cand, grammar, parser)):
+            if reference_heuristic_filter(cand) and (
+                    op == 1 or parser.parse(grammar.categorize(cand)).grammatical):
                 bucket.add(cand)
     short = [n for n, b in buckets.items() if len(b) < per_length]
     if short:
@@ -530,10 +548,41 @@ def reference_long_templates(templates, grammar, per_length, min_len, max_len, s
     return sorted(t for b in buckets.values() for t in b)
 
 
+def reference_case_twin(sentence, lexicon, choice):
+    """Swap one case marker's class, ``choice`` drawing which; the new word
+    is the other class's word at the old word's index, modulo that class's
+    size."""
+    idxs = [i for i, c in enumerate(sentence.classes) if c in ("SUBJ", "OBJ")]
+    if not idxs:
+        return None
+    i = choice(idxs)
+    classes = list(sentence.classes)
+    tokens = list(sentence.tokens)
+    old = lexicon.words[classes[i]]
+    classes[i] = "OBJ" if classes[i] == "SUBJ" else "SUBJ"
+    new = lexicon.words[classes[i]]
+    tokens[i] = new[old.index(tokens[i]) % len(new)]
+    return tuple(tokens), tuple(classes)
+
+
+def reference_verb_twin(sentence, lexicon, choice):
+    """Turn one VT, ``choice`` drawing which, into a VI word that
+    ``choice`` draws."""
+    idxs = [i for i, c in enumerate(sentence.classes) if c == "VT"]
+    if not idxs:
+        return None
+    i = choice(idxs)
+    classes = list(sentence.classes)
+    tokens = list(sentence.tokens)
+    classes[i] = "VI"
+    tokens[i] = choice(lexicon.words["VI"])
+    return tuple(tokens), tuple(classes)
+
+
 def reference_minimal_pairs(grammar, kind, source, lexicon, n, seed, parser):
     """``corpus.gen_minimal_pairs`` with its own loop: up to 100 draws per
     pair, each drawing a source sentence, then the twin's draws."""
-    twin_of = _case_twin if kind == "CaseType" else _verb_twin
+    twin_of = reference_case_twin if kind == "CaseType" else reference_verb_twin
     rng = random.Random(seed)
     out: list = []
     seen: set = set()

@@ -28,7 +28,7 @@ from alforge.evaluation import (
 )
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import ChartParser
-from alforge.templates import grammatical_sequences, heuristic_filter
+from alforge.templates import _key, grammatical_sequences, heuristic_filter
 
 from oracle import chart_derivable, derivation_rules, oracle_grammatical
 
@@ -186,7 +186,7 @@ def test_criterion_5_heuristic_soundness():
         lang = grammatical_sequences(g, 5)
         for n, seqs in lang.items():
             for seq in seqs:
-                if not heuristic_filter(seq):
+                if not heuristic_filter(_key(seq)):
                     violations += 1
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed < 1800.0

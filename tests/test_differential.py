@@ -21,7 +21,7 @@ from alforge import parser as parser_module
 from alforge.categories import S, contains_variable
 from alforge.grammars import LEXICAL_CLASSES, enumerate_grammars, grammar_by_id
 from alforge.parser import MAX_DERIVATIONS, ChartParser, derivation_check
-from alforge.templates import _extend, enumerate_templates, grammatical_sequences
+from alforge.templates import enumerate_templates, grammatical_sequences
 
 from oracle import (
     as_tuple,
@@ -30,6 +30,7 @@ from oracle import (
     oracle_derivable,
     oracle_derivations,
     oracle_grammatical,
+    reference_extend,
 )
 
 POOL = Path(__file__).parent.parent / "perfbench" / "refs" / "parse_mix_pool.jsonl"
@@ -241,7 +242,7 @@ def at_two_conjunctions(parser, codes):
 def two_conjunction_inputs(draw):
     """A grammar and a class sequence with exactly two CONJ: half of them
     random, half built from the grammar's short templates by the Long
-    operators (``_extend``), some with one other class replaced."""
+    operators (``oracle.reference_extend``), some with one other class replaced."""
     g = draw(st.sampled_from(GRAMMARS))
     if draw(st.booleans()):
         classes = draw(st.lists(st.sampled_from([c for c in LEXICAL_CLASSES if c != "CONJ"]),
@@ -252,7 +253,7 @@ def two_conjunction_inputs(draw):
     pool = short_templates(g.params)
     t = draw(st.sampled_from(pool))
     for _ in range(2):
-        t = _extend(draw(st.sampled_from([1, 2, 0])), t, draw(st.sampled_from(pool)),
+        t = reference_extend(draw(st.sampled_from([1, 2, 0])), t, draw(st.sampled_from(pool)),
                     draw(st.integers(1, len(t) - 1)))
     assume(t.count("CONJ") == 2)
     classes = list(t)

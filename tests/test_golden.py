@@ -3,13 +3,16 @@ byte-identical.
 
 The fixture holds the sha256 of every artifact of the recorded command.  An
 intended output change updates the fixture in the same change and says so in
-CHANGES.md.  To re-record, run the command below into an empty directory and
-write the digests of its files, by file name, into the fixture.
+CHANGES.md.  tests/record_golden.py records it: `python3
+tests/record_golden.py`.
 
 The benchmark's digests, perfbench/refs/pipeline96.json, pin the full-scale
 config too; two more tests check all 96 grammars' files against them, with
 --params in canonical and in shuffled order.  Another runs the pool under
-two string-hash salts and compares the runs.
+two string-hash salts and compares the runs.  One more runs the recorded
+command with the chart fill, the enumeration, the Long sampler, the pair
+generator and the record writers of tests/oracle.py swapped in, and the
+digests must still hold.
 """
 
 import hashlib
@@ -19,15 +22,27 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from alforge import evaluation
+from alforge import cli, evaluation
 from alforge.cli import main
 from alforge.evaluation import TypologyTable
 from alforge.grammars import enumerate_grammars
-from alforge.parser import _rule_results
+from alforge.parser import ChartParser, _rule_results
+
+from oracle import (
+    reference_fill,
+    reference_grammatical_sequences,
+    reference_heuristic_filter,
+    reference_long_templates,
+    reference_minimal_pairs,
+    reference_pair_record,
+    reference_score_record,
+    reference_sentence_record,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_pipeline.json"
 
@@ -44,6 +59,61 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, capsys, extra):
     assert sorted(got) == sorted(golden["sha256"])
     changed = sorted(name for name, digest in golden["sha256"].items() if got[name] != digest)
     assert not changed, f"artifacts differ from the golden digests: {changed}"
+
+
+def test_golden_digests_hold_through_the_oracles(tmp_path, capsys, monkeypatch):
+    """The recorded command, run in process with the oracles of
+    ``tests/oracle.py`` in place of the fast paths: no balance test before
+    the chart, the length-order fill, the unpruned tuple enumeration with the
+    one-rule-at-a-time heuristics, the Long sampler and the pair generator
+    with their own loops, tuple bodies and ``random.Random`` draws, and JSONL
+    lines that are ``json.dumps`` of each record's dict.  Every golden digest
+    holds, so none depends on those fast paths; each swapped path must be
+    entered."""
+    entered = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            entered[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def unbalanced(self, codes):
+        entered["balance"] += 1
+        return True
+
+    def reference_templates(g, max_len):
+        seqs = reference_grammatical_sequences(g, max_len)
+        return sorted(t for n in range(3, max_len + 1) for t in seqs[n]
+                      if reference_heuristic_filter(t))
+
+    def writer(name, record):
+        def save(items, path):
+            entered[name] += 1
+            with open(path, "w") as fh:
+                fh.writelines(json.dumps(record(x), sort_keys=True) + "\n" for x in items)
+        return save
+
+    monkeypatch.setattr(ChartParser, "_balanced", unbalanced)
+    monkeypatch.setattr(ChartParser, "_fill", counted("fill", reference_fill))
+    monkeypatch.setattr(cli, "enumerate_templates", counted("enumerate", reference_templates))
+    monkeypatch.setattr(cli, "sample_long_templates", counted("long", reference_long_templates))
+    monkeypatch.setattr(cli, "gen_minimal_pairs", counted("pairs", reference_minimal_pairs))
+    monkeypatch.setattr(cli, "save_sentences", writer("sentence files", reference_sentence_record))
+    monkeypatch.setattr(cli, "save_pairs", writer("pair files", lambda p: reference_pair_record(*p)))
+    monkeypatch.setattr(cli, "save_scores", writer("score files", reference_score_record))
+    golden = json.loads(FIXTURE.read_text())
+    out = tmp_path / "out"
+    assert main([*golden["argv"], "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert got == golden["sha256"]
+    argv = golden["argv"]
+    grammars = len(argv[argv.index("--params") + 1:argv.index("--scale")])
+    assert entered["fill"] > 0 and entered["balance"] > 0
+    assert {k: v for k, v in entered.items() if k not in ("fill", "balance")} == {
+        "enumerate": grammars, "long": grammars, "pairs": 2 * grammars,
+        "sentence files": 6 * grammars, "pair files": 2 * grammars, "score files": 5 * grammars}
 
 
 def compensated_sum(values):

@@ -8,8 +8,9 @@ loop reads the draw budget, every random draw goes through the one draw
 primitive, only the two JSON document writers use the json encoder, only
 the per-grammar writer makes directories, only the pool runner imports
 threads or processes, no function caches a function it defines, no module
-imports scipy or numpy, a TA correlation loads neither, and the command line
-loads none of the process pool's modules.
+imports scipy or numpy, a TA correlation loads neither, the command line
+loads none of the process pool's modules, and the oracles import no private
+name of the modules whose fast paths they check.
 
 Stdlib ``ast`` only.  A name counts as used when it appears as a name
 anywhere in the module, quoted type annotations included; ``from __future__``
@@ -593,6 +594,47 @@ def test_one_draw_budget():
     refs = {path.name: uses for path in sorted(SRC.glob("*.py"))
             if (uses := budget_references(path.read_text()))}
     assert refs == {"templates.py": [":DRAWS_PER_RESULT", "unique_draws:DRAWS_PER_RESULT"]}
+
+
+def private_imports(source: str, modules: set[str]) -> list[str]:
+    """``module.name`` for each ``_``-prefixed name that ``source`` imports
+    from one of ``modules``, or reads as an attribute of one it imports."""
+    tree = ast.parse(source)
+    out, bound = [], {}  # bound: the expression naming an imported module -> the module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            for a in node.names:
+                if node.module in modules and a.name.startswith("_"):
+                    out.append(f"{node.module}.{a.name}")
+                elif f"{node.module}.{a.name}" in modules:
+                    bound[a.asname or a.name] = f"{node.module}.{a.name}"
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in node.names if a.name in modules)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if (module := bound.get(ast.unparse(node.value))) is not None:
+                out.append(f"{module}.{node.attr}")
+    return sorted(out)
+
+
+CHECKED_BY_ORACLES = {"alforge.templates", "alforge.corpus"}
+
+
+def test_private_import_checker():
+    source = ("from alforge.templates import _extend, picker\n"
+              "from alforge.corpus import Sentence as _S\n"
+              "from alforge import corpus as c, parser\n"
+              "import alforge.templates\n"
+              "from alforge.parser import _rule_results\n"
+              "c._case_twin; c.Lexicon; parser._Key; alforge.templates._key\n")
+    assert private_imports(source, CHECKED_BY_ORACLES) == [
+        "alforge.corpus._case_twin", "alforge.templates._extend", "alforge.templates._key"]
+
+
+def test_oracles_import_no_private_name_of_what_they_check():
+    # An oracle that imports the body it checks agrees with it by
+    # construction: ``tests/oracle.py`` keeps its own copies.
+    assert private_imports((ROOT / "tests" / "oracle.py").read_text(), CHECKED_BY_ORACLES) == []
 
 
 NUMERIC = {"scipy", "numpy"}

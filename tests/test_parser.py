@@ -25,7 +25,7 @@ from alforge.parser import (
     derivation_check,
     rotations,
 )
-from alforge.templates import _extend, category_universe, enumerate_templates
+from alforge.templates import category_universe, enumerate_templates
 
 from oracle import (
     as_tuple,
@@ -33,6 +33,7 @@ from oracle import (
     derivation_leaves,
     derivation_rules,
     oracle_derivations,
+    reference_extend,
     reference_extract,
     reference_fill,
 )
@@ -266,7 +267,7 @@ def long_candidates(grammar, rng, count):
     out = []
     while len(out) < count:
         t1, t2 = rng.choice(templates), rng.choice(templates)
-        cand = _extend(rng.randrange(3), t1, t2, rng.randrange(1, len(t1)))
+        cand = reference_extend(rng.randrange(3), t1, t2, rng.randrange(1, len(t1)))
         if 11 <= len(cand) <= 20:
             out.append(cand)
     return out

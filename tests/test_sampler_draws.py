@@ -6,9 +6,12 @@ the same values and leave the generator in the same state as they do.
 
 The Long sampler and the pair generator draw through the shared
 ``templates.unique_draws`` loop.  On runs that succeed they must return what
-their own loops returned before (``tests/oracle.py``): the same random draws
-in the same order, so the same templates and pairs.  The grammars cover both
-permutation modes.
+their own loops returned before (``tests/oracle.py``, which keeps the
+loops' own tuple bodies of the extension operators, the heuristics and the
+twins): the same random draws in the same order, so the same templates and
+pairs.  The Long sampler now works on keys, so this also checks that key
+order is tuple order where it draws.  The grammars cover both permutation
+modes.
 """
 
 import random

@@ -44,53 +44,65 @@ EN = grammar_by_id("0101101")
 CENSUS = Path(__file__).parent.parent / "perfbench" / "refs" / "census.json"
 
 
+def passes(classes) -> bool:
+    """``heuristic_filter`` on the key of a class sequence."""
+    return heuristic_filter(_key(classes))
+
+
 class TestHeuristics:
     def test_minimum_length(self):
-        assert not heuristic_filter(("NP", "VI"))
-        assert heuristic_filter(("NP", "SUBJ", "VI"))
+        assert not passes(("NP", "VI"))
+        assert passes(("NP", "SUBJ", "VI"))
 
     def test_conjunction_edges(self):
-        assert not heuristic_filter(("CONJ", "NP", "VI"))
-        assert not heuristic_filter(("NP", "VI", "CONJ"))
+        assert not passes(("CONJ", "NP", "VI"))
+        assert not passes(("NP", "VI", "CONJ"))
 
     def test_consecutive_conjunctions(self):
-        assert not heuristic_filter(("NP", "CONJ", "CONJ", "NP", "VI"))
+        assert not passes(("NP", "CONJ", "CONJ", "NP", "VI"))
 
     def test_consecutive_prepositions(self):
-        assert not heuristic_filter(("NP", "PREP", "PREP", "NP", "VI"))
+        assert not passes(("NP", "PREP", "PREP", "NP", "VI"))
 
     def test_leading_marker(self):
-        assert not heuristic_filter(("SUBJ", "NP", "VI"))
-        assert not heuristic_filter(("OBJ", "NP", "VI"))
+        assert not passes(("SUBJ", "NP", "VI"))
+        assert not passes(("OBJ", "NP", "VI"))
 
     def test_marker_excess(self):
-        assert not heuristic_filter(("NP", "SUBJ", "OBJ", "VI"))
-        assert heuristic_filter(("NP", "SUBJ", "VT", "NP", "OBJ"))
+        assert not passes(("NP", "SUBJ", "OBJ", "VI"))
+        assert passes(("NP", "SUBJ", "VT", "NP", "OBJ"))
 
     def test_orphan_complementizer(self):
-        assert not heuristic_filter(("NP", "SUBJ", "COMP", "VI"))
-        assert heuristic_filter(("NP", "SUBJ", "VCOMP", "COMP", "NP", "SUBJ", "VI"))
+        assert not passes(("NP", "SUBJ", "COMP", "VI"))
+        assert passes(("NP", "SUBJ", "VCOMP", "COMP", "NP", "SUBJ", "VI"))
 
     def test_matches_reference(self):
         """The filter, which runs on keys, agrees with the eight rules tested
         one at a time on every class sequence of length <= 5 (177,156 of
-        them), on 5,000 seeded random sequences of length 6-20, and on 5,000
-        that mix in labels outside ``LEXICAL_CLASSES``, which no rule names."""
+        them) and on 5,000 seeded random sequences of length 6-20.  Of 5,000
+        more that mix in labels outside ``LEXICAL_CLASSES``, those with such
+        a label have no key, and the rest agree too."""
         seqs = [seq for n in range(6) for seq in product(LEXICAL_CLASSES, repeat=n)]
         rng = random.Random(5)
         seqs += [tuple(rng.choices(LEXICAL_CLASSES, k=rng.randint(6, 20))) for _ in range(5000)]
         labels = LEXICAL_CLASSES + ("VX", "np", "CONJ ", "")
-        seqs += [tuple(rng.choices(labels, k=rng.randint(0, 12))) for _ in range(5000)]
-        differ = [seq for seq in seqs if heuristic_filter(seq) != reference_heuristic_filter(seq)]
+        mixed = [tuple(rng.choices(labels, k=rng.randint(0, 12))) for _ in range(5000)]
+        outside = [seq for seq in mixed if not set(seq) <= set(LEXICAL_CLASSES)]
+        assert 0 < len(outside) < len(mixed)
+        for seq in outside:
+            with pytest.raises(KeyError):
+                _key(seq)
+        seqs += [seq for seq in mixed if set(seq) <= set(LEXICAL_CLASSES)]
+        differ = [seq for seq in seqs if passes(seq) != reference_heuristic_filter(seq)]
         assert not differ, differ[:5]
-        kept = sum(map(heuristic_filter, seqs))
+        kept = sum(map(passes, seqs))
         assert 0 < kept < len(seqs)
 
     def test_only_prep_prep_prunes_sentences(self):
         """Of the sequences of length <= 7 that derive S, the filter rejects
         96 over the 96 grammars, each for containing PREP PREP."""
         rejected = [t for g in enumerate_grammars() for t in sentences_to_7(g.params)
-                    if not heuristic_filter(t)]
+                    if not passes(t)]
         assert len(rejected) == 96
         assert all(("PREP", "PREP") in zip(t, t[1:]) for t in rejected), rejected
 
@@ -140,7 +152,7 @@ class TestEnumeration:
         templates = enumerate_templates(EN, 6)
         assert templates
         for t in templates:
-            assert heuristic_filter(t)
+            assert passes(t)
             assert parser.parse(EN.categorize(t)).grammatical
 
     def test_sorted_and_unique(self):
@@ -370,13 +382,22 @@ class TestAugmentation:
         lengths = sorted({len(t) for t in out})
         assert lengths == [11, 12, 13, 14]
         assert all(is_grammatical(t, EN, parser) for t in out)
-        assert all(heuristic_filter(t) for t in out)
+        assert all(passes(t) for t in out)
 
     def test_sampled_extension_deterministic(self):
         base = enumerate_templates(EN, 8)
         a = sample_long_templates(base, EN, 2, 11, 12, seed=9, parser=ChartParser(EN.policy))
         b = sample_long_templates(base, EN, 2, 11, 12, seed=9, parser=ChartParser(EN.policy))
         assert a == b
+
+    def test_unknown_class_fails_before_any_draw(self, monkeypatch):
+        def no_draws(rng):
+            raise AssertionError("the sampler drew before it checked the classes")
+
+        monkeypatch.setattr(templates_module, "picker", no_draws)
+        sources = [*enumerate_templates(EN, 6), ("NP", "FOO", "VI")]
+        with pytest.raises(ValueError, match=r"^0101101 Long templates: unknown lexical class 'FOO'$"):
+            sample_long_templates(sources, EN, 2, 11, 12, seed=1, parser=ChartParser(EN.policy))
 
     def test_exhaustion_error(self):
         with pytest.raises(ValueError, match="insufficient templates for length 19"):
@@ -419,25 +440,20 @@ class TestCoordinationByConstruction:
             wrong = [p for p in pairs if not is_grammatical(p[0] + ("CONJ",) + p[1], g, parser)]
             assert not wrong, (g.params, wrong)
 
-    def test_shortcut_changes_no_output(self, monkeypatch):
+    def test_shortcut_changes_no_output(self):
         # The draws do not depend on how a verdict is reached, so the output
         # is the one a parse of every candidate gives exactly when every
         # template the shortcut accepts does parse.
-        checked = []
-
-        def counted(template, grammar, parser):
-            checked.append(template)
-            return is_grammatical(template, grammar, parser)
-
-        monkeypatch.setattr(templates_module, "is_grammatical", counted)
         for g in enumerate_grammars():
-            checked.clear()
+            checked = []
             parser = ChartParser(g.policy)
+            parse = parser.parse
+            parser.parse = lambda seq: checked.append(tuple(seq)) or parse(seq)
             shortcut = sample_long_templates(sentences_to_7(g.params), g, 2, 11, 13, seed=5,
                                              parser=parser)
             # some templates are accepted unparsed, and the remaining parses
-            # still go through the module's is_grammatical
-            assert checked and set(shortcut) - set(checked), g.params
+            # still go through the parser's parse
+            assert checked and {g.categorize(t) for t in shortcut} - set(checked), g.params
             assert all(is_grammatical(t, g, parser) for t in shortcut), g.params
 
 
